@@ -26,7 +26,9 @@ from .certificates import (
 )
 from .cones import (
     ConvexCone,
+    PairAnalysis,
     SeparationCertificate,
+    analyze_pair,
     classify_pair,
     conic_hull,
     image_cone,

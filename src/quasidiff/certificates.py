@@ -80,12 +80,14 @@ class VerificationReport:
     checks_run: int
     rho_monotone: bool
     violations: list = field(default_factory=list)
+    checks_per_delta: tuple = ()  # (delta, points checked) per grid value
 
     def to_jsonable(self) -> dict:
         return {
             "accepted": self.accepted,
             "worst_violations": self.worst_violations,
             "checks_run": self.checks_run,
+            "checks_per_delta": [list(dc) for dc in self.checks_per_delta],
             "rho_monotone": self.rho_monotone,
         }
 
@@ -104,7 +106,9 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
 
     ``F`` is a single-valued callable unless ``membership(x, y) -> bool``
     is supplied for a set-valued target.  Raises on delta values at or
-    above ``cert.delta_star``.
+    above ``cert.delta_star``.  A delta whose sample holds fewer than
+    ``points_per_delta`` points (a box direction set that misses most of
+    the ball) blocks acceptance, so the verifier never passes vacuously.
     """
     deltas = sorted(float(d) for d in delta_grid)
     for d in deltas:
@@ -116,14 +120,14 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         and all(v >= -1e-12 for v in rho_vals)
 
     violations = []
-    checks = 0
+    checks_per_delta = []
     rng = np.random.default_rng(seed)
     for d, rho_d in zip(deltas, rho_vals):
         L_fn, h_fn = cert.family(d)
         xs = cert.gamma.sample(rng, cert.x_bar, d, points_per_delta)
         xs = xs[:points_per_delta + 2]
+        checks_per_delta.append((d, len(xs)))
         for x in xs:
-            checks += 1
             L = _as_linear_map(L_fn(x))
             h = np.atleast_1d(np.asarray(h_fn(x), dtype=float))
             dist = dist_to_operator_set(L, cert.lam)
@@ -169,9 +173,11 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
     ranked = sorted(violations,
                     key=lambda v: -(v["value"]
                                     if isinstance(v["value"], float) else 0.0))
-    accepted = rho_monotone and not violations
+    sampled_enough = all(c >= points_per_delta for _, c in checks_per_delta)
+    accepted = rho_monotone and sampled_enough and not violations
+    checks = sum(c for _, c in checks_per_delta)
     return VerificationReport(accepted, ranked[:20], checks, rho_monotone,
-                              violations)
+                              violations, tuple(checks_per_delta))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,13 @@
 """Convex-cone algebra: conic hulls, polar cones, transversality and
-linear-separation verdicts for finitely generated cones."""
+linear-separation verdicts for finitely generated cones.
+
+One witness search decides a cone pair.  By Gordan's alternative (Gordan
+1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly when A
+is rank-deficient or one LP is positive.  ``analyze_pair`` runs that test
+once and answers transversality and the separating functional from it,
+adding the intersection LP and the subspace test only for transversal
+pairs; ``is_transversal``, ``separating_functional`` and ``classify_pair``
+are views of its record."""
 from __future__ import annotations
 
 import itertools
@@ -10,7 +18,6 @@ from scipy.optimize import linprog, nnls
 
 from .core import DimensionMismatchError, GammaSet, LinearMap
 
-LP_TOL = 1e-9
 WITNESS_TOL = 1e-7
 
 
@@ -154,51 +161,26 @@ def polar_of_cone(cone: ConvexCone) -> ConvexCone:
 
 def _nonzero_point_in_polyhedral_cone(constraints: np.ndarray, n: int,
                                       tol: float = WITNESS_TOL):
-    """Search {p : constraints @ p <= 0, |p|_inf <= 1} for a nonzero point.
+    """A nonzero point of {p : constraints @ p <= 0} with |p|_inf <= 1, or None.
 
-    Runs the 2n coordinate-maximization linear programs; returns a witness
-    vector or None.
+    Gordan's alternative (Gordan 1873; Stiemke 1915): such a point exists
+    exactly when the constraint matrix A has rank < n, or when the one
+    linear program max sum(-A p) over {A p <= 0, |p|_inf <= 1} is positive.
+    A rank-deficient A yields a null vector scaled to |p|_inf = 1; otherwise
+    the LP solution is the witness.  The objective weighs each row by its
+    inverse norm, so the decision does not depend on the generators' scale.
     """
     a = np.asarray(constraints, dtype=float).reshape(-1, n)
-    b = np.zeros(a.shape[0])
-    bounds = [(-1.0, 1.0)] * n
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign  # maximize sign * p_i
-            res = linprog(c, A_ub=a if a.size else None,
-                          b_ub=b if a.size else None,
-                          bounds=bounds, method="highs")
-            if res.status == 0 and -res.fun > tol:
-                return np.asarray(res.x)
+    norms = np.linalg.norm(a, axis=1)
+    unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
+    _, s, vt = np.linalg.svd(unit, full_matrices=True)
+    if int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))) < n:
+        return vt[-1] / np.max(np.abs(vt[-1]))
+    res = linprog(unit.sum(axis=0), A_ub=a, b_ub=np.zeros(a.shape[0]),
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    if res.status == 0 and -res.fun > tol and np.max(np.abs(res.x)) > tol:
+        return np.asarray(res.x)
     return None
-
-
-def is_transversal(k1: ConvexCone, k2: ConvexCone) -> bool:
-    """True iff K1 - K2 is the whole space."""
-    if k1.dimension != k2.dimension:
-        raise DimensionMismatchError("cones live in different dimensions")
-    n = k1.dimension
-    constraints = np.vstack([k1.generators, -k2.generators])
-    if constraints.shape[0] == 0:
-        return n == 0
-    return _nonzero_point_in_polyhedral_cone(constraints, n) is None
-
-
-def separating_functional(k1: ConvexCone, k2: ConvexCone):
-    """A nonzero functional >=0 on K1 and <=0 on K2, or None."""
-    if k1.dimension != k2.dimension:
-        raise DimensionMismatchError("cones live in different dimensions")
-    n = k1.dimension
-    constraints = np.vstack([-k1.generators, k2.generators])
-    witness = _nonzero_point_in_polyhedral_cone(constraints, n)
-    if witness is None:
-        return None
-    checks = tuple(
-        [(g.tolist(), "+", float(witness @ g)) for g in k1.generators]
-        + [(g.tolist(), "-", float(witness @ g)) for g in k2.generators]
-    )
-    return SeparationCertificate(witness, checks)
 
 
 STRONGLY_TRANSVERSAL = "StronglyTransversal"
@@ -228,25 +210,61 @@ def _nontrivial_intersection_point(k1: ConvexCone, k2: ConvexCone,
     return None
 
 
-def classify_pair(k1: ConvexCone, k2: ConvexCone) -> str:
-    """Trichotomy for a cone pair: strongly transversal, complementary
-    subspaces, or linearly separable."""
+@dataclass(frozen=True)
+class PairAnalysis:
+    """Everything the separation theorems ask of a cone pair, from one
+    witness search: whether K1 - K2 is the whole space, the separating
+    certificate when it is not, and the trichotomy verdict."""
+
+    transversal: bool
+    certificate: SeparationCertificate | None
+    verdict: str
+
+
+def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
+    """Transversality, separation and the trichotomy of a cone pair.
+
+    K1 - K2 = cone(G1, -G2) is the whole space iff no nonzero p has
+    [G1; -G2] p <= 0.  Such a p is the negative of a separating
+    functional, since those are the points of [-G1; G2] lam <= 0, so one
+    witness search answers both questions.  The intersection LP and the
+    subspace test run only on transversal pairs.
+    """
     if k1.dimension != k2.dimension:
         raise DimensionMismatchError("cones live in different dimensions")
-    transversal = is_transversal(k1, k2)
-    if not transversal:
-        cert = separating_functional(k1, k2)
-        if cert is None:
-            raise ConsistencyError("not transversal yet no separating functional")
-        return LINEARLY_SEPARABLE
-    point = _nontrivial_intersection_point(k1, k2)
-    if point is not None:
-        return STRONGLY_TRANSVERSAL
+    witness = _nonzero_point_in_polyhedral_cone(
+        np.vstack([k1.generators, -k2.generators]), k1.dimension)
+    if witness is not None:
+        lam = -witness
+        checks = tuple(
+            [(g.tolist(), "+", float(lam @ g)) for g in k1.generators]
+            + [(g.tolist(), "-", float(lam @ g)) for g in k2.generators]
+        )
+        return PairAnalysis(False, SeparationCertificate(lam, checks),
+                            LINEARLY_SEPARABLE)
+    if _nontrivial_intersection_point(k1, k2) is not None:
+        return PairAnalysis(True, None, STRONGLY_TRANSVERSAL)
     if k1.is_subspace() and k2.is_subspace():
-        return COMPLEMENTARY_SUBSPACES
+        return PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES)
     raise ConsistencyError(
         "transversal pair with trivial intersection and non-subspace cone"
     )
+
+
+def is_transversal(k1: ConvexCone, k2: ConvexCone) -> bool:
+    """True iff K1 - K2 is the whole space."""
+    return analyze_pair(k1, k2).transversal
+
+
+def separating_functional(k1: ConvexCone, k2: ConvexCone):
+    """A nonzero functional >=0 on K1 and <=0 on K2, or None."""
+    return analyze_pair(k1, k2).certificate
+
+
+def classify_pair(k1: ConvexCone, k2: ConvexCone) -> str:
+    """Trichotomy for a cone pair: strongly transversal, complementary
+    subspaces, or linearly separable."""
+    return analyze_pair(k1, k2).verdict
 
 
 def image_cone(L: LinearMap, gamma: GammaSet) -> ConvexCone:
@@ -268,8 +286,6 @@ def image_cone(L: LinearMap, gamma: GammaSet) -> ConvexCone:
 
 def is_full_space(cone: ConvexCone) -> bool:
     """True iff the cone positively spans the whole space."""
-    if cone.is_trivial:
-        return cone.dimension == 0
     return _nonzero_point_in_polyhedral_cone(cone.generators,
                                              cone.dimension) is None
 

@@ -76,6 +76,31 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # runners
 
+def _positively_spans(k1, k2) -> bool:
+    """K1 - K2 is the whole space iff it holds every +-e_i; each is
+    checked by NNLS, independently of the LP behind the verdicts."""
+    diff = cone_mod.conic_hull(np.vstack([k1.generators, -k2.generators]),
+                               k1.dimension)
+    return all(diff.contains(sign * e, cone_mod.WITNESS_TOL)
+               for e in np.eye(k1.dimension) for sign in (1.0, -1.0))
+
+
+def _xor_failures(index, k1, k2, transversal, cert) -> list:
+    """Transversal XOR separable, with each side backed by its own check:
+    a transversal verdict by the NNLS span oracle, a separable one by a
+    certificate that validates."""
+    if transversal == (cert is not None):
+        return [{"index": index, "k1": k1.to_jsonable(),
+                 "k2": k2.to_jsonable(), "transversal": transversal}]
+    if transversal and not _positively_spans(k1, k2):
+        return [{"index": index, "k1": k1.to_jsonable(),
+                 "k2": k2.to_jsonable(), "span_oracle_disagrees": True}]
+    if cert is not None and not cert.validate(k1, k2):
+        return [{"index": index, "k1": k1.to_jsonable(),
+                 "k2": k2.to_jsonable(), "invalid_certificate": True}]
+    return []
+
+
 def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
                      seed: int = 0) -> dict:
     """Random-cone corpus: duality (transversal XOR separable) and the
@@ -101,38 +126,34 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
             return cone_mod.conic_hull(gens, n)
 
         k1, k2 = random_cone(), random_cone()
-        transversal = cone_mod.is_transversal(k1, k2)
-        cert = cone_mod.separating_functional(k1, k2)
-        if transversal == (cert is not None):
-            xor_failures.append({"index": i, "k1": k1.to_jsonable(),
-                                 "k2": k2.to_jsonable(),
-                                 "transversal": transversal})
-        if cert is not None and not cert.validate(k1, k2):
-            xor_failures.append({"index": i, "k1": k1.to_jsonable(),
-                                 "k2": k2.to_jsonable(),
-                                 "invalid_certificate": True})
         try:
-            verdict = cone_mod.classify_pair(k1, k2)
+            pair = cone_mod.analyze_pair(k1, k2)
         except cone_mod.ConsistencyError as exc:
+            # raised only on a pair the LP found transversal
+            xor_failures += _xor_failures(i, k1, k2, True, None)
             trichotomy_failures.append({"index": i, "error": str(exc),
                                         "k1": k1.to_jsonable(),
                                         "k2": k2.to_jsonable()})
             continue
+        xor_failures += _xor_failures(i, k1, k2, pair.transversal,
+                                      pair.certificate)
+        verdict = pair.verdict
         counts[verdict] = counts.get(verdict, 0) + 1
-        consistent = (verdict == cone_mod.LINEARLY_SEPARABLE) == (not transversal)
+        consistent = (verdict == cone_mod.LINEARLY_SEPARABLE) \
+            == (not pair.transversal)
         if not consistent:
             trichotomy_failures.append({"index": i, "verdict": verdict,
-                                        "transversal": transversal})
+                                        "transversal": pair.transversal})
         if verdict == cone_mod.COMPLEMENTARY_SUBSPACES:
+            # two subspaces meet only at 0 and span the space iff their
+            # dimensions add up to the joint rank, and that rank is n
             complementary_checked += 1
-            stacked = np.vstack([k1.generators, k2.generators])
-            rank = int(np.linalg.matrix_rank(stacked, tol=1e-8))
-            point = cone_mod._nontrivial_intersection_point(k1, k2)
-            if rank != n or point is not None:
+            ranks = [int(np.linalg.matrix_rank(g, tol=1e-8)) for g in
+                     (k1.generators, k2.generators,
+                      np.vstack([k1.generators, k2.generators]))]
+            if ranks[2] != n or ranks[0] + ranks[1] != n:
                 trichotomy_failures.append(
-                    {"index": i, "verdict": verdict, "rank": rank,
-                     "nontrivial_point": None if point is None
-                     else point.tolist()})
+                    {"index": i, "verdict": verdict, "ranks": ranks})
     return {
         "pairs": pairs,
         "xor_holds": pairs - len(xor_failures),

@@ -10,10 +10,9 @@ from scipy.spatial import cKDTree
 from .cones import (
     ConvexCone,
     STRONGLY_TRANSVERSAL,
-    classify_pair,
+    analyze_pair,
     image_cone,
     is_full_space,
-    is_transversal,
 )
 from .core import DimensionMismatchError, GammaSet, LinearMap, OperatorSet
 
@@ -72,16 +71,13 @@ def separation_verdict(k1, k2) -> str:
     if m1.dimension != m2.dimension:
         raise DimensionMismatchError("multi-cones live in different dimensions")
     all_strong = True
-    all_transversal = True
     for c1 in m1.cones:
         for c2 in m2.cones:
-            if not is_transversal(c1, c2):
+            pair = analyze_pair(c1, c2)
+            if not pair.transversal:
                 return NO_CONCLUSION
-            if all_strong and classify_pair(c1, c2) != STRONGLY_TRANSVERSAL:
-                all_strong = False
-    if all_strong:
-        return NOT_LOCALLY_SEPARATED
-    if all_transversal and (m1.z_ignoring or m2.z_ignoring):
+            all_strong = all_strong and pair.verdict == STRONGLY_TRANSVERSAL
+    if all_strong or m1.z_ignoring or m2.z_ignoring:
         return NOT_LOCALLY_SEPARATED
     return NO_CONCLUSION
 

@@ -41,7 +41,7 @@ def _line(num, name, ok, detail):
 
 def test_criterion_01_cone_duality(cone_corpus_report):
     """1000 random cone pairs in dims 2-5: transversal XOR separable in at
-    least 999 cases (LP tolerance 1e-9)."""
+    least 999 cases (witness tolerance WITNESS_TOL = 1e-7)."""
     rep = cone_corpus_report
     ok = rep["xor_holds"] >= 999
     _line(1, "cone duality", ok,

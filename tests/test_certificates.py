@@ -59,6 +59,39 @@ class TestAbsvalueFamily:
         with pytest.raises(ValueError):
             c.verify_certificate(abs_map, cert, [2.0], 10)
 
+    def test_box_missing_base_point_is_not_accepted(self):
+        # Gamma = [5, 6] misses every ball around x_bar = 0: no point is
+        # sampled, so there is nothing to accept
+        cert = c.absvalue_qdq()
+        cert.gamma = GammaSet.box([5.0], [6.0])
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2], 50, seed=0)
+        assert rep.checks_run == 0
+        assert rep.checks_per_delta == ((1e-2, 0), (1e-1, 0))
+        assert not rep.violations
+        assert not rep.accepted
+
+    def test_short_sample_on_one_delta_blocks_acceptance(self):
+        # the box [-0.01, 0.01] lies inside B_0.1 but only half of it
+        # inside B_0.005: the larger delta is fully checked, the smaller
+        # one falls short
+        cert = c.absvalue_qdq()
+        cert.gamma = GammaSet.box([-0.01], [0.01])
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
+        counts = dict(rep.checks_per_delta)
+        assert counts[1e-1] == 50
+        assert 0 < counts[5e-3] < 50
+        assert not rep.violations
+        assert not rep.accepted
+
+    def test_checks_per_delta_reported(self):
+        rep = c.verify_certificate(abs_map, c.absvalue_qdq(),
+                                   [1e-1, 1e-2, 1e-3], 200, seed=0)
+        assert [d for d, _ in rep.checks_per_delta] == [1e-3, 1e-2, 1e-1]
+        assert all(n >= 200 for _, n in rep.checks_per_delta)
+        assert rep.checks_run == sum(n for _, n in rep.checks_per_delta)
+        assert rep.to_jsonable()["checks_per_delta"] == \
+            [list(dc) for dc in rep.checks_per_delta]
+
 
 class TestOneSidedDerivatives:
     def test_absvalue(self):
