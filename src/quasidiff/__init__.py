@@ -46,6 +46,7 @@ from .core import (
     GammaSet,
     LinearMap,
     Modulus,
+    NonFiniteValueError,
     OperatorSet,
     convex_hull_points,
     dist_to_operator_set,

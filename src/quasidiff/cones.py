@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .core import DimensionMismatchError, GammaSet, LinearMap
+from .core import DimensionMismatchError, GammaSet, LinearMap, dedupe
 
 WITNESS_TOL = 1e-7
 
@@ -129,15 +129,8 @@ def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
                         if np.all(a @ cand <= 1e-9):
                             rays.append(cand)
     # dedupe directions
-    out = []
-    for r in rays:
-        nrm = np.linalg.norm(r)
-        if nrm <= 1e-12:
-            continue
-        r = r / nrm
-        if not any(np.linalg.norm(r - q) <= 1e-8 for q in out):
-            out.append(r)
-    return np.array(out).reshape(-1, n)
+    unit = [r / nrm for r in rays if (nrm := np.linalg.norm(r)) > 1e-12]
+    return dedupe(np.array(unit).reshape(-1, n), 1e-8)
 
 
 def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:

@@ -15,6 +15,8 @@ from scipy.spatial import QhullError
 
 EQUALITY_TOL = 1e-10
 VERDICT_TOL = 1e-8
+# redraws of a box direction set before a short sample is returned
+BOX_SAMPLE_ROUNDS = 64
 
 
 class DimensionMismatchError(ValueError):
@@ -36,6 +38,14 @@ class DomainEscapeError(RuntimeError):
 
 class BlowUpError(RuntimeError):
     """A trajectory produced a non-finite state."""
+
+
+class NonFiniteValueError(ValueError):
+    """A sampled map or field returned NaN or an infinite value."""
+
+    def __init__(self, message: str, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -202,10 +212,21 @@ class GammaSet:
             radii = delta * rng.uniform(size=raw.shape[0]) ** (1.0 / n)
             return center + raw * (radii / norms)[:, None]
         if self.kind == GammaSet.BOX:
-            lo, hi = self.bounds
-            pts = rng.uniform(lo, hi, size=(count, n))
-            d = np.linalg.norm(pts - center, axis=1)
-            return pts[d <= delta]
+            # draw from the box clipped to the cube around B_delta, keep the
+            # points inside B_delta, and redraw for what is still missing
+            lo = np.maximum(self.bounds[0], center - delta)
+            hi = np.minimum(self.bounds[1], center + delta)
+            if np.any(lo > hi):
+                return np.zeros((0, n))
+            kept, total = [], 0
+            for _ in range(BOX_SAMPLE_ROUNDS):
+                pts = rng.uniform(lo, hi, size=(count, n))
+                pts = pts[np.linalg.norm(pts - center, axis=1) <= delta]
+                kept.append(pts)
+                total += pts.shape[0]
+                if total >= count:
+                    break
+            return np.vstack(kept)[:count]
         raise ValueError(f"unknown gamma kind {self.kind!r}")
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -352,6 +373,25 @@ def _canonical_order(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def dedupe(points, tol: float) -> np.ndarray:
+    """Rows of ``points`` without near-duplicates, in their original order.
+
+    Greedy first occurrence: a row is kept unless an earlier kept row lies
+    within ``tol`` (Euclidean).  Each pass keeps the first remaining row and
+    drops every later row within ``tol`` of it, so the cost is
+    O(rows x kept) in vectorised distance evaluations.
+    """
+    pts = np.asarray(points, dtype=float)
+    keep = []
+    rest = np.arange(pts.shape[0])
+    while rest.size:
+        first, rest = rest[0], rest[1:]
+        keep.append(first)
+        # a NaN distance is not within tol, so it keeps the row
+        rest = rest[~(np.linalg.norm(pts[rest] - pts[first], axis=1) <= tol)]
+    return pts[keep]
+
+
 def convex_hull_points(points) -> np.ndarray:
     """Minimal vertex set of the convex hull of low-dimensional points.
 
@@ -361,12 +401,7 @@ def convex_hull_points(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("convex hull of an empty point set")
-    # deduplicate
-    uniq = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= 1e-12 for q in uniq):
-            uniq.append(p)
-    pts = np.array(uniq)
+    pts = dedupe(pts, 1e-12)
     if pts.shape[0] == 1:
         return pts
 

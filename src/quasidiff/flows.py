@@ -28,6 +28,11 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
+    def contains_rows(self, points, tol: float = 0.0) -> np.ndarray:
+        """Row-wise ``contains`` of a (k, n) array, as a length-k mask."""
+        pts = np.asarray(points, dtype=float)
+        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -118,12 +123,3 @@ def multiflow_commutator(f: VectorField, g: VectorField, q, t: float,
     y = flow(g.negated(), y, t, cfg)
     return y
 
-
-def theta_map(x1: VectorField, x2: VectorField, x, sigma: float, t: float,
-              tau: float, cfg: FlowSolverConfig) -> np.ndarray:
-    """Composed point used inside the double-integral flow expansion:
-    flow x1 for t, then x2 for tau, then x1 for tau - t."""
-    y = flow(x1, x, t, cfg)
-    y = flow(x2, y, tau, cfg)
-    y = flow(x1, y, tau - t, cfg)
-    return y

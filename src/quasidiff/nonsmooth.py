@@ -1,6 +1,17 @@
 """Mollification and sampling estimators: finite-difference Jacobians,
 Clarke generalized Jacobians, pointwise and set-valued Lie brackets, and
-the commutator-flow direction quotient."""
+the commutator-flow direction quotient.
+
+The estimators score a whole sample cloud in one pass
+(``_central_differences``): samples whose finite-difference stencil leaves
+the field's box domain are masked by one vectorised test, the central
+differences at steps h and h/2 are formed one stencil column at a time over
+all remaining samples, and the step-h Jacobians come back with their
+two-scale differentiability scores.  Maps and fields are still called one
+point at a time.  ``fd_jacobian`` and ``differentiability_score`` are
+one-row views of the same pass.  Non-finite values raise
+``NonFiniteValueError`` instead of reaching a score.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,8 +23,10 @@ from .core import (
     DomainEscapeError,
     EstimatorFailedError,
     LinearMap,
+    NonFiniteValueError,
     OperatorSet,
     convex_hull_points,
+    dedupe,
 )
 from .flows import FlowSolverConfig, VectorField, default_config, flow, \
     multiflow_commutator
@@ -28,14 +41,6 @@ class MollifierConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class JacobianSample:
-    base_point: np.ndarray
-    jacobian: LinearMap
-    fd_step: float
-    differentiability_score: float
-
-
 def _bump(v: np.ndarray) -> float:
     r2 = float(v @ v)
     if r2 >= 1.0:
@@ -43,30 +48,87 @@ def _bump(v: np.ndarray) -> float:
     return float(np.exp(-1.0 / (1.0 - r2)))
 
 
-def fd_jacobian(f, x, h: float, dimension: int | None = None) -> LinearMap:
-    """Central-difference Jacobian of f at x with step h."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
+def _central_differences(f, pts: np.ndarray, steps: tuple):
+    """Central-difference Jacobians of f at every row of ``pts``, per step.
+
+    Returns ``(rows, jacobians)``: the indices of the rows whose stencils
+    x +- step * e_i all lie in ``f.domain`` (when f has one) and evaluate
+    without ``DomainEscapeError``, and for each step a C-contiguous
+    ``(len(rows), m, n)`` array of their Jacobians.  Raises
+    ``NonFiniteValueError`` when a kept row has a non-finite quotient.
+    """
+    k, n = pts.shape
+    stencils = []
+    for h in steps:
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            stencils.append((pts + e, pts - e, 2.0 * h))
+    ok = np.ones(k, dtype=bool)
     domain = getattr(f, "domain", None)
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        if domain is not None and not (domain.contains(x + e) and
-                                       domain.contains(x - e)):
-            raise DomainEscapeError("finite-difference stencil leaves domain",
-                                    point=x)
-        cols.append((np.asarray(f(x + e), dtype=float)
-                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
-    return LinearMap(np.column_stack(cols))
+    if domain is not None:
+        for plus, minus, _ in stencils:
+            ok &= domain.contains_rows(plus) & domain.contains_rows(minus)
+    values = None  # (stencil, +/-, row, output), sized at the first value
+    for c, (plus, minus, _) in enumerate(stencils):
+        for r in np.flatnonzero(ok):
+            try:
+                vp = np.asarray(f(plus[r]), dtype=float).ravel()
+                vm = np.asarray(f(minus[r]), dtype=float).ravel()
+            except DomainEscapeError:
+                ok[r] = False
+                continue
+            if values is None:
+                values = np.zeros((len(stencils), 2, k, vp.size))
+            values[c, 0, r] = vp
+            values[c, 1, r] = vm
+    rows = np.flatnonzero(ok)
+    if not rows.size:
+        return rows, [np.zeros((0, 0, n)) for _ in steps]
+    widths = np.array([w for _, _, w in stencils])
+    quotients = ((values[:, 0, rows] - values[:, 1, rows])
+                 / widths[:, None, None])
+    finite = np.all(np.isfinite(quotients), axis=(0, 2))
+    if not finite.all():
+        raise NonFiniteValueError("non-finite value in a finite-difference "
+                                  "stencil", point=pts[rows[np.argmin(finite)]])
+    return rows, [np.ascontiguousarray(q.transpose(1, 2, 0))
+                  for q in np.split(quotients, len(steps))]
+
+
+def _scores(j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
+    """Two-scale agreement of step-h and step-h/2 Jacobians, over the last
+    two axes; near zero on locally linear neighbourhoods."""
+    return (np.max(np.abs(j1 - j2), axis=(-2, -1))
+            / (1.0 + np.max(np.abs(j1), axis=(-2, -1))))
+
+
+def _scored_jacobians(f, pts: np.ndarray, h: float):
+    """``(rows, step-h Jacobians, scores)`` for the rows of ``pts`` whose
+    stencils at h and h/2 stay in the domain."""
+    rows, (j1, j2) = _central_differences(f, pts, (h, h / 2.0))
+    return rows, j1, _scores(j1, j2) if rows.size else np.zeros(0)
+
+
+def _at_point(f, x, steps: tuple) -> list:
+    """Per-step Jacobians at the single point x."""
+    x = np.asarray(x, dtype=float)
+    rows, jacs = _central_differences(f, x.reshape(1, -1), steps)
+    if not rows.size:
+        raise DomainEscapeError("finite-difference stencil leaves domain",
+                                point=x)
+    return [j[0] for j in jacs]
+
+
+def fd_jacobian(f, x, h: float) -> LinearMap:
+    """Central-difference Jacobian of f at x with step h."""
+    return LinearMap(_at_point(f, x, (h,))[0])
 
 
 def differentiability_score(f, x, h: float) -> float:
     """Two-scale agreement of central differences; near zero on locally
     linear neighborhoods."""
-    j1 = fd_jacobian(f, x, h).entries
-    j2 = fd_jacobian(f, x, h / 2.0).entries
-    return float(np.max(np.abs(j1 - j2)) / (1.0 + np.max(np.abs(j1))))
+    return float(_scores(*_at_point(f, x, (h, h / 2.0))))
 
 
 def _quadrature_rule(n: int, count: int, seed: int):
@@ -94,14 +156,22 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
 
     def evaluator(x, pts=pts, weights=weights, eta=cfg.eta):
-        acc = np.zeros(f.dimension)
-        for w, v in zip(weights, pts):
-            y = x + eta * v
-            if not f.domain.contains(y):
-                raise DomainEscapeError("mollification stencil leaves domain",
-                                        point=y)
-            acc += w * f(y)
-        return acc
+        ys = x + eta * pts
+        inside = f.domain.contains_rows(ys)
+        if not inside.all():
+            raise DomainEscapeError("mollification stencil leaves domain",
+                                    point=ys[np.argmin(inside)])
+        values = np.array([f(y) for y in ys])
+        finite = np.all(np.isfinite(values), axis=1)
+        if not finite.all():
+            raise NonFiniteValueError("non-finite value in the mollification "
+                                      "stencil", point=ys[np.argmin(finite)])
+        # the weighted rows are added in quadrature order onto a zero start:
+        # np.sum would add the rows of a single column pairwise, which
+        # rounds differently
+        terms = np.vstack([np.zeros((1, f.dimension)),
+                           weights[:, None] * values])
+        return np.add.accumulate(terms, axis=0)[-1]
 
     return VectorField(f.dimension, evaluator, f.domain, f.lipschitz_estimate,
                        label=f"mollified({f.label},{cfg.eta})")
@@ -129,16 +199,11 @@ def _vertex_reduce(flats: np.ndarray) -> np.ndarray:
     dimension is desk-scale, else just deduplicate."""
     if flats.shape[1] <= 4 and flats.shape[0] > flats.shape[1] + 1:
         return convex_hull_points(flats)
-    uniq = []
-    for p in flats:
-        if not any(np.linalg.norm(p - q) <= 1e-10 for q in uniq):
-            uniq.append(p)
-    return np.array(uniq)
+    return dedupe(flats, 1e-10)
 
 
 def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
                              seed: int, fd_step: float | None = None,
-                             dimension: int | None = None,
                              score_threshold: float = DIFFERENTIABILITY_THRESHOLD
                              ) -> OperatorSet:
     """Hull of differentiability-scored Jacobians sampled around x_bar."""
@@ -146,23 +211,13 @@ def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
     pts = _ball_samples(rng, x_bar, radius, samples)
-    kept = []
-    shape = None
-    for x in pts:
-        try:
-            score = differentiability_score(f, x, h)
-        except DomainEscapeError:
-            continue
-        if score > score_threshold:
-            continue
-        jac = fd_jacobian(f, x, h)
-        shape = jac.entries.shape
-        kept.append(jac.flat())
-    if not kept:
+    _, jac, score = _scored_jacobians(f, pts, h)
+    kept = jac[score <= score_threshold]
+    if not len(kept):
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")
-    verts = _vertex_reduce(np.array(kept))
-    gens = tuple(LinearMap(v.reshape(shape)) for v in verts)
+    verts = _vertex_reduce(kept.reshape(kept.shape[0], -1))
+    gens = tuple(LinearMap(v.reshape(kept.shape[1:])) for v in verts)
     return OperatorSet(gens, convex_closure=True).canonicalized()
 
 
@@ -176,16 +231,14 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
     pts = _ball_samples(rng, q, radius, samples)
-    kept = []
-    for x in pts:
-        try:
-            score = max(differentiability_score(f, x, h),
-                        differentiability_score(g, x, h))
-        except DomainEscapeError:
-            continue
-        if score > score_threshold:
-            continue
-        kept.append(lie_bracket_pointwise(f, g, x, h))
+    # g is differenced only where f's stencils stayed in the domain
+    rows_f, jf, score_f = _scored_jacobians(f, pts, h)
+    rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
+    pts, jf = pts[rows_f][rows_g], jf[rows_g]
+    keep = np.maximum(score_f[rows_g], score_g) <= score_threshold
+    # the same entries @ v product as lie_bracket_pointwise
+    kept = [b @ f(x) - a @ g(x)
+            for x, a, b in zip(pts[keep], jf[keep], jg[keep])]
     if not kept:
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")

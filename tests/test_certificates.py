@@ -71,17 +71,25 @@ class TestAbsvalueFamily:
         assert not rep.accepted
 
     def test_short_sample_on_one_delta_blocks_acceptance(self):
-        # the box [-0.01, 0.01] lies inside B_0.1 but only half of it
-        # inside B_0.005: the larger delta is fully checked, the smaller
-        # one falls short
+        # the box [0.006, 0.01] lies inside B_0.1 but misses B_0.005: the
+        # larger delta is fully checked, the smaller one gets no point
+        cert = c.absvalue_qdq()
+        cert.gamma = GammaSet.box([0.006], [0.01])
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
+        assert dict(rep.checks_per_delta) == {1e-1: 50, 5e-3: 0}
+        assert not rep.violations
+        assert not rep.accepted
+
+    def test_box_wider_than_delta_fully_sampled(self):
+        # only half of the box [-0.01, 0.01] lies inside B_0.005; the
+        # sample is drawn from the box clipped to that ball, so both deltas
+        # get every point
         cert = c.absvalue_qdq()
         cert.gamma = GammaSet.box([-0.01], [0.01])
         rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
-        counts = dict(rep.checks_per_delta)
-        assert counts[1e-1] == 50
-        assert 0 < counts[5e-3] < 50
+        assert dict(rep.checks_per_delta) == {1e-1: 50, 5e-3: 50}
         assert not rep.violations
-        assert not rep.accepted
+        assert rep.accepted
 
     def test_checks_per_delta_reported(self):
         rep = c.verify_certificate(abs_map, c.absvalue_qdq(),

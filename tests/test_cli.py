@@ -2,13 +2,17 @@
 determinism, and parallel/serial equivalence."""
 from __future__ import annotations
 
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from quasidiff.cli import main, reference_config_path
 from quasidiff.scenarios import ConfigError, Scenario, load_config, \
     run_scenario, run_scenarios
+
+GOLDEN_SUMMARY = Path(__file__).parent / "golden" / "reference_summary.csv"
 
 
 def write_config(path, scenarios):
@@ -146,3 +150,21 @@ class TestEntryPoint:
         assert kinds == {"CertificateVerify", "ConeDuality", "ClarkeEstimate",
                          "BracketConvergence", "OpenMappingProbe",
                          "SeparationFixture"}
+
+
+class TestReferenceGolden:
+    def test_summary_matches_golden(self, tmp_path):
+        """The reference suite's verdicts and metrics against the committed
+        summary: labels and verdicts exactly, values to 1e-12 abs +
+        1e-9 rel."""
+        assert main(["run", "reference", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        with open(GOLDEN_SUMMARY, newline="") as fh:
+            want = list(csv.DictReader(fh))
+        labels = ("scenario", "kind", "verdict", "metric_name")
+        assert [[r[k] for k in labels] for r in got] == \
+            [[r[k] for k in labels] for r in want]
+        for g, w in zip(got, want):
+            assert float(g["metric_value"]) == pytest.approx(
+                float(w["metric_value"]), abs=1e-12, rel=1e-9), g["scenario"]

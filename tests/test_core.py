@@ -185,6 +185,24 @@ class TestGammaSet:
         for p in pts:
             assert g.contains(p)
 
+    def test_box_wider_than_ball_gives_full_sample(self):
+        g = GammaSet.box([-1.0, -1.0], [1.0, 0.0])
+        rng = np.random.default_rng(0)
+        pts = g.sample(rng, np.zeros(2), 0.1, 40)
+        assert pts.shape == (40, 2)
+        assert np.all(np.linalg.norm(pts, axis=1) <= 0.1)
+        assert all(g.contains(p, tol=0.0) for p in pts)
+
+    def test_box_missing_ball_gives_no_sample(self):
+        rng = np.random.default_rng(0)
+        # disjoint from the cube around the ball
+        assert GammaSet.box([5.0], [6.0]).sample(
+            rng, np.zeros(1), 0.1, 10).shape == (0, 1)
+        # meets the cube only in a corner outside the ball: every bounded
+        # redraw comes back empty
+        assert GammaSet.box([0.08, 0.08], [1.0, 1.0]).sample(
+            rng, np.zeros(2), 0.1, 10).shape == (0, 2)
+
     def test_cone_contains(self):
         g = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]])
         assert g.contains([0.5, 0.25])

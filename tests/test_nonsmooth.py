@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quasidiff.core import EstimatorFailedError, OperatorSet, \
-    hausdorff_distance
+from quasidiff.core import DomainEscapeError, EstimatorFailedError, \
+    OperatorSet, hausdorff_distance
 from quasidiff.fields import abs_1d_field, abs_shear_field, linear_field, \
     unit_x_field
 from quasidiff.nonsmooth import (
@@ -36,6 +36,13 @@ class TestFdJacobian:
         f = lambda x: a @ x
         j = fd_jacobian(f, np.array([0.3, -0.2]), 1e-5)
         assert np.allclose(j.entries, a, atol=1e-9)
+
+    def test_stencil_leaving_domain_raises(self):
+        f = abs_1d_field()  # on [-10, 10]
+        with pytest.raises(DomainEscapeError):
+            fd_jacobian(f, np.array([10.0]), 1e-5)
+        with pytest.raises(DomainEscapeError):
+            differentiability_score(f, np.array([-10.0 + 1e-6]), 1e-5)
 
     def test_score_flags_kink(self):
         f = abs_1d_field()

@@ -1,0 +1,436 @@
+"""The vectorised sampling layer against the per-sample loops it replaced.
+
+The loops below (the greedy dedupe, the per-sample finite-difference
+estimators, the pointwise mollifier and the direction dedupe of
+``_extreme_rays``) are kept here as oracles only.  Where the arithmetic is
+unchanged the vectorised code must match them bit for bit.
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasidiff import cones
+from quasidiff.certificates import gamma_intersection
+from quasidiff.core import (
+    DomainEscapeError,
+    EstimatorFailedError,
+    GammaSet,
+    LinearMap,
+    NonFiniteValueError,
+    OperatorSet,
+    convex_hull_points,
+    dedupe,
+)
+from quasidiff.fields import abs_shear_field, linear_field, make_map, \
+    unit_x_field
+from quasidiff.flows import Box, VectorField
+from quasidiff.nonsmooth import (
+    DIFFERENTIABILITY_THRESHOLD,
+    MollifierConfig,
+    _ball_samples,
+    _quadrature_rule,
+    _scored_jacobians,
+    clarke_jacobian_estimate,
+    differentiability_score,
+    fd_jacobian,
+    mollify,
+    set_lie_bracket_estimate,
+)
+
+EXAMPLES = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-sample loops
+
+def dedupe_loop(points, tol):
+    """Oracle: keep a row unless an earlier kept row lies within tol."""
+    uniq = []
+    for p in np.asarray(points, dtype=float):
+        if not any(np.linalg.norm(p - q) <= tol for q in uniq):
+            uniq.append(p)
+    return np.array(uniq).reshape(-1, np.shape(points)[1])
+
+
+def fd_jacobian_loop(f, x, h):
+    """Oracle: central differences, one stencil column at a time."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    domain = getattr(f, "domain", None)
+    cols = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        if domain is not None and not (domain.contains(x + e) and
+                                       domain.contains(x - e)):
+            raise DomainEscapeError("finite-difference stencil leaves domain",
+                                    point=x)
+        cols.append((np.asarray(f(x + e), dtype=float)
+                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
+    return LinearMap(np.column_stack(cols))
+
+
+def score_loop(f, x, h):
+    j1 = fd_jacobian_loop(f, x, h).entries
+    j2 = fd_jacobian_loop(f, x, h / 2.0).entries
+    return float(np.max(np.abs(j1 - j2)) / (1.0 + np.max(np.abs(j1))))
+
+
+def vertex_reduce_loop(flats):
+    if flats.shape[1] <= 4 and flats.shape[0] > flats.shape[1] + 1:
+        # on rows already apart by 1e-12 the hull's own dedupe keeps all
+        return convex_hull_points(dedupe_loop(flats, 1e-12))
+    return dedupe_loop(flats, 1e-10)
+
+
+def clarke_loop(f, x_bar, radius, samples, seed, fd_step=None):
+    """Oracle: score every sample, then difference the kept ones again."""
+    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
+    pts = _ball_samples(np.random.default_rng(seed), x_bar, radius, samples)
+    kept = []
+    shape = None
+    for x in pts:
+        try:
+            score = score_loop(f, x, h)
+        except DomainEscapeError:
+            continue
+        if score > DIFFERENTIABILITY_THRESHOLD:
+            continue
+        jac = fd_jacobian_loop(f, x, h)
+        shape = jac.entries.shape
+        kept.append(jac.flat())
+    if not kept:
+        raise EstimatorFailedError("no sample kept")
+    verts = vertex_reduce_loop(np.array(kept))
+    gens = tuple(LinearMap(v.reshape(shape)) for v in verts)
+    return OperatorSet(gens, convex_closure=True).canonicalized()
+
+
+def bracket_loop(f, g, q, radius, samples, seed, fd_step=None):
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
+    pts = _ball_samples(np.random.default_rng(seed), q, radius, samples)
+    kept = []
+    for x in pts:
+        try:
+            score = max(score_loop(f, x, h), score_loop(g, x, h))
+        except DomainEscapeError:
+            continue
+        if score > DIFFERENTIABILITY_THRESHOLD:
+            continue
+        jf = fd_jacobian_loop(f, x, h)
+        jg = fd_jacobian_loop(g, x, h)
+        kept.append(jg.apply(f(x)) - jf.apply(g(x)))
+    if not kept:
+        raise EstimatorFailedError("no sample kept")
+    verts = vertex_reduce_loop(np.array(kept))
+    return OperatorSet.from_vectors(verts, convex_closure=True).canonicalized()
+
+
+def mollified_loop(f, cfg, x):
+    """Oracle: the weighted quadrature sum, one point at a time."""
+    pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points,
+                                    cfg.seed)
+    acc = np.zeros(f.dimension)
+    for w, v in zip(weights, pts):
+        y = x + cfg.eta * v
+        if not f.domain.contains(y):
+            raise DomainEscapeError("mollification stencil leaves domain",
+                                    point=y)
+        acc += w * f(y)
+    return acc
+
+
+def extreme_rays_loop(constraints, n):
+    """Oracle: the active-set scan with its pairwise direction dedupe."""
+    a = np.asarray(constraints, dtype=float).reshape(-1, n)
+    if a.shape[0] == 0:
+        eye = np.eye(n)
+        return np.vstack([eye, -eye])
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
+    null_basis = vt[rank:]
+    rays = [b for b in null_basis] + [-b for b in null_basis]
+    if rank >= 1:
+        rows = list(range(a.shape[0]))
+        for size in range(0, n):
+            for subset in itertools.combinations(rows, size):
+                sub = a[list(subset)]
+                if sub.shape[0] == 0:
+                    candidates = list(np.eye(n))
+                else:
+                    _, s2, vt2 = np.linalg.svd(sub, full_matrices=True)
+                    r2 = int(np.sum(
+                        s2 > 1e-10 * max(1.0, s2[0] if s2.size else 1.0)))
+                    candidates = list(vt2[r2:])
+                for v in candidates:
+                    for cand in (v, -v):
+                        if np.all(a @ cand <= 1e-9):
+                            rays.append(cand)
+    out = []
+    for r in rays:
+        nrm = np.linalg.norm(r)
+        if nrm <= 1e-12:
+            continue
+        r = r / nrm
+        if not any(np.linalg.norm(r - q) <= 1e-8 for q in out):
+            out.append(r)
+    return np.array(out).reshape(-1, n)
+
+
+# ---------------------------------------------------------------------------
+# test maps and fields
+
+def smooth_2d(x):
+    return np.array([x[0] * x[0] - x[1] * x[1], x[0] * x[1]])
+
+
+def cut_field(value, lo, hi):
+    """A field on a box that the sample ball around 0 overhangs."""
+    return VectorField(2, value, Box(np.array(lo), np.array(hi)), 1.0)
+
+
+def refusing_field():
+    """abs_shear that refuses points with x1 > 2e-4 by raising, as an
+    evaluator whose own stencil left its domain would."""
+    def value(x):
+        if x[0] > 2e-4:
+            raise DomainEscapeError("refused", point=x)
+        return np.array([0.0, abs(x[0])])
+    return VectorField(2, value, Box(-np.ones(2), np.ones(2)), 1.0)
+
+
+def nan_on_right(x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return np.array([np.nan if x[0] > 0 else abs(x[0])])
+
+
+def same_generators(a, b):
+    return np.array_equal(a.flat_generators(), b.flat_generators())
+
+
+# ---------------------------------------------------------------------------
+
+class TestDedupe:
+    @EXAMPLES
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           tol=st.sampled_from([1e-12, 1e-10, 1e-8, 0.1]),
+           spread=st.sampled_from([10.0, 1000.0]))
+    def test_matches_greedy_loop(self, seed, dim, tol, spread):
+        rng = np.random.default_rng(seed)
+        # coordinates of size spread * tol keep the planted distances
+        # tol * (1 +- 1e-6) well resolved in floating point
+        pts = spread * tol * rng.normal(size=(40, dim))
+        u = rng.normal(size=(20, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        scale = tol * np.where(rng.uniform(size=(20, 1)) < 0.5,
+                               1.0 - 1e-6, 1.0 + 1e-6)
+        near = pts[rng.integers(40, size=20)] + scale * u
+        repeats = pts[rng.integers(40, size=15)]
+        cloud = np.vstack([pts, near, repeats])[rng.permutation(75)]
+        got = dedupe(cloud, tol)
+        assert np.array_equal(got, dedupe_loop(cloud, tol))
+
+    def test_planted_neighbours_on_both_sides(self):
+        base = np.zeros((1, 2))
+        cloud = np.vstack([base, [[1e-8 * (1 - 1e-6), 0.0]],
+                           [[0.0, 1e-8 * (1 + 1e-6)]], base])
+        assert np.array_equal(dedupe(cloud, 1e-8), cloud[[0, 2]])
+
+    def test_empty_and_single(self):
+        assert dedupe(np.zeros((0, 3)), 1e-8).shape == (0, 3)
+        assert np.array_equal(dedupe([[1.0, 2.0]], 1e-8), [[1.0, 2.0]])
+
+
+class TestEstimatorsMatchLoops:
+    @EXAMPLES
+    @given(seed=st.integers(0, 2**31 - 1), label=st.sampled_from(
+        ["abs1d", "fold_sum", "square1d", "smooth2d"]),
+        offset=st.floats(-1.0, 1.0))
+    def test_clarke_bit_identical(self, seed, label, offset):
+        f = smooth_2d if label == "smooth2d" else make_map(label)
+        dim = 1 if label in ("abs1d", "square1d") else 2
+        # kink maps are centred on their kink, the smooth ones anywhere
+        x_bar = [0.0] * dim if label in ("abs1d", "fold_sum") \
+            else [offset] * dim
+        if label == "fold_sum":
+            x_bar[0] = offset
+        got = clarke_jacobian_estimate(f, x_bar, 1e-3, 150, seed)
+        want = clarke_loop(f, x_bar, 1e-3, 150, seed)
+        assert same_generators(got, want)
+
+    @EXAMPLES
+    @given(seed=st.integers(0, 2**31 - 1), x2=st.floats(-1.0, 1.0))
+    def test_bracket_bit_identical(self, seed, x2):
+        f, g = unit_x_field(), abs_shear_field()
+        got = set_lie_bracket_estimate(f, g, [0.0, x2], 1e-3, 150, seed)
+        want = bracket_loop(f, g, [0.0, x2], 1e-3, 150, seed)
+        assert same_generators(got, want)
+
+    def test_linear_bracket_bit_identical(self):
+        f = linear_field([[0.0, 1.0], [0.0, 0.0]])
+        g = linear_field([[0.0, 0.0], [1.0, 0.0]])
+        got = set_lie_bracket_estimate(f, g, [0.3, -0.7], 1e-3, 200, 3)
+        assert same_generators(got,
+                               bracket_loop(f, g, [0.3, -0.7], 1e-3, 200, 3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_escaping_stencils_skipped_alike(self, seed):
+        # both boxes cut the sample ball of radius 1e-3 around 0
+        f = cut_field(lambda x: np.array([1.0, 0.0]),
+                      [-1.0, -1.0], [4e-4, 1.0])
+        g = cut_field(lambda x: np.array([0.0, abs(x[0])]),
+                      [-1.0, -5e-4], [1.0, 1.0])
+        pts = _ball_samples(np.random.default_rng(seed), np.zeros(2), 1e-3,
+                            300)
+        # a step of 1e-4 puts samples inside the box within one step of
+        # each cut, so that only the + or only the - stencil escapes
+        h = 1e-4
+        assert np.any((pts[:, 0] <= 4e-4) & (pts[:, 0] + h > 4e-4))
+        assert np.any((pts[:, 1] >= -5e-4) & (pts[:, 1] - h < -5e-4))
+        args = ([0.0, 0.0], 1e-3, 300, seed)
+        assert same_generators(
+            set_lie_bracket_estimate(f, g, *args, fd_step=h),
+            bracket_loop(f, g, *args, fd_step=h))
+        assert same_generators(
+            clarke_jacobian_estimate(g, *args, fd_step=h),
+            clarke_loop(g, *args, fd_step=h))
+
+    @pytest.mark.parametrize("field", ["cut", "refusing"])
+    def test_bulk_pass_keeps_the_same_samples(self, field):
+        # per sample: kept exactly when the loop raises no
+        # DomainEscapeError, with the loop's Jacobian and score
+        g = refusing_field() if field == "refusing" else cut_field(
+            lambda x: np.array([x[0] * x[1], abs(x[0])]),
+            [-4e-4, -5e-4], [4e-4, 5e-4])
+        h = 1e-4
+        pts = _ball_samples(np.random.default_rng(7), np.zeros(2), 1e-3, 400)
+        rows, jac, score = _scored_jacobians(g, pts, h)
+        want = []
+        for i, x in enumerate(pts):
+            try:
+                want.append((i, score_loop(g, x, h)))
+            except DomainEscapeError:
+                continue
+        assert 0 < len(want) < len(pts)
+        assert rows.tolist() == [i for i, _ in want]
+        assert score.tolist() == [s for _, s in want]
+        assert all(np.array_equal(j, fd_jacobian_loop(g, pts[i], h).entries)
+                   for i, j in zip(rows, jac))
+
+    def test_refusing_evaluations_skipped_alike(self):
+        g = refusing_field()
+        f = unit_x_field()
+        assert same_generators(
+            clarke_jacobian_estimate(g, [0.0, 0.0], 1e-3, 300, 4),
+            clarke_loop(g, [0.0, 0.0], 1e-3, 300, 4))
+        assert same_generators(
+            set_lie_bracket_estimate(f, g, [0.0, 0.0], 1e-3, 300, 4),
+            bracket_loop(f, g, [0.0, 0.0], 1e-3, 300, 4))
+
+    def test_one_row_views(self):
+        x = np.array([0.31, -0.2])
+        assert np.array_equal(fd_jacobian(smooth_2d, x, 1e-5).entries,
+                              fd_jacobian_loop(smooth_2d, x, 1e-5).entries)
+        assert differentiability_score(smooth_2d, x, 1e-5) == \
+            score_loop(smooth_2d, x, 1e-5)
+
+
+class TestNonFiniteValues:
+    def test_clarke_raises(self):
+        with pytest.raises(NonFiniteValueError):
+            clarke_jacobian_estimate(nan_on_right, [0.0], 1e-3, 200, 0)
+
+    def test_bracket_raises(self):
+        g = VectorField(2, lambda x: np.array([0.0, nan_on_right(x)[0]]),
+                        Box(-np.ones(2), np.ones(2)), 1.0)
+        with pytest.raises(NonFiniteValueError):
+            set_lie_bracket_estimate(unit_x_field(), g, [0.0, 0.0], 1e-3,
+                                     200, 0)
+
+    def test_one_row_views_raise(self):
+        with pytest.raises(NonFiniteValueError):
+            fd_jacobian(nan_on_right, [0.5], 1e-3)
+        with pytest.raises(NonFiniteValueError):
+            differentiability_score(nan_on_right, [0.5], 1e-3)
+
+    def test_mollify_raises_at_first_nan_point(self):
+        f = VectorField(1, nan_on_right, Box(-np.ones(1), np.ones(1)), 1.0)
+        cfg = MollifierConfig(eta=1e-2, quadrature_points=64)
+        with pytest.raises(NonFiniteValueError) as err:
+            mollify(f, cfg)(np.zeros(1))
+        pts, _ = _quadrature_rule(1, 64, 0)
+        first = pts[np.argmax(pts[:, 0] > 0)]
+        assert np.array_equal(err.value.point, 1e-2 * first)
+
+
+class TestMollifierMatchesLoop:
+    @EXAMPLES
+    @given(seed=st.integers(0, 2**16), x=st.floats(-0.5, 0.5),
+           which=st.sampled_from(["abs1d", "shear", "linear"]))
+    def test_value_bit_identical(self, seed, x, which):
+        if which == "abs1d":
+            f = VectorField(1, lambda y: np.array([abs(y[0])]),
+                            Box(-np.ones(1), np.ones(1)), 1.0)
+            point = np.array([x])
+        else:
+            f = abs_shear_field() if which == "shear" else \
+                linear_field([[0.0, 1.0], [-2.0, 0.5]])
+            point = np.array([x, -x / 3.0])
+        cfg = MollifierConfig(eta=0.05, quadrature_points=128, seed=seed)
+        got = mollify(f, cfg)(point)
+        want = mollified_loop(f, cfg, point)
+        # bytes, so that the sign of a zero counts too
+        assert got.tobytes() == want.tobytes()
+
+    def test_escape_raised_at_same_point(self):
+        f = VectorField(2, lambda y: np.array([1.0, 0.0]),
+                        Box(-np.ones(2), np.ones(2)), 1e-9)
+        cfg = MollifierConfig(eta=0.1, quadrature_points=64)
+        x = np.array([0.95, 0.0])
+        with pytest.raises(DomainEscapeError) as got:
+            mollify(f, cfg)(x)
+        with pytest.raises(DomainEscapeError) as want:
+            mollified_loop(f, cfg, x)
+        assert np.array_equal(got.value.point, want.value.point)
+
+
+class TestExtremeRays:
+    def test_cone_test_inputs_unchanged(self, monkeypatch):
+        calls = []
+        original = cones._extreme_rays
+
+        def checked(constraints, n):
+            got = original(constraints, n)
+            calls.append(np.array_equal(got,
+                                        extreme_rays_loop(constraints, n)))
+            return got
+
+        monkeypatch.setattr(cones, "_extreme_rays", checked)
+        quad = cones.conic_hull([[1.0, 0.0], [0.0, 1.0]])
+        half = cones.conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        line = cones.conic_hull([[1.0, 1.0], [-1.0, -1.0]])
+        cones.polar_of_cone(quad)
+        cones.polar_cone([[1.0, 0.0]])
+        cones.polar_of_cone(cones.polar_of_cone(line))
+        cones.cone_intersection(quad, half)
+        cones.cone_intersection(cones.conic_hull([[1.0, 0.0]]),
+                                cones.conic_hull([[-1.0, 0.0]]))
+        gamma_intersection(GammaSet.finite_cone([[1.0, 0.0], [1.0, 1.0]]),
+                           GammaSet.finite_cone([[1.0, 1.0], [0.0, 1.0]]))
+        assert len(calls) >= 10 and all(calls)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 5))
+    def test_random_constraints_unchanged(self, data, n, k):
+        a = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * k,
+                                        max_size=n * k)),
+                     dtype=float).reshape(k, n)
+        assert np.array_equal(cones._extreme_rays(a, n),
+                              extreme_rays_loop(a, n))
