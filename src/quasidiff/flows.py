@@ -28,10 +28,10 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
-    def contains_rows(self, points, tol: float = 0.0) -> np.ndarray:
+    def contains_rows(self, points) -> np.ndarray:
         """Row-wise ``contains`` of a (k, n) array, as a length-k mask."""
         pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quasidiff import certificates as c
+from quasidiff import core
 from quasidiff.core import GammaSet, LinearMap, OperatorSet
 
 
@@ -77,6 +78,28 @@ class TestAbsvalueFamily:
         cert.gamma = GammaSet.box([0.006], [0.01])
         rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
         assert dict(rep.checks_per_delta) == {1e-1: 50, 5e-3: 0}
+        assert not rep.violations
+        assert not rep.accepted
+
+    def test_partial_sample_on_one_delta_blocks_acceptance(self, monkeypatch):
+        # the quarter-plane box [0, 1]^2 keeps about pi/4 of the draws from
+        # the cube around B_0.1; with a single draw round the sample comes
+        # back short but not empty, and the exact identity certificate is
+        # still refused
+        cert = c.QdqCertificate(
+            x_bar=[0.0, 0.0], y_bar=[0.0, 0.0],
+            gamma=GammaSet.box([0.0, 0.0], [1.0, 1.0]),
+            lam=OperatorSet.from_matrices([np.eye(2)]), delta_star=1.0,
+            rho=lambda d: 0.0,
+            family=lambda d: (lambda x: LinearMap(np.eye(2)),
+                              lambda x: np.zeros(2)))
+        identity = lambda x: np.asarray(x, dtype=float)
+        full = c.verify_certificate(identity, cert, [1e-1], 50, seed=0)
+        assert dict(full.checks_per_delta) == {1e-1: 50}
+        assert full.accepted
+        monkeypatch.setattr(core, "BOX_SAMPLE_ROUNDS", 1)
+        rep = c.verify_certificate(identity, cert, [1e-1], 50, seed=0)
+        assert 0 < rep.checks_run < 50
         assert not rep.violations
         assert not rep.accepted
 

@@ -97,3 +97,15 @@ class TestLipschitzAudit:
     def test_understated_bound_fails(self):
         bad = VectorField(1, lambda x: 10.0 * x, Box([-10.0], [10.0]), 0.5)
         assert not bad.audit_lipschitz(seed=1)
+
+
+class TestBox:
+    def test_contains_rows_matches_contains(self):
+        # the boundary is inside; a point one ulp beyond it is not
+        box = Box([-1.0, 0.0], [1.0, 2.0])
+        pts = np.array([[-1.0, 0.0], [1.0, 2.0], [0.5, 1.0],
+                        [np.nextafter(1.0, 2.0), 1.0],
+                        [0.0, np.nextafter(0.0, -1.0)], [3.0, -3.0]])
+        mask = box.contains_rows(pts)
+        assert mask.tolist() == [box.contains(p) for p in pts]
+        assert mask.tolist() == [True, True, True, False, False, False]
