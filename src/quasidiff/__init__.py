@@ -29,6 +29,7 @@ from .cones import (
     PairAnalysis,
     SeparationCertificate,
     analyze_pair,
+    analyze_pairs,
     classify_pair,
     conic_hull,
     image_cone,
@@ -44,6 +45,7 @@ from .core import (
     DomainEscapeError,
     EstimatorFailedError,
     GammaSet,
+    InexactHausdorffError,
     LinearMap,
     Modulus,
     NonFiniteValueError,

@@ -8,6 +8,7 @@ resolution, not a proof.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +20,7 @@ from .core import (
     GammaSet,
     LinearMap,
     Modulus,
+    NonFiniteValueError,
     OperatorSet,
     VERDICT_TOL,
     dist_to_operator_set,
@@ -98,6 +100,16 @@ def _as_linear_map(value) -> LinearMap:
     return LinearMap(np.atleast_2d(np.asarray(value, dtype=float)))
 
 
+def _require_finite(norm: float, value, name: str, x) -> None:
+    """Raise when ``value`` holds a NaN or an infinity, which would fail
+    every comparison and so pass every check.  ``norm`` is a norm already
+    computed from ``value``: only when it is not finite (also when a huge
+    finite value overflows it) are the entries tested."""
+    if not math.isfinite(norm) and not np.all(np.isfinite(value)):
+        raise NonFiniteValueError(f"{name} returned a non-finite value at "
+                                  f"{np.asarray(x).tolist()}", point=x)
+
+
 def verify_certificate(F, cert: QdqCertificate, delta_grid,
                        points_per_delta: int, seed: int = 0,
                        tol: float = VERDICT_TOL,
@@ -136,6 +148,7 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                                    "check": "operator_distance",
                                    "value": dist, "bound": rho_d})
             hn = float(np.linalg.norm(h))
+            _require_finite(hn, h, "h_fn", x)
             if hn > d * rho_d + tol:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "remainder_size",
@@ -147,8 +160,9 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                                        "check": "membership",
                                        "value": value.tolist(), "bound": None})
             else:
-                resid = float(np.linalg.norm(
-                    value - np.atleast_1d(np.asarray(F(x), dtype=float))))
+                fx = np.atleast_1d(np.asarray(F(x), dtype=float))
+                resid = float(np.linalg.norm(value - fx))
+                _require_finite(resid, fx, "F", x)
                 if resid > tol:
                     violations.append({"delta": d, "x": x.tolist(),
                                        "check": "approximation_identity",
@@ -295,7 +309,11 @@ def one_sided_derivatives(f, t_bar: float, k_min: int = 4, k_max: int = 16,
 def minimal_curve_qdq(f, t_bar: float) -> OperatorSet:
     """Smallest certificate set for a scalar curve: the segment between the
     one-sided derivatives."""
-    left, right = one_sided_derivatives(f, t_bar)
+    return _derivative_segment(*one_sided_derivatives(f, t_bar))
+
+
+def _derivative_segment(left, right) -> OperatorSet:
+    """The hull of the one-sided derivatives of a scalar curve."""
     if left.size != 1:
         raise DimensionMismatchError("minimal certificate set needs m = 1")
     lo, hi = sorted([float(left[0]), float(right[0])])
@@ -343,7 +361,8 @@ def curve_qdq(data: CurveData, lam: OperatorSet | None = None,
     """Full curve certificate with an empirically measured modulus."""
     if lam is None:
         if data.codomain_dim == 1:
-            lam = minimal_curve_qdq_from_data(data)
+            lam = _derivative_segment(data.left_derivative,
+                                      data.right_derivative)
         else:
             pts = [data.arc_map(u).flat()
                    for u in np.linspace(-1.0, 1.0, arc_samples)]
@@ -397,12 +416,6 @@ def curve_qdq(data: CurveData, lam: OperatorSet | None = None,
         gamma=GammaSet.full_space(1), lam=lam, delta_star=delta_star,
         rho=rho, family=lambda d: curve_certificate(data, d),
         lipschitz_budget=budget)
-
-
-def minimal_curve_qdq_from_data(data: CurveData) -> OperatorSet:
-    lo, hi = sorted([float(data.left_derivative[0]),
-                     float(data.right_derivative[0])])
-    return OperatorSet.from_matrices([[[lo]], [[hi]]], convex_closure=True)
 
 
 def falsify_curve_qdq(data: CurveData, lam: OperatorSet, tol: float = 1e-6,

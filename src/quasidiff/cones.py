@@ -3,11 +3,17 @@ linear-separation verdicts for finitely generated cones.
 
 One witness search decides a cone pair.  By Gordan's alternative (Gordan
 1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly when A
-is rank-deficient or one LP is positive.  ``analyze_pair`` runs that test
-once and answers transversality and the separating functional from it,
-adding the intersection LP and the subspace test only for transversal
-pairs; ``is_transversal``, ``separating_functional`` and ``classify_pair``
-are views of its record."""
+is rank-deficient or one LP is positive.  ``analyze_pairs`` runs that test
+once per pair and answers transversality and the separating functional
+from it, adding the intersection LPs and the subspace test only for
+transversal pairs.  The pairs are independent, so their LPs are solved
+together: one block-diagonal LP holds the witness LP of every full-rank
+pair, and two more hold the intersection LPs, the first coordinate LP of
+every transversal pair and then the remaining ones of the pairs still
+undecided.  A batch therefore costs at most three ``linprog`` calls
+however many pairs it holds; a batch LP that is not optimal is re-solved
+one block at a time.  ``analyze_pair``, ``is_transversal``,
+``separating_functional`` and ``classify_pair`` are views of its records."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, nnls
+from scipy.sparse import coo_array
 
 from .core import DimensionMismatchError, GammaSet, LinearMap, dedupe
 
@@ -152,28 +159,81 @@ def polar_of_cone(cone: ConvexCone) -> ConvexCone:
     return polar_cone(cone.generators, cone.dimension)
 
 
-def _nonzero_point_in_polyhedral_cone(constraints: np.ndarray, n: int,
-                                      tol: float = WITNESS_TOL):
-    """A nonzero point of {p : constraints @ p <= 0} with |p|_inf <= 1, or None.
+def _block_lp(blocks, bounds, equality: bool) -> list:
+    """Solve independent LPs as one block-diagonal LP.
+
+    Each block ``(c, M, r)`` is ``min c . x`` over ``M x <= r`` (``M x = r``
+    with ``equality``), every variable within ``bounds``.  The blocks share
+    no variable or row, so the batch is optimal exactly when every block
+    is, and each block's slice of the solution is optimal for that block.
+    Returns one slice per block, or None where a block has no optimum: a
+    batch that is not optimal is re-solved one block at a time.  The matrix
+    is assembled as one sparse array, so memory grows with the blocks'
+    entries, not with the square of the batch.
+    """
+    if not blocks:
+        return []
+    cs, mats, rhs = zip(*blocks)
+    shapes = np.array([m.shape for m in mats])
+    row_start = np.concatenate([[0], np.cumsum(shapes[:, 0])])
+    col_start = np.concatenate([[0], np.cumsum(shapes[:, 1])])
+    sizes = shapes[:, 0] * shapes[:, 1]
+    data = np.concatenate([m.ravel() for m in mats])
+    owner = np.repeat(np.arange(len(mats)), sizes)
+    local = np.arange(data.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = shapes[owner, 1]
+    nonzero = data != 0.0
+    matrix = coo_array(
+        (data[nonzero], ((row_start[owner] + local // width)[nonzero],
+                         (col_start[owner] + local % width)[nonzero])),
+        shape=(row_start[-1], col_start[-1])).tocsr()
+    constraints = {"A_eq": matrix, "b_eq": np.concatenate(rhs)} if equality \
+        else {"A_ub": matrix, "b_ub": np.concatenate(rhs)}
+    res = linprog(np.concatenate(cs), bounds=bounds, method="highs",
+                  **constraints)
+    if res.status == 0:
+        return [res.x[lo:hi] for lo, hi in zip(col_start[:-1], col_start[1:])]
+    if len(blocks) == 1:
+        return [None]
+    return [x for block in blocks for x in _block_lp([block], bounds, equality)]
+
+
+def _nonzero_points(systems) -> list:
+    """For each ``(A, n)``, a nonzero point of {p : A p <= 0} with
+    |p|_inf <= 1, or None.
 
     Gordan's alternative (Gordan 1873; Stiemke 1915): such a point exists
-    exactly when the constraint matrix A has rank < n, or when the one
-    linear program max sum(-A p) over {A p <= 0, |p|_inf <= 1} is positive.
-    A rank-deficient A yields a null vector scaled to |p|_inf = 1; otherwise
-    the LP solution is the witness.  The objective weighs each row by its
-    inverse norm, so the decision does not depend on the generators' scale.
+    exactly when A has rank < n, or when the linear program
+    max sum(-A p) over {A p <= 0, |p|_inf <= 1} is positive.  A
+    rank-deficient A yields a null vector scaled to |p|_inf = 1, with no
+    LP; the LPs of all full-rank systems are solved as one block-diagonal
+    LP.  The objective weighs each row by its inverse norm, so the decision
+    does not depend on the generators' scale.
     """
-    a = np.asarray(constraints, dtype=float).reshape(-1, n)
-    norms = np.linalg.norm(a, axis=1)
-    unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
-    _, s, vt = np.linalg.svd(unit, full_matrices=True)
-    if int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))) < n:
-        return vt[-1] / np.max(np.abs(vt[-1]))
-    res = linprog(unit.sum(axis=0), A_ub=a, b_ub=np.zeros(a.shape[0]),
-                  bounds=[(-1.0, 1.0)] * n, method="highs")
-    if res.status == 0 and -res.fun > tol and np.max(np.abs(res.x)) > tol:
-        return np.asarray(res.x)
-    return None
+    points = [None] * len(systems)
+    blocks, where = [], []
+    for i, (constraints, n) in enumerate(systems):
+        a = np.asarray(constraints, dtype=float).reshape(-1, n)
+        norms = np.linalg.norm(a, axis=1)
+        unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
+        _, s, vt = np.linalg.svd(unit, full_matrices=True)
+        if int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))) < n:
+            points[i] = vt[-1] / np.max(np.abs(vt[-1]))
+        else:
+            blocks.append((unit.sum(axis=0), a, np.zeros(a.shape[0])))
+            where.append(i)
+    solutions = _block_lp(blocks, (-1.0, 1.0), equality=False)
+    for i, (c, _, _), x in zip(where, blocks, solutions):
+        if x is not None and -(c @ x) > WITNESS_TOL \
+                and np.max(np.abs(x)) > WITNESS_TOL:
+            points[i] = x
+    return points
+
+
+def _nonzero_point_in_polyhedral_cone(constraints: np.ndarray, n: int):
+    """A nonzero point of {p : constraints @ p <= 0} with |p|_inf <= 1, or
+    None; the one-system view of ``_nonzero_points``."""
+    return _nonzero_points([(constraints, n)])[0]
 
 
 STRONGLY_TRANSVERSAL = "StronglyTransversal"
@@ -181,26 +241,35 @@ COMPLEMENTARY_SUBSPACES = "ComplementarySubspaces"
 LINEARLY_SEPARABLE = "LinearlySeparable"
 
 
-def _nontrivial_intersection_point(k1: ConvexCone, k2: ConvexCone,
-                                   tol: float = 1e-7):
-    """A common point of K1 and K2 away from 0, via the normalized LP
-    max +-x_k over {G1' a = G2' b, a, b >= 0, sum a + sum b = 1}."""
-    n = k1.dimension
-    m1, m2 = k1.generators.shape[0], k2.generators.shape[0]
-    if m1 == 0 or m2 == 0:
-        return None
-    a_eq = np.hstack([k1.generators.T, -k2.generators.T])  # n x (m1+m2)
-    a_eq = np.vstack([a_eq, np.ones((1, m1 + m2))])
-    b_eq = np.concatenate([np.zeros(n), [1.0]])
-    for k in range(n):
-        for sign in (1.0, -1.0):
-            c = np.concatenate([-sign * k1.generators[:, k], np.zeros(m2)])
-            res = linprog(c, A_eq=a_eq, b_eq=b_eq,
-                          bounds=[(0.0, None)] * (m1 + m2), method="highs")
-            if res.status == 0 and -res.fun > tol:
-                alpha = res.x[:m1]
-                return k1.generators.T @ alpha
-    return None
+def _nontrivial_intersections(pairs) -> list:
+    """For each pair, whether K1 and K2 share a point away from 0.
+
+    A pair meets when one of its 2n LPs max +-x_k, x = G1' a, over
+    {G1' a = G2' b, a, b >= 0, sum a + sum b = 1} is positive.  Stage 1
+    solves the (x_0, +) LP of every pair as one block-diagonal LP; stage 2
+    solves the other 2n - 1 LPs of the pairs stage 1 left undecided as one
+    more.  A pair with a trivial cone meets only at 0.
+    """
+    meets = [False] * len(pairs)
+    undecided = {}  # pair index -> its 2n LPs, (x_0, +) first
+    for i, (k1, k2) in enumerate(pairs):
+        g1, g2 = k1.generators, k2.generators
+        if g1.shape[0] and g2.shape[0]:
+            a_eq = np.vstack([np.hstack([g1.T, -g2.T]),
+                              np.ones((1, g1.shape[0] + g2.shape[0]))])
+            b_eq = np.concatenate([np.zeros(k1.dimension), [1.0]])
+            undecided[i] = [
+                (np.concatenate([-sign * g1[:, k], np.zeros(g2.shape[0])]),
+                 a_eq, b_eq)
+                for k in range(k1.dimension) for sign in (1.0, -1.0)]
+    for stage in (slice(0, 1), slice(1, None)):
+        where = [i for i, lps in undecided.items() for _ in lps[stage]]
+        blocks = [lp for lps in undecided.values() for lp in lps[stage]]
+        solutions = _block_lp(blocks, (0.0, None), equality=True)
+        for i, (c, _, _), x in zip(where, blocks, solutions):
+            meets[i] = meets[i] or (x is not None and -(c @ x) > 1e-7)
+        undecided = {i: lps for i, lps in undecided.items() if not meets[i]}
+    return meets
 
 
 @dataclass(frozen=True)
@@ -214,34 +283,57 @@ class PairAnalysis:
     verdict: str
 
 
-def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
-    """Transversality, separation and the trichotomy of a cone pair.
+def analyze_pairs(pairs) -> list:
+    """Transversality, separation and the trichotomy of many cone pairs.
 
     K1 - K2 = cone(G1, -G2) is the whole space iff no nonzero p has
     [G1; -G2] p <= 0.  Such a p is the negative of a separating
     functional, since those are the points of [-G1; G2] lam <= 0, so one
-    witness search answers both questions.  The intersection LP and the
-    subspace test run only on transversal pairs.
+    witness search answers both questions.  The intersection LPs and the
+    subspace test run only on transversal pairs.  The witness search takes
+    one LP for the whole batch and the intersection test two.
+
+    Returns one entry per pair, in order: its ``PairAnalysis``, or the
+    ``ConsistencyError`` (returned, not raised) for a transversal pair
+    whose cones meet only at 0 although one is not a subspace.
     """
-    if k1.dimension != k2.dimension:
+    pairs = list(pairs)
+    if any(k1.dimension != k2.dimension for k1, k2 in pairs):
         raise DimensionMismatchError("cones live in different dimensions")
-    witness = _nonzero_point_in_polyhedral_cone(
-        np.vstack([k1.generators, -k2.generators]), k1.dimension)
-    if witness is not None:
-        lam = -witness
-        checks = tuple(
-            [(g.tolist(), "+", float(lam @ g)) for g in k1.generators]
-            + [(g.tolist(), "-", float(lam @ g)) for g in k2.generators]
-        )
-        return PairAnalysis(False, SeparationCertificate(lam, checks),
-                            LINEARLY_SEPARABLE)
-    if _nontrivial_intersection_point(k1, k2) is not None:
-        return PairAnalysis(True, None, STRONGLY_TRANSVERSAL)
-    if k1.is_subspace() and k2.is_subspace():
-        return PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES)
-    raise ConsistencyError(
-        "transversal pair with trivial intersection and non-subspace cone"
-    )
+    witnesses = _nonzero_points(
+        [(np.vstack([k1.generators, -k2.generators]), k1.dimension)
+         for k1, k2 in pairs])
+    transversal = [i for i, w in enumerate(witnesses) if w is None]
+    meets = dict(zip(transversal, _nontrivial_intersections(
+        [pairs[i] for i in transversal])))
+    results = []
+    for i, ((k1, k2), witness) in enumerate(zip(pairs, witnesses)):
+        if witness is not None:
+            lam = -witness
+            checks = tuple(
+                [(g.tolist(), "+", float(lam @ g)) for g in k1.generators]
+                + [(g.tolist(), "-", float(lam @ g)) for g in k2.generators]
+            )
+            results.append(PairAnalysis(
+                False, SeparationCertificate(lam, checks), LINEARLY_SEPARABLE))
+        elif meets[i]:
+            results.append(PairAnalysis(True, None, STRONGLY_TRANSVERSAL))
+        elif k1.is_subspace() and k2.is_subspace():
+            results.append(PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES))
+        else:
+            results.append(ConsistencyError(
+                "transversal pair with trivial intersection and non-subspace "
+                "cone"))
+    return results
+
+
+def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
+    """The one-pair view of ``analyze_pairs``; raises its
+    ``ConsistencyError``."""
+    (result,) = analyze_pairs([(k1, k2)])
+    if isinstance(result, ConsistencyError):
+        raise result
+    return result
 
 
 def is_transversal(k1: ConvexCone, k2: ConvexCone) -> bool:

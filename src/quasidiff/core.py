@@ -59,7 +59,7 @@ class LinearMap:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("entries must form an m x n matrix with m, n >= 1")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+            raise NonFiniteValueError("entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -355,14 +355,30 @@ def dist_to_operator_set(L: LinearMap, lam: OperatorSet,
     return 0.0 if d <= tol else d
 
 
+class InexactHausdorffError(ValueError):
+    """The directed Hausdorff distance from a hull to a bare generator list
+    is not attained at the hull's generators, so it is not computed."""
+
+
 def _directed_hausdorff(a: OperatorSet, b: OperatorSet) -> float:
-    # sup over a convex hull of a convex distance function sits at a vertex,
-    # so generator-wise evaluation is exact for both representations
+    # the sup over a of the distance to b sits at a generator of a when a
+    # is a bare list, or when b is a hull (the distance to a convex set is
+    # convex); from a hull to a list of two or more points it may sit
+    # between generators: hull{-1, 1} is at 1.0 from {-1, 1}, at 0
+    if a.convex_closure and len(a.generators) > 1 \
+            and not b.convex_closure and len(b.generators) > 1:
+        raise InexactHausdorffError(
+            "directed Hausdorff distance from a hull to a generator list")
     return max(dist_to_operator_set(g, b) for g in a.generators)
 
 
 def hausdorff_distance(a: OperatorSet, b: OperatorSet) -> float:
-    """Symmetric Hausdorff distance between two operator sets."""
+    """Symmetric Hausdorff distance between two operator sets.
+
+    Exact for two hulls or two generator lists; a hull of two or more
+    generators against a list of two or more raises
+    ``InexactHausdorffError``.
+    """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape {a.shape} vs {b.shape}")
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))

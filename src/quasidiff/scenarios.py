@@ -106,32 +106,35 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
     """Random-cone corpus: duality (transversal XOR separable) and the
     trichotomy's internal consistency."""
     rng = np.random.default_rng(seed)
+
+    def random_cone(n):
+        k = int(rng.integers(1, n + 3))
+        gens = rng.normal(size=(k, n))
+        if rng.uniform() < 0.25:
+            # force a subspace so the complementary branch is exercised
+            r = int(rng.integers(1, n))
+            basis = rng.normal(size=(r, n))
+            gens = np.vstack([basis, -basis])
+        if rng.uniform() < 0.15:
+            gens = np.vstack([gens, -gens])  # positively spanning-ish
+        return cone_mod.conic_hull(gens, n)
+
+    # drawing never depends on a verdict, so all pairs are drawn first and
+    # the RNG stream is the one a pair-by-pair loop would read
+    drawn = [(random_cone(n), random_cone(n))
+             for n in (int(dims[i % len(dims)]) for i in range(pairs))]
+
     xor_failures = []
     trichotomy_failures = []
     complementary_checked = 0
     counts = {}
-    for i in range(pairs):
-        n = int(dims[i % len(dims)])
-
-        def random_cone():
-            k = int(rng.integers(1, n + 3))
-            gens = rng.normal(size=(k, n))
-            if rng.uniform() < 0.25:
-                # force a subspace so the complementary branch is exercised
-                r = int(rng.integers(1, n))
-                basis = rng.normal(size=(r, n))
-                gens = np.vstack([basis, -basis])
-            if rng.uniform() < 0.15:
-                gens = np.vstack([gens, -gens])  # positively spanning-ish
-            return cone_mod.conic_hull(gens, n)
-
-        k1, k2 = random_cone(), random_cone()
-        try:
-            pair = cone_mod.analyze_pair(k1, k2)
-        except cone_mod.ConsistencyError as exc:
-            # raised only on a pair the LP found transversal
+    for i, ((k1, k2), pair) in enumerate(
+            zip(drawn, cone_mod.analyze_pairs(drawn))):
+        n = k1.dimension
+        if isinstance(pair, cone_mod.ConsistencyError):
+            # returned only for a pair the LP found transversal
             xor_failures += _xor_failures(i, k1, k2, True, None)
-            trichotomy_failures.append({"index": i, "error": str(exc),
+            trichotomy_failures.append({"index": i, "error": str(pair),
                                         "k1": k1.to_jsonable(),
                                         "k2": k2.to_jsonable()})
             continue

@@ -8,9 +8,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cones import (
+    ConsistencyError,
     ConvexCone,
     STRONGLY_TRANSVERSAL,
-    analyze_pair,
+    analyze_pairs,
     image_cone,
     is_full_space,
 )
@@ -71,12 +72,12 @@ def separation_verdict(k1, k2) -> str:
     if m1.dimension != m2.dimension:
         raise DimensionMismatchError("multi-cones live in different dimensions")
     all_strong = True
-    for c1 in m1.cones:
-        for c2 in m2.cones:
-            pair = analyze_pair(c1, c2)
-            if not pair.transversal:
-                return NO_CONCLUSION
-            all_strong = all_strong and pair.verdict == STRONGLY_TRANSVERSAL
+    for pair in analyze_pairs([(c1, c2) for c1 in m1.cones for c2 in m2.cones]):
+        if isinstance(pair, ConsistencyError):
+            raise pair
+        if not pair.transversal:
+            return NO_CONCLUSION
+        all_strong = all_strong and pair.verdict == STRONGLY_TRANSVERSAL
     if all_strong or m1.z_ignoring or m2.z_ignoring:
         return NOT_LOCALLY_SEPARATED
     return NO_CONCLUSION

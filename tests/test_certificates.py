@@ -124,6 +124,45 @@ class TestAbsvalueFamily:
             [list(dc) for dc in rep.checks_per_delta]
 
 
+class TestNonFiniteValues:
+    """A NaN fails every comparison, so before these checks a NaN from F or
+    h_fn was accepted as if it met every bound."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_F_raises(self, bad):
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.verify_certificate(lambda x: np.array([bad]), c.absvalue_qdq(),
+                                 [1e-1], 20, seed=0)
+        assert err.value.point is not None
+
+    def test_nonfinite_h_raises(self):
+        cert = c.absvalue_qdq()
+        cert.family = lambda d: (c.absvalue_certificate(d)[0],
+                                 lambda x: np.array([np.nan]))
+        with pytest.raises(core.NonFiniteValueError):
+            c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
+
+    def test_nonfinite_L_raises(self):
+        cert = c.absvalue_qdq()
+        cert.family = lambda d: (lambda x: [[np.nan]],
+                                 c.absvalue_certificate(d)[1])
+        with pytest.raises(core.NonFiniteValueError):
+            c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_finite_h_is_a_violation(self):
+        # |h| overflows to inf although every entry is finite: that is a
+        # remainder violation, not a non-finite value
+        cert = c.absvalue_qdq()
+        cert.family = lambda d: (c.absvalue_certificate(d)[0],
+                                 lambda x: np.array([1e300, 1e300]))
+        rep = c.verify_certificate(
+            lambda x: np.array([1e300, 1e300]), cert, [1e-1], 5, seed=0,
+            membership=lambda x, y: True)
+        assert not rep.accepted
+        assert any(v["check"] == "remainder_size" for v in rep.violations)
+
+
 class TestOneSidedDerivatives:
     def test_absvalue(self):
         left, right = c.one_sided_derivatives(lambda t: abs(t), 0.0)

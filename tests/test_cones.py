@@ -1,24 +1,29 @@
 """Unit tests for the cone algebra, cross-checked by a direction-sampling
-transversality oracle that never touches the LP solver, and by the
-2n-coordinate-LP witness search the one-LP Gordan test replaced."""
+transversality oracle that never touches the LP solver, by the
+2n-coordinate-LP witness search the one-LP Gordan test replaced, and by
+the per-pair 2n-LP intersection search the batched two-stage test
+replaced."""
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, nnls
+from scipy.optimize import OptimizeResult, linprog, nnls
 
+from quasidiff import cones, scenarios
 from quasidiff.cones import (
     COMPLEMENTARY_SUBSPACES,
     LINEARLY_SEPARABLE,
     STRONGLY_TRANSVERSAL,
     WITNESS_TOL,
+    ConsistencyError,
     ConvexCone,
-    _nontrivial_intersection_point,
+    PairAnalysis,
     analyze_pair,
+    analyze_pairs,
     classify_pair,
     cone_intersection,
     conic_hull,
@@ -64,6 +69,28 @@ def coordinate_lp_witness(constraints, n, tol=WITNESS_TOL):
     return None
 
 
+def intersection_lp_point(k1, k2, tol=1e-7):
+    """Oracle: a common point of K1 and K2 away from 0, by one LP per pair
+    and coordinate, max +-x_k over {G1' a = G2' b, a, b >= 0,
+    sum a + sum b = 1}, or None."""
+    n = k1.dimension
+    m1, m2 = k1.generators.shape[0], k2.generators.shape[0]
+    if m1 == 0 or m2 == 0:
+        return None
+    a_eq = np.hstack([k1.generators.T, -k2.generators.T])  # n x (m1+m2)
+    a_eq = np.vstack([a_eq, np.ones((1, m1 + m2))])
+    b_eq = np.concatenate([np.zeros(n), [1.0]])
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            c = np.concatenate([-sign * k1.generators[:, k], np.zeros(m2)])
+            res = linprog(c, A_eq=a_eq, b_eq=b_eq,
+                          bounds=[(0.0, None)] * (m1 + m2), method="highs")
+            if res.status == 0 and -res.fun > tol:
+                alpha = res.x[:m1]
+                return k1.generators.T @ alpha
+    return None
+
+
 def coordinate_lp_verdict(k1, k2):
     """Oracle: transversality and the trichotomy as they were decided with
     one coordinate-LP search for transversality and another for the
@@ -75,7 +102,7 @@ def coordinate_lp_verdict(k1, k2):
     assert transversal != separable
     if not transversal:
         return False, LINEARLY_SEPARABLE
-    if _nontrivial_intersection_point(k1, k2) is not None:
+    if intersection_lp_point(k1, k2) is not None:
         return True, STRONGLY_TRANSVERSAL
     assert k1.is_subspace() and k2.is_subspace()
     return True, COMPLEMENTARY_SUBSPACES
@@ -112,10 +139,7 @@ def _int_rows(rows, cols):
 
 
 @st.composite
-def cone_pairs(draw):
-    """Cone pairs in dimensions 1-5 with small integer generators: general
-    position, rank-deficient generator sets, forced subspaces, +-spanning
-    sets, and at most one trivial cone."""
+def _any_cone_pairs(draw):
     n = draw(st.integers(1, 5))
     pair = []
     for _ in range(2):
@@ -135,8 +159,15 @@ def cone_pairs(draw):
                 coeffs = draw(_int_rows(draw(st.integers(r + 1, n + 2)), r))
                 gens = coeffs @ basis
         pair.append(conic_hull(gens, n))
-    assume(not (pair[0].is_trivial and pair[1].is_trivial))
     return tuple(pair)
+
+
+def cone_pairs():
+    """Cone pairs in dimensions 1-5 with small integer generators: general
+    position, rank-deficient generator sets, forced subspaces, +-spanning
+    sets, and at most one trivial cone."""
+    return _any_cone_pairs().filter(
+        lambda pair: not (pair[0].is_trivial and pair[1].is_trivial))
 
 
 class TestConicHull:
@@ -254,6 +285,112 @@ class TestAnalyzePair:
         assert classify_pair(trivial, trivial) == LINEARLY_SEPARABLE
         assert separating_functional(trivial, trivial).validate(trivial,
                                                                 trivial)
+
+
+def _corpus_like_pairs():
+    """Pairs in R^3 with four generators per cone: general position,
+    separable, strongly transversal and complementary subspaces, so every
+    witness block has 3 columns and every intersection block 8."""
+    rng = np.random.default_rng(5)
+    e = np.eye(3)
+    plane = np.vstack([e[:2], -e[:2]])
+    line = np.vstack([e[2], -e[2], 2 * e[2], -2 * e[2]])
+    pairs = [(conic_hull(plane, 3), conic_hull(line, 3)),
+             (conic_hull(np.vstack([e, [[1.0, 1.0, 1.0]]]), 3),
+              conic_hull(-np.vstack([e, [[1.0, 1.0, 1.0]]]), 3))]
+    for _ in range(10):
+        pairs.append((conic_hull(rng.normal(size=(4, 3)), 3),
+                      conic_hull(rng.normal(size=(4, 3)), 3)))
+    return pairs
+
+
+class TestAnalyzePairs:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(cone_pairs(), min_size=1, max_size=40))
+    def test_batch_agrees_with_coordinate_lp_oracle(self, pairs):
+        got = analyze_pairs(pairs)
+        assert len(got) == len(pairs)
+        for (k1, k2), pair in zip(pairs, got):
+            assert isinstance(pair, PairAnalysis)
+            assert (pair.transversal, pair.verdict) == \
+                coordinate_lp_verdict(k1, k2)
+            assert (pair.certificate is None) == pair.transversal
+            if pair.certificate is not None:
+                assert pair.certificate.validate(k1, k2)
+
+    def test_nonoptimal_batch_is_resolved_block_by_block(self, monkeypatch):
+        pairs = _corpus_like_pairs()
+        want = [(is_transversal(k1, k2), classify_pair(k1, k2))
+                for k1, k2 in pairs]
+        assert {verdict for _, verdict in want} == {
+            STRONGLY_TRANSVERSAL, LINEARLY_SEPARABLE, COMPLEMENTARY_SUBSPACES}
+        widths = {"A_ub": 3, "A_eq": 8}  # one witness / intersection block
+        calls = []
+
+        def flaky(c, **kwargs):
+            kind = "A_ub" if "A_ub" in kwargs else "A_eq"
+            calls.append((kind, len(c)))
+            if len(c) > widths[kind]:
+                return OptimizeResult(status=4, x=None, fun=None)
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(cones, "linprog", flaky)
+        got = analyze_pairs(pairs)
+        assert [(p.transversal, p.verdict) for p in got] == want
+        for (k1, k2), pair in zip(pairs, got):
+            if pair.certificate is not None:
+                assert pair.certificate.validate(k1, k2)
+        # each refused batch is followed by one LP per block
+        assert [n for kind, n in calls if n > widths[kind]]
+        for i, (kind, n) in enumerate(calls):
+            if n > widths[kind]:
+                single = calls[i + 1:i + 1 + n // widths[kind]]
+                assert single == [(kind, widths[kind])] * (n // widths[kind])
+
+    def test_consistency_error_returned_at_its_position(self, monkeypatch):
+        # with the intersection test forced to "meets only at 0", the
+        # strongly transversal pair contradicts itself and no other does
+        e = np.eye(2)
+        separable = (conic_hull([[1.0, 0.0]]), conic_hull([[-1.0, 1.0]]))
+        strong = (conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                  conic_hull([[0.0, 1.0]]))
+        complementary = (conic_hull(np.vstack([e[0], -e[0]])),
+                         conic_hull(np.vstack([e[1], -e[1]])))
+        monkeypatch.setattr(cones, "_nontrivial_intersections",
+                            lambda pairs: [False] * len(pairs))
+        got = analyze_pairs([separable, strong, complementary])
+        assert got[0].verdict == LINEARLY_SEPARABLE
+        assert isinstance(got[1], ConsistencyError)
+        assert got[2].verdict == COMPLEMENTARY_SUBSPACES
+        with pytest.raises(ConsistencyError):
+            analyze_pair(*strong)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            analyze_pairs([(conic_hull([[1.0]], 1), conic_hull([[1.0]], 1)),
+                           (conic_hull([[1.0]], 1),
+                            conic_hull([[1.0, 0.0]], 2))])
+
+    def test_empty_batch(self):
+        assert analyze_pairs([]) == []
+
+    def test_corpus_lp_count(self, monkeypatch):
+        # one witness LP and the two intersection stages for the whole
+        # 200-pair corpus; the pair-by-pair search made 377
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "linprog", counted)
+        report = scenarios.run_cone_duality(200, seed=7)
+        assert report["xor_holds"] == 200
+        assert report["verdict_counts"] == {
+            STRONGLY_TRANSVERSAL: 93, LINEARLY_SEPARABLE: 95,
+            COMPLEMENTARY_SUBSPACES: 12}
+        assert len(calls) <= 3
 
 
 class TestSeparation:

@@ -15,6 +15,9 @@ from quasidiff.core import (
     OperatorSet,
     convex_hull_points,
     dist_to_operator_set,
+    InexactHausdorffError,
+    NonFiniteValueError,
+    _directed_hausdorff,
     hausdorff_distance,
     hull_membership_residual,
 )
@@ -88,6 +91,8 @@ class TestLinearMap:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LinearMap([[np.inf]])
+        with pytest.raises(NonFiniteValueError):
+            LinearMap([[np.nan]])
 
     def test_immutable(self):
         L = LinearMap([[1.0]])
@@ -147,6 +152,31 @@ class TestHausdorff:
         b = OperatorSet.from_matrices([[[1.0, 0.0]]])
         with pytest.raises(DimensionMismatchError):
             hausdorff_distance(a, b)
+
+    def test_hull_against_point_list_refused(self):
+        # the true distance from hull{-1, 1} to {-1, 1} is 1.0 (at 0), but
+        # the generators of the hull are both at distance 0
+        hull = OperatorSet.from_matrices([[[-1.0]], [[1.0]]],
+                                         convex_closure=True)
+        points = OperatorSet.from_matrices([[[-1.0]], [[1.0]]])
+        for a, b in ((hull, points), (points, hull)):
+            with pytest.raises(InexactHausdorffError):
+                hausdorff_distance(a, b)
+        assert issubclass(InexactHausdorffError, ValueError)
+
+    def test_exact_representations_unchanged(self):
+        hull = OperatorSet.from_matrices([[[-1.0]], [[1.0]]],
+                                         convex_closure=True)
+        points = OperatorSet.from_matrices([[[-1.0]], [[0.5]], [[3.0]]])
+        other = OperatorSet.from_matrices([[[-0.5]], [[2.0]]],
+                                          convex_closure=True)
+        # list to hull: each list point's distance to the segment
+        assert _directed_hausdorff(points, hull) == pytest.approx(2.0)
+        assert hausdorff_distance(hull, other) == pytest.approx(1.0)
+        assert hausdorff_distance(points, points) == 0.0
+        single = OperatorSet.from_matrices([[[2.0]]])
+        assert hausdorff_distance(hull, single) == pytest.approx(3.0)
+        assert hausdorff_distance(single, hull) == pytest.approx(3.0)
 
 
 class TestConvexHullPoints:

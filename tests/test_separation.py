@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quasidiff.cones import conic_hull
+from quasidiff import cones
+from quasidiff.cones import ConsistencyError, conic_hull
+from quasidiff.separation import MultiCone
 from quasidiff.core import GammaSet, LinearMap, OperatorSet
 from quasidiff.fields import make_map
 from quasidiff.fixtures import builtin_fixtures, fixture_by_name
@@ -83,6 +85,21 @@ class TestSeparationVerdict:
             [[[1.0], [0.0]], [[0.0], [1.0]]]), GammaSet.full_space(1))
         k2 = conic_hull([[0.0, 1.0], [0.0, -1.0]])
         assert separation_verdict(mixed, k2) == NO_CONCLUSION
+
+
+    def test_member_pairs_walked_in_order(self, monkeypatch):
+        # the batch analyses every member pair; the verdict still follows
+        # the pair order: the first error raises, unless a non-transversal
+        # pair comes before it
+        monkeypatch.setattr(cones, "_nontrivial_intersections",
+                            lambda pairs: [False] * len(pairs))
+        strong = conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        up = conic_hull([[0.0, 1.0]])
+        right = conic_hull([[1.0, 0.0]])
+        with pytest.raises(ConsistencyError):
+            separation_verdict(MultiCone((strong, right)), up)
+        assert separation_verdict(MultiCone((right, strong)), up) \
+            == NO_CONCLUSION
 
 
 class TestOpenMappingProbe:
