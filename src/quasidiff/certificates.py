@@ -8,7 +8,6 @@ resolution, not a proof.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,10 +19,10 @@ from .core import (
     GammaSet,
     LinearMap,
     Modulus,
-    NonFiniteValueError,
     OperatorSet,
     VERDICT_TOL,
     dist_to_operator_set,
+    require_finite,
 )
 
 DEFAULT_DELTA_GRID = (1e-1, 1e-2, 1e-3)
@@ -41,8 +40,13 @@ class AbundanceError(RuntimeError):
         self.worst_point = worst_point
 
 
-@dataclass
+@dataclass(frozen=True)
 class QdqCertificate:
+    """A certificate; frozen, so a changed copy comes from
+    ``dataclasses.replace``.  ``retraction_eta`` is the retraction-width
+    schedule delta -> eta of a certificate made by ``abundant_transfer``,
+    None otherwise."""
+
     x_bar: np.ndarray
     y_bar: np.ndarray
     gamma: GammaSet
@@ -51,10 +55,12 @@ class QdqCertificate:
     rho: Callable[[float], float]
     family: Callable[[float], tuple]
     lipschitz_budget: Callable[[float], float] | None = None
+    retraction_eta: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        self.x_bar = np.atleast_1d(np.asarray(self.x_bar, dtype=float))
-        self.y_bar = np.atleast_1d(np.asarray(self.y_bar, dtype=float))
+        for name in ("x_bar", "y_bar"):
+            object.__setattr__(self, name, np.atleast_1d(
+                np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def domain_dim(self) -> int:
@@ -100,16 +106,6 @@ def _as_linear_map(value) -> LinearMap:
     return LinearMap(np.atleast_2d(np.asarray(value, dtype=float)))
 
 
-def _require_finite(norm: float, value, name: str, x) -> None:
-    """Raise when ``value`` holds a NaN or an infinity, which would fail
-    every comparison and so pass every check.  ``norm`` is a norm already
-    computed from ``value``: only when it is not finite (also when a huge
-    finite value overflows it) are the entries tested."""
-    if not math.isfinite(norm) and not np.all(np.isfinite(value)):
-        raise NonFiniteValueError(f"{name} returned a non-finite value at "
-                                  f"{np.asarray(x).tolist()}", point=x)
-
-
 def verify_certificate(F, cert: QdqCertificate, delta_grid,
                        points_per_delta: int, seed: int = 0,
                        tol: float = VERDICT_TOL,
@@ -148,7 +144,7 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                                    "check": "operator_distance",
                                    "value": dist, "bound": rho_d})
             hn = float(np.linalg.norm(h))
-            _require_finite(hn, h, "h_fn", x)
+            require_finite(hn, h, "h_fn", x)
             if hn > d * rho_d + tol:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "remainder_size",
@@ -162,7 +158,7 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
             else:
                 fx = np.atleast_1d(np.asarray(F(x), dtype=float))
                 resid = float(np.linalg.norm(value - fx))
-                _require_finite(resid, fx, "F", x)
+                require_finite(resid, fx, "F", x)
                 if resid > tol:
                     violations.append({"delta": d, "x": x.tolist(),
                                        "check": "approximation_identity",
@@ -283,22 +279,28 @@ def one_sided_derivatives(f, t_bar: float, k_min: int = 4, k_max: int = 16,
     """Richardson-extrapolated one-sided difference quotients.
 
     Returns (left, right); raises if the extrapolants are not Cauchy at
-    the stated tolerance.
+    the stated tolerance, and ``NonFiniteValueError`` if f returns a NaN or
+    an infinity.
     """
-    f0 = np.atleast_1d(np.asarray(f(t_bar), dtype=float))
+    def value(t):
+        y = np.atleast_1d(np.asarray(f(t), dtype=float))
+        require_finite(float(np.linalg.norm(y)), y, "f", t)
+        return y
+
+    f0 = value(t_bar)
 
     def extrapolants(sign):
         qs = []
         for k in range(k_min, k_max + 1):
             h = 2.0 ** (-k)
-            fk = np.atleast_1d(np.asarray(f(t_bar + sign * h), dtype=float))
-            qs.append(sign * (fk - f0) / h)
+            qs.append(sign * (value(t_bar + sign * h) - f0) / h)
         return [2.0 * b - a for a, b in zip(qs, qs[1:])]
 
     out = []
     for sign in (-1.0, 1.0):
         rs = extrapolants(sign)
-        if np.linalg.norm(rs[-1] - rs[-2]) > cauchy_tol:
+        # written so that a NaN gap, from quotients that overflowed, fails
+        if not np.linalg.norm(rs[-1] - rs[-2]) <= cauchy_tol:
             raise NotOneSidedDifferentiableError(
                 f"quotients not Cauchy on the {'left' if sign < 0 else 'right'}"
             )
@@ -638,9 +640,11 @@ def singleton_qdq_check(F, x_bar, L: LinearMap, seed: int = 0,
                         samples: int = 64, k_min: int = 2,
                         k_max: int = 13) -> bool:
     """True iff F looks differentiable at x_bar with derivative L: the
-    scaled sup-residual over shrinking balls drops below 1e-3."""
+    scaled sup-residual over shrinking balls drops below 1e-3.  Raises
+    ``NonFiniteValueError`` if F returns a NaN or an infinity."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     F0 = np.atleast_1d(np.asarray(F(x_bar), dtype=float))
+    require_finite(float(np.linalg.norm(F0)), F0, "F", x_bar)
     rng = np.random.default_rng(seed)
     n = x_bar.size
     ratios = []
@@ -653,10 +657,10 @@ def singleton_qdq_check(F, x_bar, L: LinearMap, seed: int = 0,
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
         sup = 0.0
         for x in pts:
-            resid = np.linalg.norm(
-                np.atleast_1d(np.asarray(F(x), dtype=float)) - F0
-                - L.apply(x - x_bar))
-            sup = max(sup, float(resid))
+            fx = np.atleast_1d(np.asarray(F(x), dtype=float))
+            resid = float(np.linalg.norm(fx - F0 - L.apply(x - x_bar)))
+            require_finite(resid, fx, "F", x)
+            sup = max(sup, resid)
         ratios.append(sup / d)
     return ratios[-1] <= 1e-3 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
 
@@ -669,7 +673,8 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
 
     ``theta_family(eta)`` must return a continuous map with
     ``|F(x) - theta_eta(F(x))| < eta`` everywhere; this is audited on
-    samples before the transfer.
+    samples before the transfer, and a NaN or an infinity from F or the
+    retraction raises ``NonFiniteValueError``.
     """
     rng = np.random.default_rng(seed)
     xs = cert.gamma.sample(rng, cert.x_bar,
@@ -678,8 +683,9 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
         theta = theta_family(eta)
         for x in xs:
             y = np.atleast_1d(np.asarray(F(x), dtype=float))
-            err = float(np.linalg.norm(
-                y - np.atleast_1d(np.asarray(theta(y), dtype=float))))
+            miss = y - np.atleast_1d(np.asarray(theta(y), dtype=float))
+            err = float(np.linalg.norm(miss))
+            require_finite(err, miss, "F or the retraction", x)
             if err >= eta + tol:
                 raise AbundanceError(
                     f"retraction at eta={eta} misses by {err}", worst_point=x)
@@ -698,13 +704,12 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
             return shift + np.atleast_1d(h_fn(x))
         return L_fn, h
 
-    out = QdqCertificate(
+    # the retraction-width schedule lets membership oracles reconstruct
+    # the exact images used by the family
+    return QdqCertificate(
         cert.x_bar, cert.y_bar, cert.gamma, cert.lam, cert.delta_star,
-        lambda d: 2.0 * cert.rho(d), family, cert.lipschitz_budget)
-    # record the retraction-width schedule so membership oracles can
-    # reconstruct the exact images used by the family
-    out.retraction_eta = lambda d: d * float(cert.rho(d))
-    return out
+        lambda d: 2.0 * cert.rho(d), family, cert.lipschitz_budget,
+        retraction_eta=lambda d: d * float(cert.rho(d)))
 
 
 def abundant_membership(F, cert: QdqCertificate, theta_family,
@@ -712,8 +717,7 @@ def abundant_membership(F, cert: QdqCertificate, theta_family,
                         tol: float = VERDICT_TOL):
     """Membership oracle for the retraction union, for use as the
     ``membership`` argument of the verifier."""
-    eta_of = getattr(cert, "retraction_eta",
-                     lambda d: d * float(cert.rho(d)))
+    eta_of = cert.retraction_eta or (lambda d: d * float(cert.rho(d)))
     etas = sorted({float(eta_of(d)) for d in delta_grid} - {0.0})
 
     def member(x, y):

@@ -5,15 +5,18 @@ One witness search decides a cone pair.  By Gordan's alternative (Gordan
 1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly when A
 is rank-deficient or one LP is positive.  ``analyze_pairs`` runs that test
 once per pair and answers transversality and the separating functional
-from it, adding the intersection LPs and the subspace test only for
-transversal pairs.  The pairs are independent, so their LPs are solved
-together: one block-diagonal LP holds the witness LP of every full-rank
-pair, and two more hold the intersection LPs, the first coordinate LP of
-every transversal pair and then the remaining ones of the pairs still
-undecided.  A batch therefore costs at most three ``linprog`` calls
-however many pairs it holds; a batch LP that is not optimal is re-solved
-one block at a time.  ``analyze_pair``, ``is_transversal``,
-``separating_functional`` and ``classify_pair`` are views of its records."""
+from it.  The pairs are independent, so the witness LPs of all full-rank
+pairs are solved together as one block-diagonal LP: a batch costs at most
+one ``linprog`` call however many pairs it holds, and a batch LP that is
+not optimal is re-solved one block at a time.
+
+The trichotomy of a transversal pair needs no further LP.  If
+K1 - K2 = R^n and x is in K1, write -x = k1 - k2; then k2 = k1 + x lies
+in K1 and K2.  So if the cones meet only at 0, -x = k1 is in K1: K1 is a
+subspace, and likewise K2.  Two subspaces with K1 + K2 = R^n meet only at
+0 exactly when their dimensions add up to n.  ``analyze_pair``,
+``is_transversal``, ``separating_functional`` and ``classify_pair`` are
+views of the batch records."""
 from __future__ import annotations
 
 import itertools
@@ -26,10 +29,6 @@ from scipy.sparse import coo_array
 from .core import DimensionMismatchError, GammaSet, LinearMap, dedupe
 
 WITNESS_TOL = 1e-7
-
-
-class ConsistencyError(RuntimeError):
-    """The sub-verdicts of a classification contradict each other."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +158,21 @@ def polar_of_cone(cone: ConvexCone) -> ConvexCone:
     return polar_cone(cone.generators, cone.dimension)
 
 
-def _block_lp(blocks, bounds, equality: bool) -> list:
+def _block_lp(blocks) -> list:
     """Solve independent LPs as one block-diagonal LP.
 
-    Each block ``(c, M, r)`` is ``min c . x`` over ``M x <= r`` (``M x = r``
-    with ``equality``), every variable within ``bounds``.  The blocks share
-    no variable or row, so the batch is optimal exactly when every block
-    is, and each block's slice of the solution is optimal for that block.
-    Returns one slice per block, or None where a block has no optimum: a
-    batch that is not optimal is re-solved one block at a time.  The matrix
-    is assembled as one sparse array, so memory grows with the blocks'
-    entries, not with the square of the batch.
+    Each block ``(c, M)`` is ``min c . x`` over ``M x <= 0``, every variable
+    within [-1, 1].  The blocks share no variable or row, so the batch is
+    optimal exactly when every block is, and each block's slice of the
+    solution is optimal for that block.  Returns one slice per block, or
+    None where a block has no optimum: a batch that is not optimal is
+    re-solved one block at a time.  The matrix is assembled as one sparse
+    array, so memory grows with the blocks' entries, not with the square
+    of the batch.
     """
     if not blocks:
         return []
-    cs, mats, rhs = zip(*blocks)
+    cs, mats = zip(*blocks)
     shapes = np.array([m.shape for m in mats])
     row_start = np.concatenate([[0], np.cumsum(shapes[:, 0])])
     col_start = np.concatenate([[0], np.cumsum(shapes[:, 1])])
@@ -187,15 +186,14 @@ def _block_lp(blocks, bounds, equality: bool) -> list:
         (data[nonzero], ((row_start[owner] + local // width)[nonzero],
                          (col_start[owner] + local % width)[nonzero])),
         shape=(row_start[-1], col_start[-1])).tocsr()
-    constraints = {"A_eq": matrix, "b_eq": np.concatenate(rhs)} if equality \
-        else {"A_ub": matrix, "b_ub": np.concatenate(rhs)}
-    res = linprog(np.concatenate(cs), bounds=bounds, method="highs",
-                  **constraints)
+    res = linprog(np.concatenate(cs), A_ub=matrix,
+                  b_ub=np.zeros(row_start[-1]), bounds=(-1.0, 1.0),
+                  method="highs")
     if res.status == 0:
         return [res.x[lo:hi] for lo, hi in zip(col_start[:-1], col_start[1:])]
     if len(blocks) == 1:
         return [None]
-    return [x for block in blocks for x in _block_lp([block], bounds, equality)]
+    return [x for block in blocks for x in _block_lp([block])]
 
 
 def _nonzero_points(systems) -> list:
@@ -220,10 +218,10 @@ def _nonzero_points(systems) -> list:
         if int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))) < n:
             points[i] = vt[-1] / np.max(np.abs(vt[-1]))
         else:
-            blocks.append((unit.sum(axis=0), a, np.zeros(a.shape[0])))
+            blocks.append((unit.sum(axis=0), a))
             where.append(i)
-    solutions = _block_lp(blocks, (-1.0, 1.0), equality=False)
-    for i, (c, _, _), x in zip(where, blocks, solutions):
+    solutions = _block_lp(blocks)
+    for i, (c, _), x in zip(where, blocks, solutions):
         if x is not None and -(c @ x) > WITNESS_TOL \
                 and np.max(np.abs(x)) > WITNESS_TOL:
             points[i] = x
@@ -241,37 +239,6 @@ COMPLEMENTARY_SUBSPACES = "ComplementarySubspaces"
 LINEARLY_SEPARABLE = "LinearlySeparable"
 
 
-def _nontrivial_intersections(pairs) -> list:
-    """For each pair, whether K1 and K2 share a point away from 0.
-
-    A pair meets when one of its 2n LPs max +-x_k, x = G1' a, over
-    {G1' a = G2' b, a, b >= 0, sum a + sum b = 1} is positive.  Stage 1
-    solves the (x_0, +) LP of every pair as one block-diagonal LP; stage 2
-    solves the other 2n - 1 LPs of the pairs stage 1 left undecided as one
-    more.  A pair with a trivial cone meets only at 0.
-    """
-    meets = [False] * len(pairs)
-    undecided = {}  # pair index -> its 2n LPs, (x_0, +) first
-    for i, (k1, k2) in enumerate(pairs):
-        g1, g2 = k1.generators, k2.generators
-        if g1.shape[0] and g2.shape[0]:
-            a_eq = np.vstack([np.hstack([g1.T, -g2.T]),
-                              np.ones((1, g1.shape[0] + g2.shape[0]))])
-            b_eq = np.concatenate([np.zeros(k1.dimension), [1.0]])
-            undecided[i] = [
-                (np.concatenate([-sign * g1[:, k], np.zeros(g2.shape[0])]),
-                 a_eq, b_eq)
-                for k in range(k1.dimension) for sign in (1.0, -1.0)]
-    for stage in (slice(0, 1), slice(1, None)):
-        where = [i for i, lps in undecided.items() for _ in lps[stage]]
-        blocks = [lp for lps in undecided.values() for lp in lps[stage]]
-        solutions = _block_lp(blocks, (0.0, None), equality=True)
-        for i, (c, _, _), x in zip(where, blocks, solutions):
-            meets[i] = meets[i] or (x is not None and -(c @ x) > 1e-7)
-        undecided = {i: lps for i, lps in undecided.items() if not meets[i]}
-    return meets
-
-
 @dataclass(frozen=True)
 class PairAnalysis:
     """Everything the separation theorems ask of a cone pair, from one
@@ -283,19 +250,30 @@ class PairAnalysis:
     verdict: str
 
 
+def _rank(generators: np.ndarray) -> int:
+    """Rank of a generator set at the rank tolerance 1e-8; 0 when empty."""
+    return int(np.linalg.matrix_rank(generators, tol=1e-8))
+
+
 def analyze_pairs(pairs) -> list:
     """Transversality, separation and the trichotomy of many cone pairs.
 
     K1 - K2 = cone(G1, -G2) is the whole space iff no nonzero p has
     [G1; -G2] p <= 0.  Such a p is the negative of a separating
     functional, since those are the points of [-G1; G2] lam <= 0, so one
-    witness search answers both questions.  The intersection LPs and the
-    subspace test run only on transversal pairs.  The witness search takes
-    one LP for the whole batch and the intersection test two.
+    witness search answers both questions, with one LP for the whole
+    batch.
 
-    Returns one entry per pair, in order: its ``PairAnalysis``, or the
-    ``ConsistencyError`` (returned, not raised) for a transversal pair
-    whose cones meet only at 0 although one is not a subspace.
+    A transversal pair meets only at 0 exactly when both cones are
+    subspaces whose dimensions add up to n: if K1 - K2 = R^n and x is in
+    K1, then -x = k1 - k2 puts k2 = k1 + x in K1 and K2, so a trivial
+    intersection makes -x = k1 a point of K1.  The pair is
+    ``ComplementarySubspaces`` when both cones are subspaces and
+    rank(G1) + rank(G2) <= n, and ``StronglyTransversal`` otherwise; a sum
+    below n, which only a numerically inconsistent pair can give, is left
+    to the caller's rank check.
+
+    Returns one ``PairAnalysis`` per pair, in order.
     """
     pairs = list(pairs)
     if any(k1.dimension != k2.dimension for k1, k2 in pairs):
@@ -303,11 +281,8 @@ def analyze_pairs(pairs) -> list:
     witnesses = _nonzero_points(
         [(np.vstack([k1.generators, -k2.generators]), k1.dimension)
          for k1, k2 in pairs])
-    transversal = [i for i, w in enumerate(witnesses) if w is None]
-    meets = dict(zip(transversal, _nontrivial_intersections(
-        [pairs[i] for i in transversal])))
     results = []
-    for i, ((k1, k2), witness) in enumerate(zip(pairs, witnesses)):
+    for (k1, k2), witness in zip(pairs, witnesses):
         if witness is not None:
             lam = -witness
             checks = tuple(
@@ -316,24 +291,17 @@ def analyze_pairs(pairs) -> list:
             )
             results.append(PairAnalysis(
                 False, SeparationCertificate(lam, checks), LINEARLY_SEPARABLE))
-        elif meets[i]:
-            results.append(PairAnalysis(True, None, STRONGLY_TRANSVERSAL))
-        elif k1.is_subspace() and k2.is_subspace():
+        elif _rank(k1.generators) + _rank(k2.generators) <= k1.dimension \
+                and k1.is_subspace() and k2.is_subspace():
             results.append(PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES))
         else:
-            results.append(ConsistencyError(
-                "transversal pair with trivial intersection and non-subspace "
-                "cone"))
+            results.append(PairAnalysis(True, None, STRONGLY_TRANSVERSAL))
     return results
 
 
 def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
-    """The one-pair view of ``analyze_pairs``; raises its
-    ``ConsistencyError``."""
-    (result,) = analyze_pairs([(k1, k2)])
-    if isinstance(result, ConsistencyError):
-        raise result
-    return result
+    """The one-pair view of ``analyze_pairs``."""
+    return analyze_pairs([(k1, k2)])[0]
 
 
 def is_transversal(k1: ConvexCone, k2: ConvexCone) -> bool:

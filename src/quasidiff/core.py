@@ -5,6 +5,7 @@ so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,6 +47,16 @@ class NonFiniteValueError(ValueError):
     def __init__(self, message: str, point=None):
         super().__init__(message)
         self.point = point
+
+
+def require_finite(norm: float, value, name: str, x) -> None:
+    """Raise when ``value`` holds a NaN or an infinity, which would fail
+    every comparison and so pass every check.  ``norm`` is a norm already
+    computed from ``value``: only when it is not finite (also when a huge
+    finite value overflows it) are the entries tested."""
+    if not math.isfinite(norm) and not np.all(np.isfinite(value)):
+        raise NonFiniteValueError(f"{name} returned a non-finite value at "
+                                  f"{np.asarray(x).tolist()}", point=x)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import json
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ class ConfigError(ValueError):
     """The scenario config is malformed or names an unknown catalog key."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
@@ -131,13 +131,6 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
     for i, ((k1, k2), pair) in enumerate(
             zip(drawn, cone_mod.analyze_pairs(drawn))):
         n = k1.dimension
-        if isinstance(pair, cone_mod.ConsistencyError):
-            # returned only for a pair the LP found transversal
-            xor_failures += _xor_failures(i, k1, k2, True, None)
-            trichotomy_failures.append({"index": i, "error": str(pair),
-                                        "k1": k1.to_jsonable(),
-                                        "k2": k2.to_jsonable()})
-            continue
         xor_failures += _xor_failures(i, k1, k2, pair.transversal,
                                       pair.certificate)
         verdict = pair.verdict
@@ -192,7 +185,7 @@ def _run_certificate_verify(sc: Scenario) -> tuple:
         raise ConfigError(f"unknown certificate catalog key {key!r}")
     cert = cert_mod.absvalue_qdq()
     if "lambda_generators" in p:
-        cert.lam = _build_lambda(p["lambda_generators"])
+        cert = replace(cert, lam=_build_lambda(p["lambda_generators"]))
     deltas = p.get("delta_grid", list(cert_mod.DEFAULT_DELTA_GRID))
     points = int(p.get("points_per_delta", 200))
     F = make_map("abs1d")
@@ -369,8 +362,7 @@ def run_scenarios(config_path, out_dir, parallel: bool = False,
     if name_filter is not None:
         scenarios = [s for s in scenarios if name_filter in s.name]
     if seed_override is not None:
-        for s in scenarios:
-            s.seed = seed_override
+        scenarios = [replace(s, seed=seed_override) for s in scenarios]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,14 +8,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cones import (
-    ConsistencyError,
     ConvexCone,
     STRONGLY_TRANSVERSAL,
     analyze_pairs,
     image_cone,
     is_full_space,
 )
-from .core import DimensionMismatchError, GammaSet, LinearMap, OperatorSet
+from .core import DimensionMismatchError, GammaSet, OperatorSet, \
+    require_finite
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -73,8 +73,6 @@ def separation_verdict(k1, k2) -> str:
         raise DimensionMismatchError("multi-cones live in different dimensions")
     all_strong = True
     for pair in analyze_pairs([(c1, c2) for c1 in m1.cones for c2 in m2.cones]):
-        if isinstance(pair, ConsistencyError):
-            raise pair
         if not pair.transversal:
             return NO_CONCLUSION
         all_strong = all_strong and pair.verdict == STRONGLY_TRANSVERSAL
@@ -88,7 +86,8 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
                      tol: float = MATCH_TOL) -> bool:
     """Spot-check the declared base-point-avoiding property of a
     generating family: ``g_family(delta)`` returns a continuous map whose
-    values on admissible steps of size delta must avoid z."""
+    values on admissible steps of size delta must avoid z.  A NaN or an
+    infinity from a map raises ``NonFiniteValueError``."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rng = np.random.default_rng(seed)
     origin = np.zeros(gamma.dimension)
@@ -96,7 +95,9 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
         g = g_family(d)
         for x in gamma.sample(rng, origin, d, samples):
             y = np.atleast_1d(np.asarray(g(x), dtype=float))
-            if np.linalg.norm(y - z) <= tol:
+            dist = float(np.linalg.norm(y - z))
+            require_finite(dist, y, "g_family", x)
+            if dist <= tol:
                 return False
     return True
 

@@ -5,6 +5,7 @@ and stated tolerance so the run log doubles as a checklist."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,9 +125,9 @@ def test_criterion_06_certificate_suite():
     good = c.absvalue_qdq()
     assert good.rho(0.25) == 0.25  # rho(delta) = delta as stated
     rep_good = c.verify_certificate(F, good, [1e-1, 1e-2, 1e-3], 200, seed=1)
-    bad = c.absvalue_qdq()
-    bad.lam = OperatorSet.from_matrices([[[-0.5]], [[1.0]]],
-                                        convex_closure=True)
+    bad = replace(c.absvalue_qdq(),
+                  lam=OperatorSet.from_matrices([[[-0.5]], [[1.0]]],
+                                                convex_closure=True))
     rep_bad = c.verify_certificate(F, bad, [1e-1, 1e-2, 1e-3], 200, seed=1)
     endpoint_hit = any(
         v["check"] == "operator_distance" and v["delta"] <= 1e-2

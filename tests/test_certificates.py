@@ -2,6 +2,8 @@
 and curve families, the calculus combinators, and the abundance transfer."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestAbsvalueFamily:
             s = L_fn([x]).entries[0, 0]
             assert -1.0 <= s <= 1.0
 
+    def test_certificate_is_frozen(self):
+        cert = c.absvalue_qdq()
+        with pytest.raises(FrozenInstanceError):
+            cert.lam = cert.lam
+
     def test_full_certificate_accepted(self):
         cert = c.absvalue_qdq()
         rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 200,
@@ -45,9 +52,9 @@ class TestAbsvalueFamily:
         assert rep.rho_monotone
 
     def test_shrunk_lambda_rejected_at_minus_delta(self):
-        cert = c.absvalue_qdq()
-        cert.lam = OperatorSet.from_matrices([[[-0.5]], [[1.0]]],
-                                             convex_closure=True)
+        cert = replace(c.absvalue_qdq(),
+                       lam=OperatorSet.from_matrices([[[-0.5]], [[1.0]]],
+                                                     convex_closure=True))
         rep = c.verify_certificate(abs_map, cert, [1e-2, 1e-3], 200, seed=0)
         assert not rep.accepted
         # the endpoint x = -delta is sampled and must be among the violations
@@ -63,8 +70,7 @@ class TestAbsvalueFamily:
     def test_box_missing_base_point_is_not_accepted(self):
         # Gamma = [5, 6] misses every ball around x_bar = 0: no point is
         # sampled, so there is nothing to accept
-        cert = c.absvalue_qdq()
-        cert.gamma = GammaSet.box([5.0], [6.0])
+        cert = replace(c.absvalue_qdq(), gamma=GammaSet.box([5.0], [6.0]))
         rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2], 50, seed=0)
         assert rep.checks_run == 0
         assert rep.checks_per_delta == ((1e-2, 0), (1e-1, 0))
@@ -74,8 +80,7 @@ class TestAbsvalueFamily:
     def test_short_sample_on_one_delta_blocks_acceptance(self):
         # the box [0.006, 0.01] lies inside B_0.1 but misses B_0.005: the
         # larger delta is fully checked, the smaller one gets no point
-        cert = c.absvalue_qdq()
-        cert.gamma = GammaSet.box([0.006], [0.01])
+        cert = replace(c.absvalue_qdq(), gamma=GammaSet.box([0.006], [0.01]))
         rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
         assert dict(rep.checks_per_delta) == {1e-1: 50, 5e-3: 0}
         assert not rep.violations
@@ -107,8 +112,7 @@ class TestAbsvalueFamily:
         # only half of the box [-0.01, 0.01] lies inside B_0.005; the
         # sample is drawn from the box clipped to that ball, so both deltas
         # get every point
-        cert = c.absvalue_qdq()
-        cert.gamma = GammaSet.box([-0.01], [0.01])
+        cert = replace(c.absvalue_qdq(), gamma=GammaSet.box([-0.01], [0.01]))
         rep = c.verify_certificate(abs_map, cert, [1e-1, 5e-3], 50, seed=0)
         assert dict(rep.checks_per_delta) == {1e-1: 50, 5e-3: 50}
         assert not rep.violations
@@ -136,16 +140,16 @@ class TestNonFiniteValues:
         assert err.value.point is not None
 
     def test_nonfinite_h_raises(self):
-        cert = c.absvalue_qdq()
-        cert.family = lambda d: (c.absvalue_certificate(d)[0],
-                                 lambda x: np.array([np.nan]))
+        cert = replace(c.absvalue_qdq(),
+                       family=lambda d: (c.absvalue_certificate(d)[0],
+                                         lambda x: np.array([np.nan])))
         with pytest.raises(core.NonFiniteValueError):
             c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
 
     def test_nonfinite_L_raises(self):
-        cert = c.absvalue_qdq()
-        cert.family = lambda d: (lambda x: [[np.nan]],
-                                 c.absvalue_certificate(d)[1])
+        cert = replace(c.absvalue_qdq(),
+                       family=lambda d: (lambda x: [[np.nan]],
+                                         c.absvalue_certificate(d)[1]))
         with pytest.raises(core.NonFiniteValueError):
             c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
 
@@ -153,14 +157,36 @@ class TestNonFiniteValues:
     def test_huge_finite_h_is_a_violation(self):
         # |h| overflows to inf although every entry is finite: that is a
         # remainder violation, not a non-finite value
-        cert = c.absvalue_qdq()
-        cert.family = lambda d: (c.absvalue_certificate(d)[0],
-                                 lambda x: np.array([1e300, 1e300]))
+        cert = replace(c.absvalue_qdq(),
+                       family=lambda d: (c.absvalue_certificate(d)[0],
+                                         lambda x: np.array([1e300, 1e300])))
         rep = c.verify_certificate(
             lambda x: np.array([1e300, 1e300]), cert, [1e-1], 5, seed=0,
             membership=lambda x, y: True)
         assert not rep.accepted
         assert any(v["check"] == "remainder_size" for v in rep.violations)
+
+    def test_nonfinite_singleton_map_raises(self):
+        # max(0.0, nan) is 0, so an all-NaN map would look differentiable
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.singleton_qdq_check(lambda x: np.array([np.nan]), [0.5],
+                                  LinearMap([[0.0]]))
+        assert err.value.point.tolist() == [0.5]
+
+    def test_nonfinite_retraction_raises(self):
+        # a NaN retraction error fails err >= eta, so it would pass the audit
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.abundant_transfer(abs_map, c.absvalue_qdq(),
+                                lambda eta: (lambda y: y * np.nan), seed=7)
+        assert err.value.point is not None
+
+    def test_nonfinite_curve_raises(self):
+        # NaN quotients fail every comparison, so they would pass the
+        # Cauchy test
+        nan_right = lambda t: np.nan if t > 0 else abs(t)
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.one_sided_derivatives(nan_right, 0.0)
+        assert err.value.point == 2.0 ** -4
 
 
 class TestOneSidedDerivatives:
@@ -178,6 +204,15 @@ class TestOneSidedDerivatives:
         osc = lambda t: t * np.sin(np.log(abs(t) + 1e-300)) if t else 0.0
         with pytest.raises(c.NotOneSidedDifferentiableError):
             c.one_sided_derivatives(osc, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_jump_raises(self):
+        # every value is finite, but the right quotients overflow to inf
+        # and their extrapolants are NaN; the Cauchy test must refuse them
+        jump = lambda t: 1e308 if t > 0 else -1e308
+        with pytest.raises(c.NotOneSidedDifferentiableError):
+            c.one_sided_derivatives(jump, 0.0)
 
     def test_minimal_curve_set(self):
         s = c.minimal_curve_qdq(lambda t: abs(t), 0.0)
@@ -265,8 +300,7 @@ class TestCombinators:
         assert rep.accepted
 
     def test_base_point_mismatch(self):
-        other = c.absvalue_qdq()
-        other.x_bar = np.array([1.0])
+        other = replace(c.absvalue_qdq(), x_bar=[1.0])
         with pytest.raises(ValueError):
             c.combine_certificates("linear", self.a, other)
 
@@ -289,8 +323,7 @@ class TestCompose:
 
     def test_chaining_point_mismatch(self):
         inner = c.absvalue_qdq()
-        outer = c.absvalue_qdq()
-        outer.x_bar = np.array([5.0])
+        outer = replace(c.absvalue_qdq(), x_bar=[5.0])
         with pytest.raises(ValueError):
             c.compose_certificates(inner, outer)
 
@@ -315,6 +348,18 @@ class TestAbundantTransfer:
 
     def test_transferred_certificate_accepted(self):
         t = c.abundant_transfer(self.F, self.cert, self.theta, seed=7)
+        member = c.abundant_membership(self.F, t, self.theta,
+                                       delta_grid=[1e-1, 1e-2, 1e-3])
+        rep = c.verify_certificate(self.F, t, [1e-1, 1e-2, 1e-3], 100,
+                                   seed=8, membership=member)
+        assert rep.accepted
+
+    def test_replaced_transfer_still_accepted(self):
+        # the retraction schedule is a field, so a copy keeps it; without
+        # it the oracle would take the doubled modulus's widths
+        t = c.abundant_transfer(self.F, self.cert, self.theta, seed=7)
+        t = replace(t, lam=t.lam)
+        assert t.retraction_eta(0.01) == pytest.approx(0.01 * 0.01)
         member = c.abundant_membership(self.F, t, self.theta,
                                        delta_grid=[1e-1, 1e-2, 1e-3])
         rep = c.verify_certificate(self.F, t, [1e-1, 1e-2, 1e-3], 100,

@@ -1,7 +1,7 @@
 """Unit tests for the cone algebra, cross-checked by a direction-sampling
 transversality oracle that never touches the LP solver, by the
 2n-coordinate-LP witness search the one-LP Gordan test replaced, and by
-the per-pair 2n-LP intersection search the batched two-stage test
+the per-pair 2n-LP intersection search that the subspace-and-rank rule
 replaced."""
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from quasidiff.cones import (
     LINEARLY_SEPARABLE,
     STRONGLY_TRANSVERSAL,
     WITNESS_TOL,
-    ConsistencyError,
     ConvexCone,
     PairAnalysis,
+    SeparationCertificate,
     analyze_pair,
     analyze_pairs,
     classify_pair,
@@ -290,7 +290,7 @@ class TestAnalyzePair:
 def _corpus_like_pairs():
     """Pairs in R^3 with four generators per cone: general position,
     separable, strongly transversal and complementary subspaces, so every
-    witness block has 3 columns and every intersection block 8."""
+    witness block has 3 columns."""
     rng = np.random.default_rng(5)
     e = np.eye(3)
     plane = np.vstack([e[:2], -e[:2]])
@@ -325,13 +325,12 @@ class TestAnalyzePairs:
                 for k1, k2 in pairs]
         assert {verdict for _, verdict in want} == {
             STRONGLY_TRANSVERSAL, LINEARLY_SEPARABLE, COMPLEMENTARY_SUBSPACES}
-        widths = {"A_ub": 3, "A_eq": 8}  # one witness / intersection block
+        width = 3  # one witness block
         calls = []
 
         def flaky(c, **kwargs):
-            kind = "A_ub" if "A_ub" in kwargs else "A_eq"
-            calls.append((kind, len(c)))
-            if len(c) > widths[kind]:
+            calls.append(len(c))
+            if len(c) > width:
                 return OptimizeResult(status=4, x=None, fun=None)
             return linprog(c, **kwargs)
 
@@ -342,29 +341,10 @@ class TestAnalyzePairs:
             if pair.certificate is not None:
                 assert pair.certificate.validate(k1, k2)
         # each refused batch is followed by one LP per block
-        assert [n for kind, n in calls if n > widths[kind]]
-        for i, (kind, n) in enumerate(calls):
-            if n > widths[kind]:
-                single = calls[i + 1:i + 1 + n // widths[kind]]
-                assert single == [(kind, widths[kind])] * (n // widths[kind])
-
-    def test_consistency_error_returned_at_its_position(self, monkeypatch):
-        # with the intersection test forced to "meets only at 0", the
-        # strongly transversal pair contradicts itself and no other does
-        e = np.eye(2)
-        separable = (conic_hull([[1.0, 0.0]]), conic_hull([[-1.0, 1.0]]))
-        strong = (conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-                  conic_hull([[0.0, 1.0]]))
-        complementary = (conic_hull(np.vstack([e[0], -e[0]])),
-                         conic_hull(np.vstack([e[1], -e[1]])))
-        monkeypatch.setattr(cones, "_nontrivial_intersections",
-                            lambda pairs: [False] * len(pairs))
-        got = analyze_pairs([separable, strong, complementary])
-        assert got[0].verdict == LINEARLY_SEPARABLE
-        assert isinstance(got[1], ConsistencyError)
-        assert got[2].verdict == COMPLEMENTARY_SUBSPACES
-        with pytest.raises(ConsistencyError):
-            analyze_pair(*strong)
+        assert [n for n in calls if n > width]
+        for i, n in enumerate(calls):
+            if n > width:
+                assert calls[i + 1:i + 1 + n // width] == [width] * (n // width)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -376,8 +356,8 @@ class TestAnalyzePairs:
         assert analyze_pairs([]) == []
 
     def test_corpus_lp_count(self, monkeypatch):
-        # one witness LP and the two intersection stages for the whole
-        # 200-pair corpus; the pair-by-pair search made 377
+        # one witness LP for the whole 200-pair corpus; the pair-by-pair
+        # search made 377
         calls = []
 
         def counted(*args, **kwargs):
@@ -390,7 +370,54 @@ class TestAnalyzePairs:
         assert report["verdict_counts"] == {
             STRONGLY_TRANSVERSAL: 93, LINEARLY_SEPARABLE: 95,
             COMPLEMENTARY_SUBSPACES: 12}
-        assert len(calls) <= 3
+        assert len(calls) == 1
+
+
+def _is_line(cone):
+    return cone.is_subspace() and np.linalg.matrix_rank(cone.generators) == 1
+
+
+class TestRunConeDualityGuards:
+    def test_wrong_records_are_caught(self, monkeypatch):
+        # the runner must catch an analysis that lies: a transversal
+        # verdict for a separable pair, a certificate that does not
+        # separate, and complementary subspaces for two lines in R^3
+        real = cones.analyze_pairs
+        tampered = {}
+
+        def lying(pairs):
+            out = real(pairs)
+            for i, ((k1, k2), pair) in enumerate(zip(pairs, out)):
+                if "ranks" not in tampered and _is_line(k1) and _is_line(k2):
+                    tampered["ranks"] = i
+                    out[i] = PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES)
+                elif pair.certificate is None:
+                    continue
+                elif "span" not in tampered:
+                    tampered["span"] = i
+                    out[i] = PairAnalysis(True, None, STRONGLY_TRANSVERSAL)
+                elif "invalid" not in tampered:
+                    flipped = SeparationCertificate(
+                        -pair.certificate.functional, ())
+                    if not flipped.validate(k1, k2):
+                        tampered["invalid"] = i
+                        out[i] = PairAnalysis(False, flipped,
+                                              LINEARLY_SEPARABLE)
+            return out
+
+        monkeypatch.setattr(cones, "analyze_pairs", lying)
+        report = scenarios.run_cone_duality(30, dims=(3,), seed=0)
+        assert set(tampered) == {"ranks", "span", "invalid"}
+        xor = {f["index"]: f for f in report["xor_failures"]}
+        assert xor[tampered["span"]]["span_oracle_disagrees"]
+        assert xor[tampered["invalid"]]["invalid_certificate"]
+        # two lines do not span R^3, so the oracle refutes that pair too
+        assert xor[tampered["ranks"]]["span_oracle_disagrees"]
+        assert report["xor_holds"] == 27
+        assert report["trichotomy_failures"] == [
+            {"index": tampered["ranks"], "verdict": COMPLEMENTARY_SUBSPACES,
+             "ranks": [1, 1, 2]}]
+        assert not report["trichotomy_consistent"]
 
 
 class TestSeparation:
@@ -411,6 +438,15 @@ class TestClassifyPair:
     def test_strongly_transversal(self):
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         k2 = conic_hull([[0.0, 1.0]])
+        assert classify_pair(k1, k2) == STRONGLY_TRANSVERSAL
+
+    def test_planes_sharing_a_line_strongly_transversal(self):
+        # two subspaces whose dimensions add up to more than n meet along
+        # the z-axis
+        e = np.eye(3)
+        k1 = conic_hull(np.vstack([e[[0, 2]], -e[[0, 2]]]))
+        k2 = conic_hull(np.vstack([e[[1, 2]], -e[[1, 2]]]))
+        assert is_transversal(k1, k2)
         assert classify_pair(k1, k2) == STRONGLY_TRANSVERSAL
 
     def test_complementary_subspaces(self):
