@@ -21,8 +21,9 @@ from .core import (
     Modulus,
     OperatorSet,
     VERDICT_TOL,
+    ball_samples,
     dist_to_operator_set,
-    require_finite,
+    evaluate_rows,
 )
 
 DEFAULT_DELTA_GRID = (1e-1, 1e-2, 1e-3)
@@ -61,10 +62,6 @@ class QdqCertificate:
         for name in ("x_bar", "y_bar"):
             object.__setattr__(self, name, np.atleast_1d(
                 np.asarray(getattr(self, name), dtype=float)))
-
-    @property
-    def domain_dim(self) -> int:
-        return self.x_bar.size
 
     @property
     def codomain_dim(self) -> int:
@@ -113,12 +110,15 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
     """Sampled falsification of the three certificate inequalities.
 
     ``F`` is a single-valued callable unless ``membership(x, y) -> bool``
-    is supplied for a set-valued target.  Raises on delta values at or
-    above ``cert.delta_star``.  A delta whose sample holds fewer than
-    ``points_per_delta`` points (a box direction set that misses most of
-    the ball) blocks acceptance, so the verifier never passes vacuously.
+    is supplied for a set-valued target.  Raises on an empty ``delta_grid``
+    and on delta values at or above ``cert.delta_star``.  A delta whose
+    sample holds fewer than ``points_per_delta`` points (a box direction
+    set that misses most of the ball) blocks acceptance, so the verifier
+    never passes vacuously.
     """
     deltas = sorted(float(d) for d in delta_grid)
+    if not deltas:
+        raise ValueError("delta_grid is empty")
     for d in deltas:
         if not 0.0 < d < cert.delta_star:
             raise ValueError(f"delta {d} outside (0, {cert.delta_star})")
@@ -135,16 +135,17 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         xs = cert.gamma.sample(rng, cert.x_bar, d, points_per_delta)
         xs = xs[:points_per_delta + 2]
         checks_per_delta.append((d, len(xs)))
-        for x in xs:
+        hs = evaluate_rows(h_fn, xs, "h_fn")
+        if membership is None:
+            fxs = evaluate_rows(F, xs, "F")
+        for i, (x, h) in enumerate(zip(xs, hs)):
             L = _as_linear_map(L_fn(x))
-            h = np.atleast_1d(np.asarray(h_fn(x), dtype=float))
             dist = dist_to_operator_set(L, cert.lam)
             if dist > rho_d + tol:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "operator_distance",
                                    "value": dist, "bound": rho_d})
             hn = float(np.linalg.norm(h))
-            require_finite(hn, h, "h_fn", x)
             if hn > d * rho_d + tol:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "remainder_size",
@@ -156,9 +157,7 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                                        "check": "membership",
                                        "value": value.tolist(), "bound": None})
             else:
-                fx = np.atleast_1d(np.asarray(F(x), dtype=float))
-                resid = float(np.linalg.norm(value - fx))
-                require_finite(resid, fx, "F", x)
+                resid = float(np.linalg.norm(value - fxs[i]))
                 if resid > tol:
                     violations.append({"delta": d, "x": x.tolist(),
                                        "check": "approximation_identity",
@@ -282,19 +281,13 @@ def one_sided_derivatives(f, t_bar: float, k_min: int = 4, k_max: int = 16,
     the stated tolerance, and ``NonFiniteValueError`` if f returns a NaN or
     an infinity.
     """
-    def value(t):
-        y = np.atleast_1d(np.asarray(f(t), dtype=float))
-        require_finite(float(np.linalg.norm(y)), y, "f", t)
-        return y
-
-    f0 = value(t_bar)
+    f0 = evaluate_rows(f, [t_bar], "f")[0]
+    hs = np.array([2.0 ** (-k) for k in range(k_min, k_max + 1)])
 
     def extrapolants(sign):
-        qs = []
-        for k in range(k_min, k_max + 1):
-            h = 2.0 ** (-k)
-            qs.append(sign * (value(t_bar + sign * h) - f0) / h)
-        return [2.0 * b - a for a, b in zip(qs, qs[1:])]
+        qs = sign * (evaluate_rows(f, t_bar + sign * hs, "f") - f0) \
+            / hs[:, None]
+        return 2.0 * qs[1:] - qs[:-1]
 
     out = []
     for sign in (-1.0, 1.0):
@@ -387,13 +380,13 @@ def curve_qdq(data: CurveData, lam: OperatorSet | None = None,
             [-d * d / 2.0, d * d / 2.0],
         ]))
         ts = data.t_bar + offs
+        hs = evaluate_rows(h_fn, ts[:, None], "h_fn")
         worst = 0.0
         slope = 0.0
         prev = None
         prev_t = None
-        for t in ts:
+        for t, h in zip(ts, hs):
             L = L_fn(np.array([t]))
-            h = h_fn(np.array([t]))
             worst = max(worst, dist_to_operator_set(L, lam),
                         float(np.linalg.norm(h)) / d)
             if prev is not None and t > prev_t:
@@ -643,23 +636,17 @@ def singleton_qdq_check(F, x_bar, L: LinearMap, seed: int = 0,
     scaled sup-residual over shrinking balls drops below 1e-3.  Raises
     ``NonFiniteValueError`` if F returns a NaN or an infinity."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    F0 = np.atleast_1d(np.asarray(F(x_bar), dtype=float))
-    require_finite(float(np.linalg.norm(F0)), F0, "F", x_bar)
+    F0 = evaluate_rows(F, x_bar[None, :], "F")[0]
     rng = np.random.default_rng(seed)
     n = x_bar.size
     ratios = []
     for k in range(k_min, k_max + 1):
         d = 2.0 ** (-k)
-        dirs = rng.normal(size=(samples, n))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        radii = d * rng.uniform(size=(samples, 1)) ** (1.0 / n)
-        pts = np.vstack([x_bar + dirs * radii,
+        pts = np.vstack([ball_samples(rng, x_bar, d, samples),
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
         sup = 0.0
-        for x in pts:
-            fx = np.atleast_1d(np.asarray(F(x), dtype=float))
+        for x, fx in zip(pts, evaluate_rows(F, pts, "F")):
             resid = float(np.linalg.norm(fx - F0 - L.apply(x - x_bar)))
-            require_finite(resid, fx, "F", x)
             sup = max(sup, resid)
         ratios.append(sup / d)
     return ratios[-1] <= 1e-3 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
@@ -679,13 +666,11 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
     rng = np.random.default_rng(seed)
     xs = cert.gamma.sample(rng, cert.x_bar,
                            min(cert.delta_star * 0.9, 1.0), audit_points)
+    ys = evaluate_rows(F, xs, "F")
     for eta in eta_grid:
-        theta = theta_family(eta)
-        for x in xs:
-            y = np.atleast_1d(np.asarray(F(x), dtype=float))
-            miss = y - np.atleast_1d(np.asarray(theta(y), dtype=float))
-            err = float(np.linalg.norm(miss))
-            require_finite(err, miss, "F or the retraction", x)
+        thetas = evaluate_rows(theta_family(eta), ys, "the retraction")
+        for x, y, theta_y in zip(xs, ys, thetas):
+            err = float(np.linalg.norm(y - theta_y))
             if err >= eta + tol:
                 raise AbundanceError(
                     f"retraction at eta={eta} misses by {err}", worst_point=x)

@@ -64,17 +64,12 @@ class ConvexCone:
     def to_jsonable(self) -> dict:
         return {"dimension": self.dimension, "generators": self.generators.tolist()}
 
-    @staticmethod
-    def from_jsonable(obj: dict) -> "ConvexCone":
-        return ConvexCone(int(obj["dimension"]), np.asarray(obj["generators"]))
-
 
 @dataclass(frozen=True)
 class SeparationCertificate:
     """A nonzero functional nonnegative on K1 and nonpositive on K2."""
 
     functional: np.ndarray
-    margin_checks: tuple
 
     def validate(self, k1: "ConvexCone", k2: "ConvexCone",
                  tol: float = WITNESS_TOL) -> bool:
@@ -284,13 +279,8 @@ def analyze_pairs(pairs) -> list:
     results = []
     for (k1, k2), witness in zip(pairs, witnesses):
         if witness is not None:
-            lam = -witness
-            checks = tuple(
-                [(g.tolist(), "+", float(lam @ g)) for g in k1.generators]
-                + [(g.tolist(), "-", float(lam @ g)) for g in k2.generators]
-            )
             results.append(PairAnalysis(
-                False, SeparationCertificate(lam, checks), LINEARLY_SEPARABLE))
+                False, SeparationCertificate(-witness), LINEARLY_SEPARABLE))
         elif _rank(k1.generators) + _rank(k2.generators) <= k1.dimension \
                 and k1.is_subspace() and k2.is_subspace():
             results.append(PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES))

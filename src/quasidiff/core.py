@@ -1,11 +1,12 @@
-"""Shared geometric primitives: linear maps, compact operator sets, hulls.
+"""Shared geometric primitives: linear maps, compact operator sets, hulls,
+and the two sampling primitives of every sampled check: ``ball_samples``
+draws the points and ``evaluate_rows`` calls a map on them.
 
 All values are immutable after construction and every operation is pure,
 so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -49,14 +50,39 @@ class NonFiniteValueError(ValueError):
         self.point = point
 
 
-def require_finite(norm: float, value, name: str, x) -> None:
-    """Raise when ``value`` holds a NaN or an infinity, which would fail
-    every comparison and so pass every check.  ``norm`` is a norm already
-    computed from ``value``: only when it is not finite (also when a huge
-    finite value overflows it) are the entries tested."""
-    if not math.isfinite(norm) and not np.all(np.isfinite(value)):
+def evaluate_rows(F, points, name: str) -> np.ndarray:
+    """F at every row of ``points``, stacked into a ``(k, m)`` array.
+
+    F is called once per row, in order; the rows of a 1-D ``points`` are
+    passed as floats.  Raises ``NonFiniteValueError`` at the first row
+    whose value has a NaN or an infinite entry: such a value fails every
+    comparison and so would pass every check.  The test is on entries, so
+    a huge finite value whose norm overflows is left to the caller's
+    bound.  Empty ``points`` call nothing and give a ``(0, 0)`` array.
+    """
+    pts = np.asarray(points, dtype=float)
+    if not len(pts):
+        return np.zeros((0, 0))
+    rows = pts.tolist() if pts.ndim == 1 else pts
+    values = np.array([F(x) for x in rows], dtype=float).reshape(len(pts), -1)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        x = rows[int(np.argmin(finite))]
         raise NonFiniteValueError(f"{name} returned a non-finite value at "
                                   f"{np.asarray(x).tolist()}", point=x)
+    return values
+
+
+def ball_samples(rng: np.random.Generator, center, radius: float,
+                 count: int) -> np.ndarray:
+    """``count`` points uniform in ``center + B_radius``: normalised
+    Gaussian directions at radii ``radius * U ** (1/n)``."""
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    dirs = rng.normal(size=(count, n))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / n)
+    return center + dirs * radii
 
 
 @dataclass(frozen=True)
@@ -203,10 +229,7 @@ class GammaSet:
         center = np.asarray(center, dtype=float)
         n = self.dimension
         if self.kind == GammaSet.FULL:
-            pts = rng.normal(size=(count, n))
-            pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
-            radii = delta * rng.uniform(size=(count, 1)) ** (1.0 / n)
-            out = center + pts * radii
+            out = ball_samples(rng, center, delta, count)
             if n == 1:
                 out = np.vstack([out, [center - delta], [center + delta]])
             return out

@@ -7,10 +7,12 @@ The estimators score a whole sample cloud in one pass
 the field's box domain are masked by one vectorised test, the central
 differences at steps h and h/2 are formed one stencil column at a time over
 all remaining samples, and the step-h Jacobians come back with their
-two-scale differentiability scores.  Maps and fields are still called one
-point at a time.  ``fd_jacobian`` and ``differentiability_score`` are
-one-row views of the same pass.  Non-finite values raise
-``NonFiniteValueError`` instead of reaching a score.
+two-scale differentiability scores.  ``fd_jacobian`` and
+``differentiability_score`` are one-row views of the same pass.  Sample
+balls come from ``core.ball_samples``; maps and fields are called on a
+whole sample through ``core.evaluate_rows``, except in the stencil pass,
+which must skip the rows whose calls leave the domain.  Non-finite values
+raise ``NonFiniteValueError`` instead of reaching a score.
 """
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from .core import (
     LinearMap,
     NonFiniteValueError,
     OperatorSet,
+    ball_samples,
     convex_hull_points,
     dedupe,
+    evaluate_rows,
 )
 from .flows import FlowSolverConfig, VectorField, default_config, flow, \
     multiflow_commutator
@@ -161,11 +165,7 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
         if not inside.all():
             raise DomainEscapeError("mollification stencil leaves domain",
                                     point=ys[np.argmin(inside)])
-        values = np.array([f(y) for y in ys])
-        finite = np.all(np.isfinite(values), axis=1)
-        if not finite.all():
-            raise NonFiniteValueError("non-finite value in the mollification "
-                                      "stencil", point=ys[np.argmin(finite)])
+        values = evaluate_rows(f, ys, "f")
         # the weighted rows are added in quadrature order onto a zero start,
         # the same bits as a row loop of `acc += w * v` at well under half
         # its cost; np.sum would add a single column pairwise, which rounds
@@ -186,15 +186,6 @@ def lie_bracket_pointwise(f: VectorField, g: VectorField, x, h: float) -> np.nda
     return jg.apply(f(x)) - jf.apply(g(x))
 
 
-def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float,
-                  count: int) -> np.ndarray:
-    n = center.size
-    d = rng.normal(size=(count, n))
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.uniform(size=(count, 1)) ** (1.0 / n)
-    return center + d * r
-
-
 def _vertex_reduce(flats: np.ndarray) -> np.ndarray:
     """Reduce a generator cloud to hull vertices when the flattened
     dimension is desk-scale, else just deduplicate."""
@@ -211,7 +202,7 @@ def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
-    pts = _ball_samples(rng, x_bar, radius, samples)
+    pts = ball_samples(rng, x_bar, radius, samples)
     _, jac, score = _scored_jacobians(f, pts, h)
     kept = jac[score <= score_threshold]
     if not len(kept):
@@ -231,15 +222,17 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     q = np.atleast_1d(np.asarray(q, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
-    pts = _ball_samples(rng, q, radius, samples)
+    pts = ball_samples(rng, q, radius, samples)
     # g is differenced only where f's stencils stayed in the domain
     rows_f, jf, score_f = _scored_jacobians(f, pts, h)
     rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
     pts, jf = pts[rows_f][rows_g], jf[rows_g]
     keep = np.maximum(score_f[rows_g], score_g) <= score_threshold
     # the same entries @ v product as lie_bracket_pointwise
-    kept = [b @ f(x) - a @ g(x)
-            for x, a, b in zip(pts[keep], jf[keep], jg[keep])]
+    pts = pts[keep]
+    kept = [b @ fx - a @ gx for fx, gx, a, b in zip(
+        evaluate_rows(f, pts, "f"), evaluate_rows(g, pts, "g"),
+        jf[keep], jg[keep])]
     if not kept:
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")

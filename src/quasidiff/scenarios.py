@@ -39,21 +39,25 @@ class ConfigError(ValueError):
     """The scenario config is malformed or names an unknown catalog key."""
 
 
+_ENTRY_KEYS = {"name", "kind", "params", "seed"}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
     @staticmethod
     def from_jsonable(obj: dict) -> "Scenario":
+        unknown = sorted(set(obj) - _ENTRY_KEYS)
+        if unknown:
+            raise ConfigError(f"scenario entry has unknown keys {unknown}")
         try:
             return Scenario(obj["name"], obj["kind"],
                             dict(obj.get("params", {})),
-                            int(obj.get("seed", 0)),
-                            dict(obj.get("tolerances", {})))
+                            int(obj.get("seed", 0)))
         except KeyError as exc:
             raise ConfigError(f"scenario entry missing key {exc}") from exc
 
@@ -163,8 +167,12 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
 
 def _run_cone_duality_scenario(sc: Scenario) -> tuple:
     p = sc.params
-    report = run_cone_duality(int(p.get("pairs", 1000)),
-                              tuple(p.get("dims", (2, 3, 4, 5))), sc.seed)
+    pairs = int(p.get("pairs", 1000))
+    if pairs <= 0:
+        raise ConfigError(f"scenario {sc.name!r}: pairs must be positive, "
+                          f"got {pairs}")
+    report = run_cone_duality(pairs, tuple(p.get("dims", (2, 3, 4, 5))),
+                              sc.seed)
     max_fail = int(p.get("max_xor_failures", 1))
     ok = (report["pairs"] - report["xor_holds"]) <= max_fail \
         and report["trichotomy_consistent"]
@@ -203,7 +211,7 @@ def _run_clarke_estimate(sc: Scenario) -> tuple:
         int(p.get("samples", 10000)), sc.seed)
     expected = _build_lambda(p["expected_generators"])
     dist = hausdorff_distance(est, expected)
-    tol = float(sc.tolerances.get("hausdorff", p.get("tol", 1e-2)))
+    tol = float(p.get("tol", 1e-2))
     report = {"estimate": est.to_jsonable(), "expected": expected.to_jsonable(),
               "hausdorff": dist, "tol": tol}
     return dist <= tol, "hausdorff", dist, report
@@ -242,7 +250,7 @@ def _run_bracket_convergence(sc: Scenario) -> tuple:
         dist = hull_membership_residual(direction, est.flat_generators())
         report = {"direction": direction.tolist(),
                   "estimate": est.to_jsonable(), "dist_to_estimate": dist}
-        ok = dist <= float(sc.tolerances.get("dist", p.get("tol", 5e-2)))
+        ok = dist <= float(p.get("tol", 5e-2))
         if "expected_direction" in p:
             exp = np.asarray(p["expected_direction"], dtype=float)
             dir_err = float(np.linalg.norm(direction - exp))

@@ -15,7 +15,7 @@ from .cones import (
     is_full_space,
 )
 from .core import DimensionMismatchError, GammaSet, OperatorSet, \
-    require_finite
+    evaluate_rows
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -86,18 +86,18 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
                      tol: float = MATCH_TOL) -> bool:
     """Spot-check the declared base-point-avoiding property of a
     generating family: ``g_family(delta)`` returns a continuous map whose
-    values on admissible steps of size delta must avoid z.  A NaN or an
-    infinity from a map raises ``NonFiniteValueError``."""
+    values on admissible steps of size delta must avoid z.  An empty
+    ``deltas`` raises ``ValueError``, and a NaN or an infinity from a map
+    raises ``NonFiniteValueError``."""
+    if not len(deltas):
+        raise ValueError("deltas is empty")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rng = np.random.default_rng(seed)
     origin = np.zeros(gamma.dimension)
     for d in deltas:
-        g = g_family(d)
-        for x in gamma.sample(rng, origin, d, samples):
-            y = np.atleast_1d(np.asarray(g(x), dtype=float))
-            dist = float(np.linalg.norm(y - z))
-            require_finite(dist, y, "g_family", x)
-            if dist <= tol:
+        xs = gamma.sample(rng, origin, d, samples)
+        for y in evaluate_rows(g_family(d), xs, "g_family"):
+            if float(np.linalg.norm(y - z)) <= tol:
                 return False
     return True
 
@@ -142,7 +142,8 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
 
     The surjectivity hypothesis (every generator maps the direction set
     onto the codomain) is checked first and raises SurjectivityError —
-    that signal means the hypotheses fail, not that the probe failed.
+    that signal means the hypotheses fail, not that the probe failed.  A
+    NaN or an infinity from F raises ``NonFiniteValueError``.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
@@ -159,8 +160,7 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
     xs = gamma.sample(rng, x_bar, a * beta, domain_samples)
-    values = np.array([np.atleast_1d(np.asarray(F(x), dtype=float))
-                       for x in xs])
+    values = evaluate_rows(F, xs, "F")
     tree = cKDTree(values)
     dists, _ = tree.query(targets, k=1)
     covered = dists <= cover_tol

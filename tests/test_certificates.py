@@ -128,6 +128,17 @@ class TestAbsvalueFamily:
             [list(dc) for dc in rep.checks_per_delta]
 
 
+class TestEmptyDeltaGrid:
+    def test_empty_grid_refused(self):
+        # with no delta there is no check, and even a wrong set would pass
+        cert = replace(c.absvalue_qdq(),
+                       lam=OperatorSet.from_matrices([[[0.5]]]))
+        with pytest.raises(ValueError, match="empty"):
+            c.verify_certificate(abs_map, cert, [], 20, seed=0)
+        assert not c.verify_certificate(abs_map, cert, [1e-1], 20,
+                                        seed=0).accepted
+
+
 class TestNonFiniteValues:
     """A NaN fails every comparison, so before these checks a NaN from F or
     h_fn was accepted as if it met every bound."""
@@ -179,6 +190,15 @@ class TestNonFiniteValues:
             c.abundant_transfer(abs_map, c.absvalue_qdq(),
                                 lambda eta: (lambda y: y * np.nan), seed=7)
         assert err.value.point is not None
+
+    def test_nonfinite_curve_remainder_raises(self):
+        # max(worst, nan) keeps worst, so a NaN remainder left the modulus
+        # of a clean |t| unchanged
+        f = lambda t: np.array([np.nan if 0.0 < t < 1e-9 else abs(t)])
+        data = c.CurveData(f, 0.0, [1.0], [-1.0])
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.curve_qdq(data)
+        assert 0.0 < err.value.point[0] < 1e-9
 
     def test_nonfinite_curve_raises(self):
         # NaN quotients fail every comparison, so they would pass the

@@ -45,6 +45,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg)
 
+    def test_unknown_entry_key_rejected(self, tmp_path):
+        # tolerances was a second source for a runner's tol
+        entry = dict(SMALL_SUITE[0], tolerances={"hausdorff": 1.0})
+        with pytest.raises(ConfigError, match="tolerances"):
+            Scenario.from_jsonable(entry)
+        cfg = tmp_path / "c.json"
+        write_config(cfg, [entry])
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_nonpositive_pairs_rejected(self, pairs):
+        with pytest.raises(ConfigError, match="pairs"):
+            run_scenario(Scenario("x", "ConeDuality", {"pairs": pairs}))
+
     def test_unknown_kind_raises_config_error(self):
         with pytest.raises(ConfigError):
             run_scenario(Scenario("x", "NoSuchKind"))
@@ -154,9 +169,9 @@ class TestEntryPoint:
 
 class TestReferenceGolden:
     def test_summary_matches_golden(self, tmp_path):
-        """The reference suite's verdicts and metrics against the committed
-        summary: labels and verdicts exactly, values to 1e-12 abs +
-        1e-9 rel."""
+        """The reference suite's summary is byte-identical to the committed
+        one; labels, verdicts and values are compared first, so that a
+        mismatch names its scenario."""
         assert main(["run", "reference", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "summary.csv", newline="") as fh:
             got = list(csv.DictReader(fh))
@@ -168,3 +183,5 @@ class TestReferenceGolden:
         for g, w in zip(got, want):
             assert float(g["metric_value"]) == pytest.approx(
                 float(w["metric_value"]), abs=1e-12, rel=1e-9), g["scenario"]
+        assert (tmp_path / "summary.csv").read_bytes() == \
+            GOLDEN_SUMMARY.read_bytes()

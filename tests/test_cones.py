@@ -397,8 +397,7 @@ class TestRunConeDualityGuards:
                     tampered["span"] = i
                     out[i] = PairAnalysis(True, None, STRONGLY_TRANSVERSAL)
                 elif "invalid" not in tampered:
-                    flipped = SeparationCertificate(
-                        -pair.certificate.functional, ())
+                    flipped = SeparationCertificate(-pair.certificate.functional)
                     if not flipped.validate(k1, k2):
                         tampered["invalid"] = i
                         out[i] = PairAnalysis(False, flipped,

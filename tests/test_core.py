@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasidiff.core import (
     DimensionMismatchError,
@@ -18,6 +20,8 @@ from quasidiff.core import (
     InexactHausdorffError,
     NonFiniteValueError,
     _directed_hausdorff,
+    ball_samples,
+    evaluate_rows,
     hausdorff_distance,
     hull_membership_residual,
 )
@@ -237,6 +241,91 @@ class TestGammaSet:
         g = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]])
         assert g.contains([0.5, 0.25])
         assert not g.contains([-0.5, 0.25])
+
+
+def evaluate_loop(F, points, name):
+    """Oracle: one call per point, each value tested as it arrives."""
+    rows = []
+    for x in np.asarray(points, dtype=float):
+        y = np.atleast_1d(np.asarray(F(x), dtype=float))
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteValueError(name, point=x)
+        rows.append(y)
+    return np.array(rows)
+
+
+def ball_loop(rng, center, radius, count):
+    """Oracle: the full-space ball draw of the sampling layer, written out:
+    normalised Gaussian directions, then radii radius * U^(1/n)."""
+    n = center.size
+    pts = rng.normal(size=(count, n))
+    pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
+    radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / n)
+    return center + pts * radii
+
+
+class TestSamplingPrimitives:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 12), n=st.integers(1, 3),
+           m=st.integers(1, 3))
+    def test_evaluate_rows_matches_loop(self, data, k, n, m):
+        finite = st.floats(-1e3, 1e3, allow_nan=False)
+        pts = np.array(data.draw(st.lists(finite, min_size=k * n,
+                                          max_size=k * n))).reshape(k, n)
+        mat = np.array(data.draw(st.lists(finite, min_size=m * n,
+                                          max_size=m * n))).reshape(m, n)
+        bad = data.draw(st.sets(st.integers(0, k - 1), max_size=3))
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        calls = []
+
+        def F(x):
+            calls.append(x.copy())
+            y = np.sin(mat @ x)
+            if any(np.array_equal(x, pts[i]) for i in bad):
+                y[-1] = value
+            return y
+
+        first_bad = min((i for i in range(k)
+                         if any(np.array_equal(pts[i], pts[j]) for j in bad)),
+                        default=None)
+        if first_bad is None:
+            got = evaluate_rows(F, pts, "F")
+            assert got.shape == (k, m)
+            assert got.tobytes() == evaluate_loop(F, pts, "F").tobytes()
+            assert np.array_equal(np.array(calls[:k]), pts)
+        else:
+            with pytest.raises(NonFiniteValueError) as got:
+                evaluate_rows(F, pts, "F")
+            with pytest.raises(NonFiniteValueError) as want:
+                evaluate_loop(F, pts, "F")
+            assert np.array_equal(got.value.point, pts[first_bad])
+            assert np.array_equal(got.value.point, want.value.point)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_finite_value_passes(self):
+        got = evaluate_rows(lambda x: [1e300, 1e300], np.zeros((2, 1)), "F")
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got[0]) == np.inf
+
+    def test_scalar_rows_and_empty_input(self):
+        seen = []
+        got = evaluate_rows(lambda t: seen.append(t) or 2.0 * t,
+                            np.array([0.5, -1.0]), "f")
+        assert [type(t) for t in seen] == [float, float]
+        assert got.tolist() == [[1.0], [-2.0]]
+        assert evaluate_rows(lambda x: seen.append(x), np.zeros((0, 2)),
+                             "F").shape == (0, 0)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ball_samples_match_the_full_draw(self, n):
+        center = np.linspace(-0.5, 0.5, n)
+        got = ball_samples(np.random.default_rng(n), center, 0.3, 50)
+        want = ball_loop(np.random.default_rng(n), center, 0.3, 50)
+        assert got.tobytes() == want.tobytes()
+        full = GammaSet.full_space(n).sample(np.random.default_rng(n),
+                                             center, 0.3, 50)
+        assert full[:50].tobytes() == want.tobytes()
 
 
 class TestModulus:

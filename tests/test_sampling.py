@@ -23,6 +23,7 @@ from quasidiff.core import (
     LinearMap,
     NonFiniteValueError,
     OperatorSet,
+    ball_samples,
     convex_hull_points,
     dedupe,
 )
@@ -32,7 +33,6 @@ from quasidiff.flows import Box, VectorField
 from quasidiff.nonsmooth import (
     DIFFERENTIABILITY_THRESHOLD,
     MollifierConfig,
-    _ball_samples,
     _quadrature_rule,
     _scored_jacobians,
     clarke_jacobian_estimate,
@@ -92,7 +92,7 @@ def clarke_loop(f, x_bar, radius, samples, seed, fd_step=None):
     """Oracle: score every sample, then difference the kept ones again."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
-    pts = _ball_samples(np.random.default_rng(seed), x_bar, radius, samples)
+    pts = ball_samples(np.random.default_rng(seed), x_bar, radius, samples)
     kept = []
     shape = None
     for x in pts:
@@ -115,7 +115,7 @@ def clarke_loop(f, x_bar, radius, samples, seed, fd_step=None):
 def bracket_loop(f, g, q, radius, samples, seed, fd_step=None):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
-    pts = _ball_samples(np.random.default_rng(seed), q, radius, samples)
+    pts = ball_samples(np.random.default_rng(seed), q, radius, samples)
     kept = []
     for x in pts:
         try:
@@ -287,7 +287,7 @@ class TestEstimatorsMatchLoops:
                       [-1.0, -1.0], [4e-4, 1.0])
         g = cut_field(lambda x: np.array([0.0, abs(x[0])]),
                       [-1.0, -5e-4], [1.0, 1.0])
-        pts = _ball_samples(np.random.default_rng(seed), np.zeros(2), 1e-3,
+        pts = ball_samples(np.random.default_rng(seed), np.zeros(2), 1e-3,
                             300)
         # a step of 1e-4 puts samples inside the box within one step of
         # each cut, so that only the + or only the - stencil escapes
@@ -310,7 +310,7 @@ class TestEstimatorsMatchLoops:
             lambda x: np.array([x[0] * x[1], abs(x[0])]),
             [-4e-4, -5e-4], [4e-4, 5e-4])
         h = 1e-4
-        pts = _ball_samples(np.random.default_rng(7), np.zeros(2), 1e-3, 400)
+        pts = ball_samples(np.random.default_rng(7), np.zeros(2), 1e-3, 400)
         rows, jac, score = _scored_jacobians(g, pts, h)
         want = []
         for i, x in enumerate(pts):
@@ -353,6 +353,19 @@ class TestNonFiniteValues:
         with pytest.raises(NonFiniteValueError):
             set_lie_bracket_estimate(unit_x_field(), g, [0.0, 0.0], 1e-3,
                                      200, 0)
+
+    def test_bracket_raises_at_kept_point(self):
+        # every stencil value is finite; only f at the samples themselves,
+        # where the bracket takes f(x) and g(x), is not
+        pts = ball_samples(np.random.default_rng(0), np.zeros(2), 1e-3, 50)
+        samples = {tuple(p) for p in pts}
+        f = VectorField(2, lambda x: np.array(
+            [np.nan if tuple(x) in samples else 1.0, 0.0]),
+            Box(-np.ones(2), np.ones(2)), 1.0)
+        g = linear_field([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NonFiniteValueError) as err:
+            set_lie_bracket_estimate(f, g, [0.0, 0.0], 1e-3, 50, 0)
+        assert np.array_equal(err.value.point, pts[0])
 
     def test_one_row_views_raise(self):
         with pytest.raises(NonFiniteValueError):

@@ -131,6 +131,14 @@ class TestOpenMappingProbe:
                                  lam, 0.05, 2.0, 10, 4000, seed=1)
         assert rep.passed
 
+    def test_nonfinite_value_raises(self):
+        # a NaN row used to reach cKDTree, which refused it without a point
+        F = lambda x: np.array([np.nan]) if x[0] > 0.1 else self.F(x)
+        with pytest.raises(NonFiniteValueError) as err:
+            open_mapping_probe(F, [0.0, 0.0], [0.0], self.gamma, self.lam,
+                               0.1, 2.0, 5, 2000, seed=5)
+        assert err.value.point[0] > 0.1
+
     def test_monotone_in_a(self):
         for a in (0.1, 0.05, 0.02):
             rep = open_mapping_probe(self.F, [0.0, 0.0], [0.0], self.gamma,
@@ -178,6 +186,14 @@ class TestFixtureSuite:
         with pytest.raises(NonFiniteValueError) as err:
             audit_z_ignoring(nan_family, GammaSet.full_space(1), [0.0, 0.0])
         assert err.value.point is not None
+
+    def test_empty_deltas_refused(self):
+        onto_z = lambda d: (lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match="empty"):
+            audit_z_ignoring(onto_z, GammaSet.full_space(1), [0.0, 0.0],
+                             deltas=())
+        assert not audit_z_ignoring(onto_z, GammaSet.full_space(1),
+                                    [0.0, 0.0])
 
     def test_z_ignoring_families_audited(self):
         for f in builtin_fixtures():
