@@ -27,6 +27,10 @@ from .core import (
 )
 
 DEFAULT_DELTA_GRID = (1e-1, 1e-2, 1e-3)
+# the Cauchy test of the one-sided difference quotients
+CAUCHY_TOL = 1e-4
+# the single-linkage gap at which a curve's generator list is connected
+CURVE_GAP = 1e-2
 
 
 class NotOneSidedDifferentiableError(RuntimeError):
@@ -67,16 +71,6 @@ class QdqCertificate:
     def codomain_dim(self) -> int:
         return self.y_bar.size
 
-    def to_jsonable(self, delta_grid=DEFAULT_DELTA_GRID) -> dict:
-        return {
-            "x_bar": self.x_bar.tolist(),
-            "y_bar": self.y_bar.tolist(),
-            "gamma": self.gamma.to_jsonable(),
-            "lambda": self.lam.to_jsonable(),
-            "delta_star": self.delta_star,
-            "rho_samples": [[d, float(self.rho(d))] for d in sorted(delta_grid)],
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -105,7 +99,6 @@ def _as_linear_map(value) -> LinearMap:
 
 def verify_certificate(F, cert: QdqCertificate, delta_grid,
                        points_per_delta: int, seed: int = 0,
-                       tol: float = VERDICT_TOL,
                        membership=None) -> VerificationReport:
     """Sampled falsification of the three certificate inequalities.
 
@@ -141,12 +134,12 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         for i, (x, h) in enumerate(zip(xs, hs)):
             L = _as_linear_map(L_fn(x))
             dist = dist_to_operator_set(L, cert.lam)
-            if dist > rho_d + tol:
+            if dist > rho_d + VERDICT_TOL:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "operator_distance",
                                    "value": dist, "bound": rho_d})
             hn = float(np.linalg.norm(h))
-            if hn > d * rho_d + tol:
+            if hn > d * rho_d + VERDICT_TOL:
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "remainder_size",
                                    "value": hn, "bound": d * rho_d})
@@ -158,17 +151,17 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                                        "value": value.tolist(), "bound": None})
             else:
                 resid = float(np.linalg.norm(value - fxs[i]))
-                if resid > tol:
+                if resid > VERDICT_TOL:
                     violations.append({"delta": d, "x": x.tolist(),
                                        "check": "approximation_identity",
-                                       "value": resid, "bound": tol})
+                                       "value": resid, "bound": VERDICT_TOL})
         if cert.lipschitz_budget is not None and len(xs) >= 2:
             budget = cert.lipschitz_budget(d)
             for x in xs[: min(16, len(xs))]:
-                step = d * 1e-6
-                x2 = x + step * (cert.x_bar - x) if np.linalg.norm(
-                    cert.x_bar - x) > 0 else x
-                if np.allclose(x, x2):
+                # x2 moves toward x_bar by d * 1e-6 of the distance, so
+                # only x_bar itself, which does not move, is skipped
+                x2 = x + d * 1e-6 * (cert.x_bar - x)
+                if np.array_equal(x, x2):
                     continue
                 dx = float(np.linalg.norm(x2 - x))
                 dev = _as_linear_map(L_fn(x)).frobenius_distance(
@@ -220,15 +213,14 @@ def absvalue_certificate(delta: float):
     return L_fn, h_fn
 
 
-def absvalue_qdq(lam: OperatorSet | None = None,
-                 delta_star: float = 1.0) -> QdqCertificate:
+def absvalue_qdq(lam: OperatorSet | None = None) -> QdqCertificate:
     """Full certificate for |x| at (0, 0) in the direction of the line."""
     if lam is None:
         lam = OperatorSet.from_matrices([[[-1.0]], [[1.0]]], convex_closure=True)
     return QdqCertificate(
         x_bar=np.zeros(1), y_bar=np.zeros(1),
         gamma=GammaSet.full_space(1), lam=lam,
-        delta_star=delta_star,
+        delta_star=1.0,
         rho=lambda d: d,
         family=absvalue_certificate,
         lipschitz_budget=lambda d: 1.1 / (d * d) + 2.0,
@@ -238,9 +230,10 @@ def absvalue_qdq(lam: OperatorSet | None = None,
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass
+@dataclass(frozen=True)
 class CurveData:
-    """A continuous curve with one-sided derivatives at a reference time."""
+    """A continuous curve with one-sided derivatives at a reference time;
+    frozen, like ``QdqCertificate``."""
 
     f: Callable[[float], np.ndarray]
     t_bar: float
@@ -249,10 +242,9 @@ class CurveData:
     arc: Callable[[float], LinearMap] | None = None
 
     def __post_init__(self):
-        self.right_derivative = np.atleast_1d(
-            np.asarray(self.right_derivative, dtype=float))
-        self.left_derivative = np.atleast_1d(
-            np.asarray(self.left_derivative, dtype=float))
+        for name in ("right_derivative", "left_derivative"):
+            object.__setattr__(self, name, np.atleast_1d(
+                np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def codomain_dim(self) -> int:
@@ -273,16 +265,16 @@ class CurveData:
         return CurveData(f, t_bar, right, left)
 
 
-def one_sided_derivatives(f, t_bar: float, k_min: int = 4, k_max: int = 16,
-                          cauchy_tol: float = 1e-4):
-    """Richardson-extrapolated one-sided difference quotients.
+def one_sided_derivatives(f, t_bar: float):
+    """Richardson-extrapolated one-sided difference quotients at the steps
+    2^-4 ... 2^-16.
 
-    Returns (left, right); raises if the extrapolants are not Cauchy at
-    the stated tolerance, and ``NonFiniteValueError`` if f returns a NaN or
-    an infinity.
+    Returns (left, right); raises if the last two extrapolants are farther
+    apart than ``CAUCHY_TOL``, and ``NonFiniteValueError`` if f returns a
+    NaN or an infinity.
     """
     f0 = evaluate_rows(f, [t_bar], "f")[0]
-    hs = np.array([2.0 ** (-k) for k in range(k_min, k_max + 1)])
+    hs = np.array([2.0 ** (-k) for k in range(4, 17)])
 
     def extrapolants(sign):
         qs = sign * (evaluate_rows(f, t_bar + sign * hs, "f") - f0) \
@@ -293,7 +285,7 @@ def one_sided_derivatives(f, t_bar: float, k_min: int = 4, k_max: int = 16,
     for sign in (-1.0, 1.0):
         rs = extrapolants(sign)
         # written so that a NaN gap, from quotients that overflowed, fails
-        if not np.linalg.norm(rs[-1] - rs[-2]) <= cauchy_tol:
+        if not np.linalg.norm(rs[-1] - rs[-2]) <= CAUCHY_TOL:
             raise NotOneSidedDifferentiableError(
                 f"quotients not Cauchy on the {'left' if sign < 0 else 'right'}"
             )
@@ -350,23 +342,20 @@ def curve_certificate(data: CurveData, delta: float):
     return L_fn, h_fn
 
 
-def curve_qdq(data: CurveData, lam: OperatorSet | None = None,
-              delta_star: float = 0.5, arc_samples: int = 41,
-              extra_deltas=DEFAULT_DELTA_GRID) -> QdqCertificate:
-    """Full curve certificate with an empirically measured modulus."""
-    if lam is None:
-        if data.codomain_dim == 1:
-            lam = _derivative_segment(data.left_derivative,
-                                      data.right_derivative)
-        else:
-            pts = [data.arc_map(u).flat()
-                   for u in np.linspace(-1.0, 1.0, arc_samples)]
-            lam = OperatorSet(
-                tuple(LinearMap(p.reshape(-1, 1)) for p in pts),
-                convex_closure=False)
+def curve_qdq(data: CurveData) -> QdqCertificate:
+    """Full curve certificate with an empirically measured modulus, on
+    delta_star = 0.5.  Lambda is the derivative segment of a scalar curve,
+    else 41 points of the connecting arc."""
+    delta_star = 0.5
+    if data.codomain_dim == 1:
+        lam = _derivative_segment(data.left_derivative, data.right_derivative)
+    else:
+        pts = [data.arc_map(u).flat() for u in np.linspace(-1.0, 1.0, 41)]
+        lam = OperatorSet(tuple(LinearMap(p.reshape(-1, 1)) for p in pts),
+                          convex_closure=False)
 
     grid = sorted(set([2.0 ** (-k) for k in range(2, 13)]
-                      + [float(d) for d in extra_deltas]))
+                      + [float(d) for d in DEFAULT_DELTA_GRID]))
     grid = [d for d in grid if d < delta_star]
     samples = []
     budgets = {}
@@ -413,15 +402,15 @@ def curve_qdq(data: CurveData, lam: OperatorSet | None = None,
         lipschitz_budget=budget)
 
 
-def falsify_curve_qdq(data: CurveData, lam: OperatorSet, tol: float = 1e-6,
-                      gap: float = 1e-2):
+def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     """Necessary-condition falsifier for curve certificate sets.
 
-    Returns a witness dict when a one-sided derivative is missing from the
-    set, or when a non-hulled generator list splits (at the given gap) into
-    components separating the two derivatives.  Absence of a witness does
-    not certify anything.
+    Returns a witness dict when a one-sided derivative is farther than
+    1e-6 from the set, or when a non-hulled generator list splits (at the
+    gap ``CURVE_GAP``) into components separating the two derivatives.
+    Absence of a witness does not certify anything.
     """
+    tol = 1e-6
     right = LinearMap.from_vector(data.right_derivative)
     left = LinearMap.from_vector(data.left_derivative)
     d_right = dist_to_operator_set(right, lam)
@@ -447,14 +436,14 @@ def falsify_curve_qdq(data: CurveData, lam: OperatorSet, tol: float = 1e-6,
 
     for i in range(k):
         for j in range(i + 1, k):
-            if np.linalg.norm(flats[i] - flats[j]) <= gap:
+            if np.linalg.norm(flats[i] - flats[j]) <= CURVE_GAP:
                 labels[find(i)] = find(j)
     comp_right = find(int(np.argmin(
         np.linalg.norm(flats - right.flat(), axis=1))))
     comp_left = find(int(np.argmin(
         np.linalg.norm(flats - left.flat(), axis=1))))
     if comp_right != comp_left:
-        return {"kind": "disconnected", "gap": gap,
+        return {"kind": "disconnected", "gap": CURVE_GAP,
                 "components": [comp_left, comp_right]}
     return None
 
@@ -629,20 +618,19 @@ def compose_certificates(certF: QdqCertificate,
         family, None)
 
 
-def singleton_qdq_check(F, x_bar, L: LinearMap, seed: int = 0,
-                        samples: int = 64, k_min: int = 2,
-                        k_max: int = 13) -> bool:
+def singleton_qdq_check(F, x_bar, L: LinearMap) -> bool:
     """True iff F looks differentiable at x_bar with derivative L: the
-    scaled sup-residual over shrinking balls drops below 1e-3.  Raises
+    scaled sup-residual over the balls of radius 2^-2 ... 2^-13 (64 seeded
+    samples each, plus the axis points) drops below 1e-3.  Raises
     ``NonFiniteValueError`` if F returns a NaN or an infinity."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     F0 = evaluate_rows(F, x_bar[None, :], "F")[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = x_bar.size
     ratios = []
-    for k in range(k_min, k_max + 1):
+    for k in range(2, 14):
         d = 2.0 ** (-k)
-        pts = np.vstack([ball_samples(rng, x_bar, d, samples),
+        pts = np.vstack([ball_samples(rng, x_bar, d, 64),
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
         sup = 0.0
         for x, fx in zip(pts, evaluate_rows(F, pts, "F")):
@@ -653,25 +641,23 @@ def singleton_qdq_check(F, x_bar, L: LinearMap, seed: int = 0,
 
 
 def abundant_transfer(F, cert: QdqCertificate, theta_family,
-                      eta_grid=(1e-1, 1e-2, 1e-3, 1e-4), seed: int = 0,
-                      audit_points: int = 100,
-                      tol: float = VERDICT_TOL) -> QdqCertificate:
+                      seed: int = 0) -> QdqCertificate:
     """Transfer a certificate to the set-valued union of eta-retractions.
 
     ``theta_family(eta)`` must return a continuous map with
-    ``|F(x) - theta_eta(F(x))| < eta`` everywhere; this is audited on
-    samples before the transfer, and a NaN or an infinity from F or the
-    retraction raises ``NonFiniteValueError``.
+    ``|F(x) - theta_eta(F(x))| < eta`` everywhere; this is audited on 100
+    seeded samples at eta = 1e-1 ... 1e-4 before the transfer, and a NaN or
+    an infinity from F or the retraction raises ``NonFiniteValueError``.
     """
     rng = np.random.default_rng(seed)
     xs = cert.gamma.sample(rng, cert.x_bar,
-                           min(cert.delta_star * 0.9, 1.0), audit_points)
+                           min(cert.delta_star * 0.9, 1.0), 100)
     ys = evaluate_rows(F, xs, "F")
-    for eta in eta_grid:
+    for eta in (1e-1, 1e-2, 1e-3, 1e-4):
         thetas = evaluate_rows(theta_family(eta), ys, "the retraction")
         for x, y, theta_y in zip(xs, ys, thetas):
             err = float(np.linalg.norm(y - theta_y))
-            if err >= eta + tol:
+            if err >= eta + VERDICT_TOL:
                 raise AbundanceError(
                     f"retraction at eta={eta} misses by {err}", worst_point=x)
 
@@ -698,8 +684,7 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
 
 
 def abundant_membership(F, cert: QdqCertificate, theta_family,
-                        delta_grid=DEFAULT_DELTA_GRID,
-                        tol: float = VERDICT_TOL):
+                        delta_grid=DEFAULT_DELTA_GRID):
     """Membership oracle for the retraction union, for use as the
     ``membership`` argument of the verifier."""
     eta_of = cert.retraction_eta or (lambda d: d * float(cert.rho(d)))
@@ -711,7 +696,7 @@ def abundant_membership(F, cert: QdqCertificate, theta_family,
         for eta in etas:
             img = np.atleast_1d(
                 np.asarray(theta_family(eta)(base), dtype=float))
-            if np.linalg.norm(y - img) <= tol:
+            if np.linalg.norm(y - img) <= VERDICT_TOL:
                 return True
         return False
 

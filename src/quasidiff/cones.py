@@ -55,11 +55,12 @@ class ConvexCone:
         _, resid = nnls(self.generators.T, x)
         return resid <= tol * (1.0 + np.linalg.norm(x))
 
-    def is_subspace(self, tol: float = 1e-9) -> bool:
-        """A cone closed under negation of each generator is a linear span."""
+    def is_subspace(self) -> bool:
+        """A cone closed under negation of each generator is a linear span;
+        each negation is tested by ``contains`` at its default tolerance."""
         if self.is_trivial:
             return True
-        return all(self.contains(-g, tol) for g in self.generators)
+        return all(self.contains(-g) for g in self.generators)
 
     def to_jsonable(self) -> dict:
         return {"dimension": self.dimension, "generators": self.generators.tolist()}
@@ -71,13 +72,14 @@ class SeparationCertificate:
 
     functional: np.ndarray
 
-    def validate(self, k1: "ConvexCone", k2: "ConvexCone",
-                 tol: float = WITNESS_TOL) -> bool:
+    def validate(self, k1: "ConvexCone", k2: "ConvexCone") -> bool:
+        """True iff the functional is nonzero and has the two signs, each
+        up to ``WITNESS_TOL``."""
         lam = self.functional
-        if np.linalg.norm(lam) <= tol:
+        if np.linalg.norm(lam) <= WITNESS_TOL:
             return False
-        ok1 = all(lam @ g >= -tol for g in k1.generators)
-        ok2 = all(lam @ g <= tol for g in k2.generators)
+        ok1 = all(lam @ g >= -WITNESS_TOL for g in k1.generators)
+        ok2 = all(lam @ g <= WITNESS_TOL for g in k2.generators)
         return ok1 and ok2
 
 

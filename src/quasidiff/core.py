@@ -278,16 +278,6 @@ class GammaSet:
             return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
         raise ValueError(f"unknown gamma kind {self.kind!r}")
 
-    def to_jsonable(self) -> dict:
-        out = {"kind": self.kind, "dimension": self.dimension}
-        if self.direction is not None:
-            out["direction"] = self.direction.tolist()
-        if self.generators is not None:
-            out["generators"] = self.generators.tolist()
-        if self.bounds is not None:
-            out["bounds"] = [self.bounds[0].tolist(), self.bounds[1].tolist()]
-        return out
-
 
 class Modulus:
     """A nondecreasing nonnegative function vanishing at 0, with an audit trail
@@ -369,12 +359,12 @@ def _simplex_least_squares(columns: np.ndarray, target: np.ndarray):
     return coeffs, best
 
 
-def dist_to_operator_set(L: LinearMap, lam: OperatorSet,
-                         tol: float = 1e-12) -> float:
+def dist_to_operator_set(L: LinearMap, lam: OperatorSet) -> float:
     """Frobenius distance from a map to an operator set.
 
     Exact minimum over the generators, or over their convex hull when the
-    set carries the convex-closure flag.
+    set carries the convex-closure flag; a distance of at most 1e-12 is
+    returned as 0.
     """
     if L.entries.shape != lam.shape:
         raise DimensionMismatchError(
@@ -386,7 +376,7 @@ def dist_to_operator_set(L: LinearMap, lam: OperatorSet,
         d = float(np.min(np.linalg.norm(flats - target, axis=1)))
     else:
         _, d = _simplex_least_squares(flats.T, target)
-    return 0.0 if d <= tol else d
+    return 0.0 if d <= 1e-12 else d
 
 
 class InexactHausdorffError(ValueError):

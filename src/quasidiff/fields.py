@@ -6,11 +6,11 @@ import numpy as np
 
 from .flows import Box, VectorField
 
-_DEFAULT_HALF_WIDTH = 10.0
+_HALF_WIDTH = 10.0
 
 
-def _box(n: int, half_width: float = _DEFAULT_HALF_WIDTH) -> Box:
-    return Box(-half_width * np.ones(n), half_width * np.ones(n))
+def _box(n: int) -> Box:
+    return Box(-_HALF_WIDTH * np.ones(n), _HALF_WIDTH * np.ones(n))
 
 
 def constant_field(value) -> VectorField:

@@ -96,13 +96,13 @@ def _abs_graph_sampler():
     return sampler
 
 
-def _accumulating_lines_sampler(k_min=3, k_max=20):
-    """x-axis plus the horizontal lines y = 2^-k."""
+def _accumulating_lines_sampler():
+    """x-axis plus the horizontal lines y = 2^-k, k = 3 ... 20."""
 
     def sampler(rng, z, radius, count):
         xs = _axis_grid(radius, count)
         rows = [z + np.column_stack([xs, np.zeros_like(xs)])]
-        for k in range(k_min, k_max + 1):
+        for k in range(3, 21):
             y = 2.0 ** (-k)
             if y <= radius:
                 rows.append(z + np.column_stack([xs, np.full_like(xs, y)]))
@@ -110,11 +110,12 @@ def _accumulating_lines_sampler(k_min=3, k_max=20):
     return sampler
 
 
-def _y_axis_with_dyadics_sampler(k_min=3, k_max=20):
+def _y_axis_with_dyadics_sampler():
+    """y-axis grid plus the points (0, 2^-k), k = 3 ... 20."""
     def sampler(rng, z, radius, count):
         ys = _axis_grid(radius, count)
         pts = [np.column_stack([np.zeros_like(ys), ys])]
-        dy = np.array([2.0 ** (-k) for k in range(k_min, k_max + 1)])
+        dy = np.array([2.0 ** (-k) for k in range(3, 21)])
         dy = dy[dy <= radius]
         pts.append(np.column_stack([np.zeros_like(dy), dy]))
         return z + np.vstack(pts)

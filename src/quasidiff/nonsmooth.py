@@ -32,8 +32,7 @@ from .core import (
     dedupe,
     evaluate_rows,
 )
-from .flows import FlowSolverConfig, VectorField, default_config, flow, \
-    multiflow_commutator
+from .flows import VectorField, default_config, multiflow_commutator
 
 DIFFERENTIABILITY_THRESHOLD = 1e-3
 
@@ -195,16 +194,16 @@ def _vertex_reduce(flats: np.ndarray) -> np.ndarray:
 
 
 def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
-                             seed: int, fd_step: float | None = None,
-                             score_threshold: float = DIFFERENTIABILITY_THRESHOLD
+                             seed: int, fd_step: float | None = None
                              ) -> OperatorSet:
-    """Hull of differentiability-scored Jacobians sampled around x_bar."""
+    """Hull of the Jacobians sampled around x_bar whose differentiability
+    score is at most ``DIFFERENTIABILITY_THRESHOLD``."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
     pts = ball_samples(rng, x_bar, radius, samples)
     _, jac, score = _scored_jacobians(f, pts, h)
-    kept = jac[score <= score_threshold]
+    kept = jac[score <= DIFFERENTIABILITY_THRESHOLD]
     if not len(kept):
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")
@@ -215,10 +214,10 @@ def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
 
 def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
                              samples: int, seed: int,
-                             fd_step: float | None = None,
-                             score_threshold: float = DIFFERENTIABILITY_THRESHOLD
-                             ) -> OperatorSet:
-    """Hull of sampled pointwise brackets near q, as n x 1 operators."""
+                             fd_step: float | None = None) -> OperatorSet:
+    """Hull of sampled pointwise brackets near q, as n x 1 operators, from
+    the samples where both fields score at most
+    ``DIFFERENTIABILITY_THRESHOLD``."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
     rng = np.random.default_rng(seed)
@@ -227,7 +226,7 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     rows_f, jf, score_f = _scored_jacobians(f, pts, h)
     rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
     pts, jf = pts[rows_f][rows_g], jf[rows_g]
-    keep = np.maximum(score_f[rows_g], score_g) <= score_threshold
+    keep = np.maximum(score_f[rows_g], score_g) <= DIFFERENTIABILITY_THRESHOLD
     # the same entries @ v product as lie_bracket_pointwise
     pts = pts[keep]
     kept = [b @ fx - a @ gx for fx, gx, a, b in zip(
@@ -240,29 +239,26 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     return OperatorSet.from_vectors(verts, convex_closure=True).canonicalized()
 
 
-def bracket_flow_direction(f: VectorField, g: VectorField, q, eps: float,
-                           cfg: FlowSolverConfig | None = None) -> np.ndarray:
+def bracket_flow_direction(f: VectorField, g: VectorField, q,
+                           eps: float) -> np.ndarray:
     """(Psi_sqrt(eps)(q) - q) / eps, the measurable direction quotient of
-    the commutator flow."""
+    the commutator flow, in 200 RK4 steps per leg (``default_config``)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     t = float(np.sqrt(eps))
-    if cfg is None:
-        cfg = default_config(t)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return (multiflow_commutator(f, g, q, t, cfg) - q) / eps
+    return (multiflow_commutator(f, g, q, t, default_config(t)) - q) / eps
 
 
 def mollified_commutator_flow(f: VectorField, g: VectorField, q, eps: float,
-                              quadrature_points: int = 256, seed: int = 0,
-                              cfg: FlowSolverConfig | None = None) -> np.ndarray:
+                              quadrature_points: int = 256,
+                              seed: int = 0) -> np.ndarray:
     """Commutator flow of the mollified fields with the width coupling
-    eta = eps^2."""
+    eta = eps^2, in 50 RK4 steps per leg."""
     eta = eps * eps
     f_s = mollify(f, MollifierConfig(eta, quadrature_points, seed))
     g_s = mollify(g, MollifierConfig(eta, quadrature_points, seed + 1))
     t = float(np.sqrt(eps))
-    if cfg is None:
-        cfg = default_config(t, legs_per_unit=50)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return multiflow_commutator(f_s, g_s, q, t, cfg)
+    return multiflow_commutator(f_s, g_s, q, t,
+                                default_config(t, legs_per_unit=50))

@@ -1,9 +1,19 @@
 """Declarative experiment scenarios: six runner kinds, JSON reports, and a
 deterministic CSV summary (timings go to a separate metadata file so
-summaries are byte-reproducible)."""
+summaries are byte-reproducible).
+
+A runner's signature is its kind's schema: a kind accepts exactly the
+keyword parameters of its runner, with the runner's defaults, and a
+parameter without a default is a required key.  ``BracketConvergence``
+has two runners, picked by its ``mode`` param (``smooth``, the default,
+or ``nonsmooth``).  ``load_config`` binds every scenario's params to its
+runner before it returns, so an unknown or missing key, an unknown kind
+and an unknown mode are ``ConfigError``s before any scenario runs.
+"""
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 import traceback
@@ -15,7 +25,7 @@ import numpy as np
 
 from . import certificates as cert_mod
 from . import cones as cone_mod
-from .core import GammaSet, LinearMap, OperatorSet, hausdorff_distance, \
+from .core import GammaSet, OperatorSet, hausdorff_distance, \
     hull_membership_residual
 from .fields import make_field, make_map
 from .fixtures import fixture_by_name
@@ -165,134 +175,119 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
     }
 
 
-def _run_cone_duality_scenario(sc: Scenario) -> tuple:
-    p = sc.params
-    pairs = int(p.get("pairs", 1000))
+def _run_cone_duality_scenario(seed, *, pairs=1000, dims=(2, 3, 4, 5),
+                               max_xor_failures=1) -> tuple:
+    pairs = int(pairs)
     if pairs <= 0:
-        raise ConfigError(f"scenario {sc.name!r}: pairs must be positive, "
-                          f"got {pairs}")
-    report = run_cone_duality(pairs, tuple(p.get("dims", (2, 3, 4, 5))),
-                              sc.seed)
-    max_fail = int(p.get("max_xor_failures", 1))
-    ok = (report["pairs"] - report["xor_holds"]) <= max_fail \
+        raise ConfigError(f"pairs must be positive, got {pairs}")
+    report = run_cone_duality(pairs, tuple(dims), seed)
+    ok = (report["pairs"] - report["xor_holds"]) <= int(max_xor_failures) \
         and report["trichotomy_consistent"]
     return ok, "xor_holds_fraction", report["xor_holds"] / report["pairs"], report
 
 
-def _build_lambda(spec_list, convex_closure=True) -> OperatorSet:
-    return OperatorSet.from_matrices(spec_list, convex_closure=convex_closure)
-
-
-_CERTIFICATE_CATALOG = ("absvalue",)
-
-
-def _run_certificate_verify(sc: Scenario) -> tuple:
-    p = sc.params
-    key = p.get("certificate", "absvalue")
-    if key not in _CERTIFICATE_CATALOG:
-        raise ConfigError(f"unknown certificate catalog key {key!r}")
+def _run_certificate_verify(seed, *, certificate="absvalue",
+                            lambda_generators=None,
+                            delta_grid=cert_mod.DEFAULT_DELTA_GRID,
+                            points_per_delta=200) -> tuple:
+    if certificate != "absvalue":
+        raise ConfigError(f"unknown certificate catalog key {certificate!r}")
     cert = cert_mod.absvalue_qdq()
-    if "lambda_generators" in p:
-        cert = replace(cert, lam=_build_lambda(p["lambda_generators"]))
-    deltas = p.get("delta_grid", list(cert_mod.DEFAULT_DELTA_GRID))
-    points = int(p.get("points_per_delta", 200))
-    F = make_map("abs1d")
-    report = cert_mod.verify_certificate(F, cert, deltas, points, seed=sc.seed)
+    if lambda_generators is not None:
+        cert = replace(cert, lam=OperatorSet.from_matrices(
+            lambda_generators, convex_closure=True))
+    report = cert_mod.verify_certificate(make_map("abs1d"), cert, delta_grid,
+                                         int(points_per_delta), seed=seed)
     out = report.to_jsonable()
     out["lambda"] = cert.lam.to_jsonable()
     return report.accepted, "violations", float(len(report.worst_violations)), out
 
 
-def _run_clarke_estimate(sc: Scenario) -> tuple:
-    p = sc.params
-    F = make_map(p.get("map", "abs1d"))
-    est = clarke_jacobian_estimate(
-        F, p.get("x_bar", [0.0]), float(p.get("radius", 1e-3)),
-        int(p.get("samples", 10000)), sc.seed)
-    expected = _build_lambda(p["expected_generators"])
+def _run_clarke_estimate(seed, *, expected_generators, map="abs1d",
+                         x_bar=(0.0,), radius=1e-3, samples=10000,
+                         tol=1e-2) -> tuple:
+    est = clarke_jacobian_estimate(make_map(map), x_bar, float(radius),
+                                   int(samples), seed)
+    expected = OperatorSet.from_matrices(expected_generators,
+                                         convex_closure=True)
     dist = hausdorff_distance(est, expected)
-    tol = float(p.get("tol", 1e-2))
+    tol = float(tol)
     report = {"estimate": est.to_jsonable(), "expected": expected.to_jsonable(),
               "hausdorff": dist, "tol": tol}
     return dist <= tol, "hausdorff", dist, report
 
 
-def _run_bracket_convergence(sc: Scenario) -> tuple:
-    p = sc.params
-    mode = p.get("mode", "smooth")
-    if mode == "smooth":
-        A = np.asarray(p["A"], dtype=float)
-        B = np.asarray(p["B"], dtype=float)
-        q = np.asarray(p["q"], dtype=float)
-        f = make_field("linear", {"matrix": A})
-        g = make_field("linear", {"matrix": B})
-        target = (B @ A - A @ B) @ q
-        errors = []
-        for t in p.get("t_values", (1e-1, 5e-2, 2.5e-2)):
-            d = bracket_flow_direction(f, g, q, t * t)
-            errors.append(float(np.linalg.norm(d - target)))
-        ratios = [a / b for a, b in zip(errors, errors[1:]) if b > 0]
-        lo, hi = p.get("ratio_range", (1.6, 2.4))
-        ok = bool(ratios) and all(lo <= r <= hi for r in ratios)
-        report = {"errors": errors, "ratios": ratios,
-                  "target": target.tolist()}
-        metric = min(ratios) if ratios else float("nan")
-        return ok, "richardson_ratio", float(metric), report
-    if mode == "nonsmooth":
-        f = make_field(p["f"], p.get("f_params"))
-        g = make_field(p["g"], p.get("g_params"))
-        q = np.asarray(p.get("q", np.zeros(f.dimension)), dtype=float)
-        eps = float(p.get("eps", 1e-4))
-        est = set_lie_bracket_estimate(
-            f, g, q, float(p.get("radius", 1e-3)),
-            int(p.get("samples", 2000)), sc.seed)
-        direction = bracket_flow_direction(f, g, q, eps)
-        dist = hull_membership_residual(direction, est.flat_generators())
-        report = {"direction": direction.tolist(),
-                  "estimate": est.to_jsonable(), "dist_to_estimate": dist}
-        ok = dist <= float(p.get("tol", 5e-2))
-        if "expected_direction" in p:
-            exp = np.asarray(p["expected_direction"], dtype=float)
-            dir_err = float(np.linalg.norm(direction - exp))
-            report["direction_error"] = dir_err
-            ok = ok and dir_err <= float(p.get("direction_tol", 1e-3))
-        if "expected_generators" in p:
-            expected = OperatorSet.from_vectors(p["expected_generators"],
-                                                convex_closure=True)
-            hd = hausdorff_distance(est, expected)
-            report["hausdorff_to_expected"] = hd
-            ok = ok and hd <= float(p.get("set_tol", 1e-2))
-        return ok, "dist_to_estimate", dist, report
-    raise ConfigError(f"unknown bracket mode {mode!r}")
+def _run_smooth_bracket(seed, *, A, B, q, t_values=(1e-1, 5e-2, 2.5e-2),
+                        ratio_range=(1.6, 2.4)) -> tuple:
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    q = np.asarray(q, dtype=float)
+    f = make_field("linear", {"matrix": A})
+    g = make_field("linear", {"matrix": B})
+    target = (B @ A - A @ B) @ q
+    errors = []
+    for t in t_values:
+        d = bracket_flow_direction(f, g, q, t * t)
+        errors.append(float(np.linalg.norm(d - target)))
+    ratios = [a / b for a, b in zip(errors, errors[1:]) if b > 0]
+    lo, hi = ratio_range
+    ok = bool(ratios) and all(lo <= r <= hi for r in ratios)
+    report = {"errors": errors, "ratios": ratios, "target": target.tolist()}
+    metric = min(ratios) if ratios else float("nan")
+    return ok, "richardson_ratio", float(metric), report
 
 
-def _run_open_mapping(sc: Scenario) -> tuple:
-    p = sc.params
-    F = make_map(p.get("map", "fold_sum"), p.get("map_params"))
-    lam = _build_lambda(p["lambda_generators"])
-    gamma = GammaSet.full_space(int(p.get("domain_dimension", 2)))
+def _run_nonsmooth_bracket(seed, *, f, g, f_params=None, g_params=None,
+                           q=None, eps=1e-4, radius=1e-3, samples=2000,
+                           tol=5e-2, expected_direction=None,
+                           direction_tol=1e-3, expected_generators=None,
+                           set_tol=1e-2) -> tuple:
+    f, g = make_field(f, f_params), make_field(g, g_params)
+    q = np.zeros(f.dimension) if q is None else np.asarray(q, dtype=float)
+    est = set_lie_bracket_estimate(f, g, q, float(radius), int(samples), seed)
+    direction = bracket_flow_direction(f, g, q, float(eps))
+    dist = hull_membership_residual(direction, est.flat_generators())
+    report = {"direction": direction.tolist(),
+              "estimate": est.to_jsonable(), "dist_to_estimate": dist}
+    ok = dist <= float(tol)
+    if expected_direction is not None:
+        exp = np.asarray(expected_direction, dtype=float)
+        dir_err = float(np.linalg.norm(direction - exp))
+        report["direction_error"] = dir_err
+        ok = ok and dir_err <= float(direction_tol)
+    if expected_generators is not None:
+        expected = OperatorSet.from_vectors(expected_generators,
+                                            convex_closure=True)
+        hd = hausdorff_distance(est, expected)
+        report["hausdorff_to_expected"] = hd
+        ok = ok and hd <= float(set_tol)
+    return ok, "dist_to_estimate", dist, report
+
+
+def _run_open_mapping(seed, *, lambda_generators, a, beta, map="fold_sum",
+                      map_params=None, x_bar=(0.0, 0.0), y_bar=(0.0,),
+                      domain_dimension=2, target_grid=10,
+                      domain_samples=20000, expect="pass") -> tuple:
+    lam = OperatorSet.from_matrices(lambda_generators, convex_closure=True)
+    gamma = GammaSet.full_space(int(domain_dimension))
     try:
         report = open_mapping_probe(
-            F, p.get("x_bar", [0.0, 0.0]), p.get("y_bar", [0.0]), gamma, lam,
-            float(p["a"]), float(p["beta"]),
-            int(p.get("target_grid", 10)),
-            int(p.get("domain_samples", 20000)), sc.seed)
+            make_map(map, map_params), x_bar, y_bar, gamma, lam, float(a),
+            float(beta), int(target_grid), int(domain_samples), seed)
     except SurjectivityError as exc:
-        expected = p.get("expect", "pass") == "precondition_error"
-        return expected, "covered_fraction", 0.0, {
+        return expect == "precondition_error", "covered_fraction", 0.0, {
             "precondition_error": str(exc)}
-    ok = report.passed and p.get("expect", "pass") == "pass"
+    ok = report.passed and expect == "pass"
     return ok, "covered_fraction", report.covered_fraction, \
         report.to_jsonable()
 
 
-def _run_separation_fixture(sc: Scenario) -> tuple:
-    p = sc.params
-    fixture = fixture_by_name(p["fixture"])
+def _run_separation_fixture(seed, *, fixture, samples=2000) -> tuple:
+    fixture = fixture_by_name(fixture)
     verdict = separation_verdict(fixture.k1, fixture.k2)
     probe = local_separation_probe(
         fixture.sampler1, fixture.sampler2, fixture.z, fixture.radius,
-        int(p.get("samples", 2000)), sc.seed)
+        int(samples), seed)
     corroborated = True
     if verdict == NOT_LOCALLY_SEPARATED:
         corroborated = probe["common_point"] is not None
@@ -300,7 +295,7 @@ def _run_separation_fixture(sc: Scenario) -> tuple:
     if fixture.k1.z_ignoring and fixture.z_ignoring_family is not None:
         audit_ok = audit_z_ignoring(
             fixture.z_ignoring_family, GammaSet.full_space(1), fixture.z,
-            seed=sc.seed)
+            seed=seed)
     report = {
         "fixture": fixture.name, "verdict": verdict,
         "separated_at_resolution": probe["separated_at_resolution"],
@@ -313,28 +308,49 @@ def _run_separation_fixture(sc: Scenario) -> tuple:
         report
 
 
+# a kind maps to its runner, or to its runners by the "mode" param
 _RUNNERS = {
     "ConeDuality": _run_cone_duality_scenario,
     "CertificateVerify": _run_certificate_verify,
     "ClarkeEstimate": _run_clarke_estimate,
-    "BracketConvergence": _run_bracket_convergence,
+    "BracketConvergence": {"smooth": _run_smooth_bracket,
+                           "nonsmooth": _run_nonsmooth_bracket},
     "OpenMappingProbe": _run_open_mapping,
     "SeparationFixture": _run_separation_fixture,
 }
 
 
-def run_scenario(sc: Scenario) -> ScenarioResult:
+def _bind(sc: Scenario) -> tuple:
+    """The scenario's runner and its arguments: the seed and the params,
+    bound to the runner's signature, so that an unknown or missing key is a
+    ``ConfigError`` naming the scenario and the key."""
     if sc.kind not in _RUNNERS:
-        raise ConfigError(f"unknown scenario kind {sc.kind!r}")
+        raise ConfigError(f"scenario {sc.name!r}: unknown scenario kind "
+                          f"{sc.kind!r}")
+    runner, params = _RUNNERS[sc.kind], dict(sc.params)
+    if isinstance(runner, dict):
+        mode = params.pop("mode", "smooth")
+        if mode not in runner:
+            raise ConfigError(f"scenario {sc.name!r}: unknown {sc.kind} mode "
+                              f"{mode!r}")
+        runner = runner[mode]
+    try:
+        return runner, inspect.signature(runner).bind(sc.seed, **params)
+    except TypeError as exc:
+        raise ConfigError(f"scenario {sc.name!r}: {exc}") from exc
+
+
+def run_scenario(sc: Scenario) -> ScenarioResult:
+    runner, args = _bind(sc)
     start = time.perf_counter()
     try:
-        ok, metric_name, metric_value, report = _RUNNERS[sc.kind](sc)
+        ok, metric_name, metric_value, report = runner(*args.args,
+                                                       **args.kwargs)
         verdict = PASS if ok else FAIL
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(
-            f"scenario {sc.name!r}: unknown or missing key {exc}") from exc
+    except (ConfigError, KeyError) as exc:
+        # a value a runner refuses as config, or a catalog miss in
+        # make_map, make_field or fixture_by_name
+        raise ConfigError(f"scenario {sc.name!r}: {exc}") from exc
     except Exception as exc:  # captured: the run continues
         verdict = FAILED
         metric_name, metric_value = "error", float("nan")
@@ -356,6 +372,8 @@ def load_config(config_path) -> list:
     names = [s.name for s in scenarios]
     if len(names) != len(set(names)):
         raise ConfigError("scenario names must be unique")
+    for s in scenarios:
+        _bind(s)
     return scenarios
 
 

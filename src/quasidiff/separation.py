@@ -40,10 +40,6 @@ class MultiCone:
     def dimension(self) -> int:
         return self.cones[0].dimension
 
-    def to_jsonable(self) -> dict:
-        return {"cones": [c.to_jsonable() for c in self.cones],
-                "z_ignoring": self.z_ignoring}
-
 
 def build_multicone(lam: OperatorSet, gamma: GammaSet,
                     z_ignoring: bool = False) -> MultiCone:
@@ -82,22 +78,21 @@ def separation_verdict(k1, k2) -> str:
 
 
 def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
-                     samples: int = 200, seed: int = 0,
-                     tol: float = MATCH_TOL) -> bool:
+                     seed: int = 0) -> bool:
     """Spot-check the declared base-point-avoiding property of a
     generating family: ``g_family(delta)`` returns a continuous map whose
-    values on admissible steps of size delta must avoid z.  An empty
-    ``deltas`` raises ``ValueError``, and a NaN or an infinity from a map
-    raises ``NonFiniteValueError``."""
+    values on 200 admissible steps of size delta must stay farther than
+    ``MATCH_TOL`` from z.  An empty ``deltas`` raises ``ValueError``, and a
+    NaN or an infinity from a map raises ``NonFiniteValueError``."""
     if not len(deltas):
         raise ValueError("deltas is empty")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rng = np.random.default_rng(seed)
     origin = np.zeros(gamma.dimension)
     for d in deltas:
-        xs = gamma.sample(rng, origin, d, samples)
+        xs = gamma.sample(rng, origin, d, 200)
         for y in evaluate_rows(g_family(d), xs, "g_family"):
-            if float(np.linalg.norm(y - z)) <= tol:
+            if float(np.linalg.norm(y - z)) <= MATCH_TOL:
                 return False
     return True
 
@@ -135,15 +130,18 @@ def _target_lattice(y_bar: np.ndarray, a: float, target_grid: int) -> np.ndarray
 
 def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
                        a: float, beta: float, target_grid: int = 10,
-                       domain_samples: int = 20000, seed: int = 0,
-                       cover_tol: float | None = None) -> ProbeReport:
+                       domain_samples: int = 20000,
+                       seed: int = 0) -> ProbeReport:
     """Sampled check of the covering inclusion y_bar + B_a inside
-    F((x_bar + B_{a*beta}) ∩ Gamma).
+    F((x_bar + B_{a*beta}) ∩ Gamma): a target lattice point is covered
+    when a sampled value lies within half the lattice spacing,
+    a / (2 * target_grid).
 
     The surjectivity hypothesis (every generator maps the direction set
     onto the codomain) is checked first and raises SurjectivityError —
     that signal means the hypotheses fail, not that the probe failed.  A
-    NaN or an infinity from F raises ``NonFiniteValueError``.
+    NaN or an infinity from F raises ``NonFiniteValueError``, and an empty
+    domain sample raises ``ValueError``.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
@@ -154,46 +152,46 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
             raise SurjectivityError(
                 f"generator {idx} with matrix {g.entries.tolist()} is not "
                 "surjective on the direction set")
-    if cover_tol is None:
-        cover_tol = a / (2.0 * target_grid)
-
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
     xs = gamma.sample(rng, x_bar, a * beta, domain_samples)
+    if not len(xs):
+        raise ValueError(f"the domain sample is empty ({domain_samples} "
+                         "points requested)")
     values = evaluate_rows(F, xs, "F")
     tree = cKDTree(values)
     dists, _ = tree.query(targets, k=1)
-    covered = dists <= cover_tol
+    covered = dists <= a / (2.0 * target_grid)
     misses = tuple(t for t, ok in zip(targets, covered) if not ok)
     return ProbeReport(a, beta, float(np.mean(covered)), misses,
                        values.shape[0])
 
 
 def local_separation_probe(sampler1, sampler2, z, radius: float,
-                           samples: int, seed: int,
-                           match_tol: float = MATCH_TOL) -> dict:
+                           samples: int, seed: int) -> dict:
     """Search for a common point of two sampled sets near z, distinct
     from z at the probe's resolution.
 
     ``sampler1(rng, z, radius, count)`` must return points covering its
-    set's trace inside z + B_radius.  Points closer to z than
-    ``distinct_tol`` (resolution-coupled) are not accepted as witnesses.
+    set's trace inside z + B_radius.  Two points match within
+    ``MATCH_TOL``, and matches closer to z than ``distinct_tol``
+    (resolution-coupled) are not accepted as witnesses.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rng = np.random.default_rng(seed)
     p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
     p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
-    distinct_tol = max(0.01 * radius, 10.0 * match_tol)
+    distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
     tree = cKDTree(p2)
     dists, idx = tree.query(p1, k=1)
     best = None
     best_score = np.inf
     for d, i, p in zip(dists, idx, p1):
-        if d > match_tol:
+        if d > MATCH_TOL:
             continue
         mid = 0.5 * (p + p2[i])
         dz = float(np.linalg.norm(mid - z))
-        if dz <= distinct_tol or dz > radius + match_tol:
+        if dz <= distinct_tol or dz > radius + MATCH_TOL:
             continue
         if d < best_score:
             best, best_score = mid, d

@@ -6,6 +6,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasidiff import certificates as c
 from quasidiff import core
@@ -61,6 +63,21 @@ class TestAbsvalueFamily:
         assert any(v["check"] == "operator_distance"
                    and np.isclose(v["x"][0], -v["delta"])
                    for v in rep.violations)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+    def test_hull_missing_a_slope_refused(self, a, b):
+        # the endpoints -delta and +delta are always sampled, where L is
+        # -1 and +1; a hull that misses either by more than 2 min delta is
+        # farther from it than rho(delta) = delta
+        a, b = min(a, b), max(a, b)
+        grid = [1e-1, 1e-2, 1e-3]
+        assume(a > -1.0 + 2 * min(grid) or b < 1.0 - 2 * min(grid))
+        cert = c.absvalue_qdq(OperatorSet.from_matrices(
+            [[[a]], [[b]]], convex_closure=True))
+        rep = c.verify_certificate(abs_map, cert, grid, 20, seed=0)
+        assert not rep.accepted
+        assert any(v["check"] == "operator_distance" for v in rep.violations)
 
     def test_delta_outside_range_rejected(self):
         cert = c.absvalue_qdq()
@@ -126,6 +143,52 @@ class TestAbsvalueFamily:
         assert rep.checks_run == sum(n for _, n in rep.checks_per_delta)
         assert rep.to_jsonable()["checks_per_delta"] == \
             [list(dc) for dc in rep.checks_per_delta]
+
+
+class TestContinuityBudget:
+    @pytest.mark.parametrize("budget, accepted", [(1.0, False), (1e3, True)])
+    def test_budget_against_the_slope(self, budget, accepted):
+        # F(x) = 1e3 x^2 at 0 with L(x) = [1e3 x] and h = 0: every
+        # inequality but the continuity budget holds, and L moves at slope
+        # 1e3
+        cert = c.QdqCertificate(
+            x_bar=[0.0], y_bar=[0.0], gamma=GammaSet.full_space(1),
+            lam=OperatorSet.from_matrices([[[-1e3]], [[1e3]]],
+                                          convex_closure=True),
+            delta_star=1.0, rho=lambda d: d,
+            family=lambda d: (lambda x: LinearMap([[1e3 * x[0]]]),
+                              lambda x: np.zeros(1)),
+            lipschitz_budget=lambda d: budget)
+        rep = c.verify_certificate(lambda x: np.array([1e3 * x[0] * x[0]]),
+                                   cert, [1e-2, 1e-3], 50, seed=0)
+        assert rep.accepted == accepted
+        assert {v["check"] for v in rep.violations} <= {"continuity_budget"}
+        assert bool(rep.violations) != accepted
+
+    def test_tight_absvalue_budget_refused(self):
+        # the ramp of the absvalue family has slope 1/delta^2
+        cert = replace(c.absvalue_qdq(),
+                       lipschitz_budget=lambda d: 0.1 / (d * d))
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 200,
+                                   seed=0)
+        assert not rep.accepted
+        assert {v["check"] for v in rep.violations} == {"continuity_budget"}
+
+    def test_first_sixteen_points_checked(self):
+        # one L call per check, and two for each of the first 16 points of
+        # every delta (none of them is x_bar)
+        calls = []
+
+        def family(d):
+            L_fn, h_fn = c.absvalue_certificate(d)
+            return (lambda x: calls.append(1) or L_fn(x)), h_fn
+
+        cert = replace(c.absvalue_qdq(), family=family)
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 200,
+                                   seed=0)
+        assert rep.accepted
+        assert rep.checks_run == 606
+        assert len(calls) == 606 + 3 * 16 * 2
 
 
 class TestEmptyDeltaGrid:
@@ -255,6 +318,12 @@ class TestCurveCertificates:
         F = lambda x: np.array([x[0], abs(x[0])])
         rep = c.verify_certificate(F, cert, [1e-1, 1e-2], 80, seed=2)
         assert rep.accepted
+
+    def test_curve_data_is_frozen(self):
+        data = c.CurveData.from_function(lambda t: abs(t), 0.0)
+        assert isinstance(data.right_derivative, np.ndarray)
+        with pytest.raises(FrozenInstanceError):
+            data.right_derivative = np.array([2.0])
 
     def test_family_identity(self):
         data = c.CurveData.from_function(lambda t: abs(t), 0.0)

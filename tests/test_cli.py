@@ -64,6 +64,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_scenario(Scenario("x", "NoSuchKind"))
 
+    @pytest.mark.parametrize("kind, params, key", [
+        # a misspelt grid would fall back to the default grid
+        ("CertificateVerify",
+         {"lambda_generators": [[[0.5]]], "delta_grids": []}, "delta_grids"),
+        # the verifier always checks abs1d
+        ("CertificateVerify",
+         {"lambda_generators": [[[0.5]]], "map": "fold_sum"}, "map"),
+        ("ClarkeEstimate", {"map": "abs1d"}, "expected_generators"),
+        ("BracketConvergence", {"mode": "sideways"}, "sideways"),
+        # eps belongs to the nonsmooth mode
+        ("BracketConvergence",
+         {"A": [[0.0]], "B": [[0.0]], "q": [0.0], "eps": 1e-4}, "eps"),
+        ("ConeDuality", {"pairs": 40, "seed": 3}, "seed"),
+    ])
+    def test_params_bound_before_any_run(self, tmp_path, kind, params, key):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, [SMALL_SUITE[1],
+                           {"name": "bad", "kind": kind, "params": params}])
+        with pytest.raises(ConfigError, match=f"'bad'.*{key}"):
+            load_config(cfg)
+        with pytest.raises(ConfigError, match=key):
+            run_scenario(Scenario("bad", kind, params))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_catalog_key_named(self):
         with pytest.raises(ConfigError) as err:
             run_scenario(Scenario("x", "CertificateVerify",
@@ -109,6 +134,12 @@ class TestRunScenarios:
         report = json.loads((tmp_path / "out" / "boom.json").read_text())
         assert report["verdict"] == "FAILED"
         assert "error" in report["report"]
+
+    def test_empty_domain_sample_named(self):
+        params = dict(SMALL_SUITE[2]["params"], domain_samples=0)
+        result = run_scenario(Scenario("probe", "OpenMappingProbe", params))
+        assert result.verdict == "FAILED"
+        assert "domain sample is empty" in result.report["error"]
 
     def test_empty_scenario_list(self, tmp_path):
         cfg = tmp_path / "c.json"

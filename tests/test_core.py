@@ -183,6 +183,61 @@ class TestHausdorff:
         assert hausdorff_distance(single, hull) == pytest.approx(3.0)
 
 
+def operator_sets(hull: bool, n: int = 2):
+    """Sets of 1 x n maps whose entries are halves in [-2, 2], so that two
+    distinct generators lie at least 0.5 apart."""
+    entry = st.integers(-4, 4).map(lambda k: k / 2.0)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1,
+                    max_size=4).map(lambda gens: OperatorSet.from_matrices(
+                        [[g] for g in gens], convex_closure=hull))
+
+
+class TestHausdorffAxioms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hull=st.booleans(), data=st.data())
+    def test_metric_axioms(self, hull, data):
+        a, b, c = (data.draw(operator_sets(hull)) for _ in range(3))
+        d = hausdorff_distance
+        assert d(a, a) == 0.0
+        assert d(a, b) >= 0.0
+        assert d(a, b) == d(b, a)
+        assert d(a, c) <= d(a, b) + d(b, c) + 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=operator_sets(False), b=operator_sets(False))
+    def test_lists_at_zero_exactly_when_equal(self, a, b):
+        rows = lambda s: {tuple(g.flat()) for g in s.generators}
+        assert (hausdorff_distance(a, b) == 0.0) == (rows(a) == rows(b))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=operator_sets(True), w=st.floats(0.0, 1.0))
+    def test_hull_unchanged_by_an_inner_generator(self, a, w):
+        flats = a.flat_generators()
+        inner = w * flats[0] + (1.0 - w) * flats[-1]
+        b = OperatorSet.from_matrices([[g] for g in np.vstack([flats, inner])],
+                                      convex_closure=True)
+        assert hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestDistanceProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(1, 3),
+           outside=st.booleans())
+    def test_hull_distance_matches_zoom_oracle(self, data, k, n, outside):
+        coord = st.floats(-2.0, 2.0, allow_nan=False)
+        verts = np.array(data.draw(st.lists(coord, min_size=k * n,
+                                            max_size=k * n))).reshape(k, n)
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k,
+                                        max_size=k))) + 1e-3
+        shift = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+        target = (w / w.sum()) @ verts + (shift if outside else 0.0)
+        s = OperatorSet.from_matrices([v.reshape(1, n) for v in verts],
+                                      convex_closure=True)
+        got = dist_to_operator_set(LinearMap(target.reshape(1, n)), s)
+        assert got == pytest.approx(zoom_grid_hull_distance(verts, target),
+                                    abs=1e-6)
+
+
 class TestConvexHullPoints:
     def test_matches_orientation_oracle_2d(self):
         rng = np.random.default_rng(3)

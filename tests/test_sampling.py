@@ -237,6 +237,25 @@ class TestDedupe:
         got = dedupe(cloud, tol)
         assert np.array_equal(got, dedupe_loop(cloud, tol))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         min_size=1, max_size=30),
+           reach=st.sampled_from([0.5, 1.5, 2.5, 4.5]))
+    def test_idempotent_and_first_occurrence(self, rows, reach):
+        # squared grid distances are integers, so no distance is near tol
+        cloud = 1e-3 * np.array(rows, dtype=float)
+        tol = 1e-3 * np.sqrt(reach)
+        kept = dedupe(cloud, tol)
+        assert np.array_equal(dedupe(kept, tol), kept)
+        first = [min(i for i, r in enumerate(cloud) if np.array_equal(r, x))
+                 for x in kept]
+        assert first[0] == 0 and first == sorted(set(first))
+        for i, x in enumerate(cloud):
+            # kept exactly when no earlier kept row lies within tol
+            earlier = [j for j in first
+                       if j < i and np.linalg.norm(x - cloud[j]) <= tol]
+            assert (i in first) == (not earlier)
+
     def test_planted_neighbours_on_both_sides(self):
         base = np.zeros((1, 2))
         cloud = np.vstack([base, [[1e-8 * (1 - 1e-6), 0.0]],
