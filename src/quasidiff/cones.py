@@ -16,17 +16,25 @@ in K1 and K2.  So if the cones meet only at 0, -x = k1 is in K1: K1 is a
 subspace, and likewise K2.  Two subspaces with K1 + K2 = R^n meet only at
 0 exactly when their dimensions add up to n.  ``analyze_pair``,
 ``is_transversal``, ``separating_functional`` and ``classify_pair`` are
-views of the batch records."""
+views of the batch records.
+
+Polars and intersections use Qhull (Barber, Dobkin & Huhdanpaa 1996), as
+``convex_hull_points`` does.  {p : A p <= 0} is the polar of C = cone(rows
+of A): its lineality space is null(A), and inside span(C) its extreme rays
+are the outward normals of C's facets, the facets through 0 of the hull of
+0 and the unit rows of A in span(C).  ``_extreme_rays`` reads them off."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+# nnls is not called here: bench/tracer.py wraps cones.nnls by name
+from scipy.optimize import linprog, nnls  # noqa: F401
 from scipy.sparse import coo_array
+from scipy.spatial import ConvexHull
 
-from .core import DimensionMismatchError, GammaSet, LinearMap, dedupe
+from .core import DimensionMismatchError, GammaSet, LinearMap, _svd_rank, \
+    dedupe, in_conic_hull
 
 WITNESS_TOL = 1e-7
 
@@ -52,8 +60,7 @@ class ConvexCone:
         x = np.asarray(x, dtype=float)
         if self.is_trivial:
             return bool(np.linalg.norm(x) <= tol)
-        _, resid = nnls(self.generators.T, x)
-        return resid <= tol * (1.0 + np.linalg.norm(x))
+        return in_conic_hull(self.generators, x, tol)
 
     def is_subspace(self) -> bool:
         """A cone closed under negation of each generator is a linear span;
@@ -96,44 +103,29 @@ def conic_hull(vectors, dimension: int | None = None) -> ConvexCone:
 
 
 def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
-    """Generators of the polyhedral cone ``{p : constraints @ p <= 0}``.
-
-    Returns extreme rays plus a +-basis of the lineality space, which
-    together positively span the cone.  Intended for desk-scale n.
-    """
+    """Minimal generators of ``{p : constraints @ p <= 0}``: a +-basis of
+    its lineality space and the facet normals of C = cone(rows), from one
+    Qhull call (module docstring).  If span(C) is a line, C is a ray, whose
+    polar in the span is the opposite ray, or the line, whose polar is 0."""
     a = np.asarray(constraints, dtype=float).reshape(-1, n)
-    if a.shape[0] == 0:
-        eye = np.eye(n)
-        return np.vstack([eye, -eye])
-    # lineality space: constraints hold with equality
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
-    null_basis = vt[rank:]  # rows span {p : a p = 0}
-    rays = [b for b in null_basis] + [-b for b in null_basis]
-
-    # remaining generators: for every candidate active set, feasible
-    # directions in its nullspace.  Scanning all sizes up to n-1 also covers
-    # cones with lineality, where extreme quotient rays have small active
-    # sets; extra non-extreme rays are harmless for a V-representation.
-    if rank >= 1:
-        rows = list(range(a.shape[0]))
-        for size in range(0, n):
-            for subset in itertools.combinations(rows, size):
-                sub = a[list(subset)]
-                if sub.shape[0] == 0:
-                    candidates = list(np.eye(n))
-                else:
-                    _, s2, vt2 = np.linalg.svd(sub, full_matrices=True)
-                    r2 = int(np.sum(
-                        s2 > 1e-10 * max(1.0, s2[0] if s2.size else 1.0)))
-                    candidates = list(vt2[r2:])
-                for v in candidates:
-                    for cand in (v, -v):
-                        if np.all(a @ cand <= 1e-9):
-                            rays.append(cand)
-    # dedupe directions
-    unit = [r / nrm for r in rays if (nrm := np.linalg.norm(r)) > 1e-12]
-    return dedupe(np.array(unit).reshape(-1, n), 1e-8)
+    rank = _svd_rank(s)
+    span, null_basis = vt[:rank], vt[rank:]
+    norms = np.linalg.norm(a, axis=1)
+    coords = (a[norms > 0.0] / norms[norms > 0.0, None]) @ span.T
+    if rank > 1:
+        # "Q12": dupridges, which joined facets of a degenerate C can give,
+        # are not errors; "QJ" would move 0 off the facets through it
+        facets = ConvexHull(np.vstack([np.zeros(rank), coords]),
+                            qhull_options="Q12").equations
+        normals = facets[np.abs(facets[:, -1]) <= 1e-9, :-1]
+    elif rank == 1 and abs(np.sign(coords).sum()) == len(coords):
+        normals = -np.sign(coords[:1])
+    else:
+        normals = np.zeros((0, rank))
+    # Qhull triangulates, so a facet may come once per simplex; two facets
+    # can have normals 1e-9 apart, so only such rounding-level repeats go
+    return dedupe(np.vstack([null_basis, -null_basis, normals @ span]), 1e-12)
 
 
 def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
@@ -142,13 +134,11 @@ def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
     if vecs.size == 0:
         if dimension is None:
             raise ValueError("dimension required for an empty vector list")
-        eye = np.eye(dimension)
-        return ConvexCone(dimension, np.vstack([eye, -eye]))
-    n = vecs.shape[1]
-    rays = _extreme_rays(vecs, n)
+        vecs = vecs.reshape(0, dimension)
+    rays = _extreme_rays(vecs, vecs.shape[1])
     # drop rays that only witness numerical noise
-    good = [r for r in rays if np.all(vecs @ r <= 1e-8)]
-    return ConvexCone(n, np.array(good).reshape(-1, n))
+    good = np.all(vecs @ rays.T <= 1e-8, axis=0)
+    return ConvexCone(vecs.shape[1], rays[good])
 
 
 def polar_of_cone(cone: ConvexCone) -> ConvexCone:
@@ -212,7 +202,7 @@ def _nonzero_points(systems) -> list:
         norms = np.linalg.norm(a, axis=1)
         unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
         _, s, vt = np.linalg.svd(unit, full_matrices=True)
-        if int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0))) < n:
+        if _svd_rank(s) < n:
             points[i] = vt[-1] / np.max(np.abs(vt[-1]))
         else:
             blocks.append((unit.sum(axis=0), a))

@@ -158,8 +158,7 @@ class OperatorSet:
 
     def canonicalized(self) -> "OperatorSet":
         """Sort generators lexicographically so hulls compare bitwise."""
-        flats = self.flat_generators()
-        order = np.lexsort(np.round(flats, 12).T[::-1])
+        order = _canonical_order(self.flat_generators())
         return OperatorSet(
             tuple(self.generators[i] for i in order), self.convex_closure
         )
@@ -271,8 +270,7 @@ class GammaSet:
             t = float(self.direction @ x)
             return t >= -tol and np.linalg.norm(x - t * self.direction) <= tol
         if self.kind == GammaSet.CONE:
-            coeffs, resid = nnls(self.generators.T, x)
-            return resid <= tol * (1.0 + np.linalg.norm(x))
+            return in_conic_hull(self.generators, x, tol)
         if self.kind == GammaSet.BOX:
             lo, hi = self.bounds
             return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
@@ -409,8 +407,23 @@ def hausdorff_distance(a: OperatorSet, b: OperatorSet) -> float:
 
 
 def _canonical_order(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort(np.round(points, 12).T[::-1])
-    return points[order]
+    """Row order of ``points``: lexicographic on rows rounded to 1e-12."""
+    return np.lexsort(np.round(points, 12).T[::-1])
+
+
+def _svd_rank(s: np.ndarray) -> int:
+    """Numerical rank: the singular values above 1e-10 * max(1, s[0])."""
+    return int(np.sum(s > 1e-10 * max(1.0, float(s[0]) if s.size else 1.0)))
+
+
+def in_conic_hull(generators: np.ndarray, x, tol: float) -> bool:
+    """True iff x is within tol * (1 + |x|) of the cone of the (one or more)
+    rows of ``generators``.  NNLS's own residual is not used: on +- pairs of
+    orthonormal vectors it can read 0 for coefficients that miss x by O(1)."""
+    x = np.asarray(x, dtype=float)
+    coeffs, _ = nnls(generators.T, x)
+    return bool(np.linalg.norm(coeffs @ generators - x)
+                <= tol * (1.0 + np.linalg.norm(x)))
 
 
 def dedupe(points, tol: float) -> np.ndarray:
@@ -446,24 +459,20 @@ def convex_hull_points(points) -> np.ndarray:
         return pts
 
     centered = pts - pts.mean(axis=0)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(1.0, float(s[0]) if s.size else 1.0)
-    rank = int(np.sum(s > 1e-10 * scale))
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = _svd_rank(s)
     if rank == 0:
         return pts[:1]
-    basis = vt[:rank]
-    reduced = centered @ basis.T
+    reduced = centered @ vt[:rank].T
     if rank == 1:
-        idx = [int(np.argmin(reduced[:, 0])), int(np.argmax(reduced[:, 0]))]
-        return _canonical_order(pts[idx])
-    try:
-        hull = _QhullHull(reduced)
-        verts = pts[hull.vertices]
-    except QhullError:
-        # nearly-degenerate input: fall back to joggled hull
-        hull = _QhullHull(reduced, qhull_options="QJ")
-        verts = pts[hull.vertices]
-    return _canonical_order(verts)
+        verts = pts[[np.argmin(reduced[:, 0]), np.argmax(reduced[:, 0])]]
+    else:
+        try:
+            verts = pts[_QhullHull(reduced).vertices]
+        except QhullError:
+            # nearly-degenerate input: fall back to joggled hull
+            verts = pts[_QhullHull(reduced, qhull_options="QJ").vertices]
+    return verts[_canonical_order(verts)]
 
 
 def hull_membership_residual(point: np.ndarray, vertices: np.ndarray) -> float:

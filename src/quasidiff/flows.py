@@ -71,7 +71,6 @@ class VectorField:
 
 @dataclass(frozen=True)
 class FlowSolverConfig:
-    method: str = "rk4"  # or "euler"
     step: float = 1e-3
     max_steps: int = 2_000_000
 
@@ -83,7 +82,7 @@ def default_config(t: float, legs_per_unit: int = 200) -> FlowSolverConfig:
 
 
 def flow(f: VectorField, q, t: float, cfg: FlowSolverConfig) -> np.ndarray:
-    """Approximate the flow of y' = f(y) from q over time t."""
+    """Approximate the flow of y' = f(y) from q over time t by RK4 steps."""
     y = np.asarray(q, dtype=float).copy()
     if not f.domain.contains(y):
         raise DomainEscapeError("initial point outside domain", point=y, time=0.0)
@@ -96,16 +95,11 @@ def flow(f: VectorField, q, t: float, cfg: FlowSolverConfig) -> np.ndarray:
         )
     h = t / n_steps
     for i in range(n_steps):
-        if cfg.method == "euler":
-            y = y + h * f(y)
-        elif cfg.method == "rk4":
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            raise ValueError(f"unknown method {cfg.method!r}")
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise BlowUpError(f"non-finite state at step {i + 1}")
         if not f.domain.contains(y, tol=1e-12):

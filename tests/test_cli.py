@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pairs"):
             run_scenario(Scenario("x", "ConeDuality", {"pairs": pairs}))
 
+    def test_misspelt_expect_rejected(self, tmp_path):
+        # "pas" used to read as an expected failure: FAIL at full coverage
+        probe = dict(SMALL_SUITE[2], params=dict(SMALL_SUITE[2]["params"],
+                                                 expect="pas"))
+        with pytest.raises(ConfigError, match="'pas'"):
+            run_scenario(Scenario.from_jsonable(probe))
+        cfg = tmp_path / "c.json"
+        write_config(cfg, [probe])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
     def test_unknown_kind_raises_config_error(self):
         with pytest.raises(ConfigError):
             run_scenario(Scenario("x", "NoSuchKind"))

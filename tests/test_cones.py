@@ -187,6 +187,18 @@ class TestConicHull:
         assert not c.contains([1.0, 0.0])
 
 
+    def test_membership_recomputes_the_nnls_residual(self):
+        # a closed half-space; scipy's nnls reports a residual of 0 for q2,
+        # whose true distance to the cone is about 1.07
+        q = np.linalg.qr(np.random.default_rng(18).normal(size=(3, 3)))[0].T
+        gens = np.array([q[0], q[1], -q[0], -q[1], -q[2]])
+        cone = ConvexCone(3, gens)
+        assert not cone.contains(q[2])
+        assert not cone.is_subspace()
+        assert not GammaSet.finite_cone(gens).contains(q[2])
+        assert cone.contains(-q[2]) and cone.contains(q[0] - q[2])
+
+
 class TestPolar:
     def test_polar_of_first_quadrant(self):
         c = conic_hull([[1.0, 0.0], [0.0, 1.0]])

@@ -33,15 +33,6 @@ class TestFlow:
         back = flow(f.negated(), y, 0.8, cfg)
         assert np.allclose(back, q, atol=1e-9)
 
-    def test_euler_less_accurate_than_rk4(self):
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        f = linear_field(a)
-        exact = np.array([np.cos(1.0), -np.sin(1.0)])
-        rk4 = flow(f, [1.0, 0.0], 1.0, FlowSolverConfig(step=1e-2))
-        eul = flow(f, [1.0, 0.0], 1.0,
-                   FlowSolverConfig(method="euler", step=1e-2))
-        assert np.linalg.norm(rk4 - exact) < np.linalg.norm(eul - exact)
-
     def test_domain_escape_reports_point_and_time(self):
         f = constant_field([1.0])
         small = VectorField(1, f.evaluator, Box([-1.0], [1.0]), 1e-9)

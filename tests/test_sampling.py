@@ -1,9 +1,10 @@
 """The vectorised sampling layer against the per-sample loops it replaced.
 
 The loops below (the greedy dedupe, the per-sample finite-difference
-estimators, the pointwise mollifier and the direction dedupe of
-``_extreme_rays``) are kept here as oracles only.  Where the arithmetic is
-unchanged the vectorised code must match them bit for bit.
+estimators and the pointwise mollifier) are kept here as oracles only.
+Where the arithmetic is unchanged the vectorised code must match them bit
+for bit.  The active-set scan that ``_extreme_rays`` replaced is kept as an
+oracle too: the Qhull read-off must span the same cone, minimally.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from quasidiff.core import (
     ball_samples,
     convex_hull_points,
     dedupe,
+    in_conic_hull,
 )
 from quasidiff.fields import abs_shear_field, linear_field, make_map, \
     unit_x_field
@@ -433,15 +435,35 @@ class TestMollifierMatchesLoop:
         assert np.array_equal(got.value.point, want.value.point)
 
 
+def in_cone(rays, x, tol=1e-7):
+    """x lies in cone(rays), by NNLS with the residual recomputed."""
+    if len(rays) == 0:
+        return bool(np.linalg.norm(x) <= tol)
+    return in_conic_hull(rays, x, tol)
+
+
+def assert_minimal_polar(got, a, n):
+    """``_extreme_rays(a, n)`` output against the active-set scan: every ray
+    meets the constraints, both outputs span the same cone, and no output
+    ray lies in the cone of the others."""
+    want = extreme_rays_loop(a, n)
+    assert got.shape[1] == n
+    assert np.all(np.asarray(a).reshape(-1, n) @ got.T <= 1e-9)
+    assert all(in_cone(got, r) for r in want)
+    assert all(in_cone(want, r) for r in got)
+    assert not any(in_cone(np.delete(got, i, axis=0), r)
+                   for i, r in enumerate(got))
+
+
 class TestExtremeRays:
-    def test_cone_test_inputs_unchanged(self, monkeypatch):
+    def test_cone_test_inputs_minimal_and_same_cone(self, monkeypatch):
         calls = []
         original = cones._extreme_rays
 
         def checked(constraints, n):
             got = original(constraints, n)
-            calls.append(np.array_equal(got,
-                                        extreme_rays_loop(constraints, n)))
+            assert_minimal_polar(got, constraints, n)
+            calls.append(n)
             return got
 
         monkeypatch.setattr(cones, "_extreme_rays", checked)
@@ -450,19 +472,42 @@ class TestExtremeRays:
         line = cones.conic_hull([[1.0, 1.0], [-1.0, -1.0]])
         cones.polar_of_cone(quad)
         cones.polar_cone([[1.0, 0.0]])
+        cones.polar_cone([], dimension=3)
         cones.polar_of_cone(cones.polar_of_cone(line))
         cones.cone_intersection(quad, half)
         cones.cone_intersection(cones.conic_hull([[1.0, 0.0]]),
                                 cones.conic_hull([[-1.0, 0.0]]))
         gamma_intersection(GammaSet.finite_cone([[1.0, 0.0], [1.0, 1.0]]),
                            GammaSet.finite_cone([[1.0, 1.0], [0.0, 1.0]]))
-        assert len(calls) >= 10 and all(calls)
+        assert len(calls) >= 11
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 5))
-    def test_random_constraints_unchanged(self, data, n, k):
+    def test_random_constraints_minimal_and_same_cone(self, data, n, k):
         a = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * k,
                                         max_size=n * k)),
                      dtype=float).reshape(k, n)
-        assert np.array_equal(cones._extreme_rays(a, n),
-                              extreme_rays_loop(a, n))
+        assert_minimal_polar(cones._extreme_rays(a, n), a, n)
+
+    def test_close_facet_normals_both_kept(self):
+        # the normals of two facets of cone(rows) are 1.4e-9 apart; merging
+        # them flattens the polar, which then misses the scan's ray -e1.
+        # Minimality is not checked: at NNLS tolerance each of the two
+        # rays lies in the cone of the other
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-9]])
+        got = cones._extreme_rays(a, 3)
+        assert len(got) == 3 and np.all(a @ got.T <= 1e-9)
+        assert all(in_cone(got, r) for r in extreme_rays_loop(a, 3))
+
+    def test_gaussian_intersection_is_minimal(self):
+        # the scan returned 253 rays here, in about 45 s; the n = 3 and
+        # n = 4 pairs are drawn first only to keep the stream
+        rng = np.random.default_rng(0)
+        for n, k in ((3, 5), (4, 6), (5, 7)):
+            g1, g2 = rng.normal(size=(k, n)), rng.normal(size=(k, n))
+        inter = cones.cone_intersection(cones.conic_hull(g1),
+                                        cones.conic_hull(g2)).generators
+        assert inter.shape == (27, 5)
+        assert all(in_cone(g1, r) and in_cone(g2, r) for r in inter)
+        assert not any(in_cone(np.delete(inter, i, axis=0), r)
+                       for i, r in enumerate(inter))
