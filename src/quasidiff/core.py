@@ -7,7 +7,7 @@ so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -314,54 +314,30 @@ class Modulus:
 def _simplex_least_squares(columns: np.ndarray, target: np.ndarray):
     """Minimize ``|columns @ c - target|`` over the probability simplex.
 
-    ``columns`` is d x k.  Returns (coefficients, distance).  Solved by a
-    penalized NNLS to find the active support, then polished with the exact
-    equality-constrained normal equations on that support.
+    ``columns`` is d x k.  Returns (coefficients, distance).  Least-distance
+    programming (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
+    ch. 23): with A = columns - target, one NNLS solve of
+    min |[A; 1^T] u - [0; 1]| gives c = u / sum(u).  The NNLS optimality
+    condition A^T A u + (s - 1) 1 >= 0, equal on the support (s = sum(u)),
+    times u^T gives |Au|^2 = s (1 - s); so p = Ac meets a_i^T p >= |p|^2 for
+    every column a_i, which is the optimality condition of the min-norm
+    point of conv{a_i}.  s > 0 because the gradient at u = 0 is -1 in every
+    coordinate.  The distance is recomputed from c, not read off NNLS; its
+    rounding error is about 1e-16 (1 + |data|), since A is not rescaled.
     """
-    d, k = columns.shape
-    if k == 1:
-        return np.ones(1), float(np.linalg.norm(columns[:, 0] - target))
-    w = 1e7 * max(1.0, float(np.abs(columns).max()), float(np.abs(target).max()))
-    aug = np.vstack([columns, w * np.ones((1, k))])
-    rhs = np.concatenate([target, [w]])
-    coeffs, _ = nnls(aug, rhs)
-    total = coeffs.sum()
-    if total <= 0:
-        coeffs = np.full(k, 1.0 / k)
-    else:
-        coeffs = coeffs / total
-    best = float(np.linalg.norm(columns @ coeffs - target))
-
-    support = np.flatnonzero(coeffs > 1e-12)
-    if support.size >= 1:
-        sub = columns[:, support]
-        s = support.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = sub.T @ sub
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs2 = np.concatenate([sub.T @ target, [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs2)
-            c_sub = sol[:s]
-            if np.all(c_sub >= -1e-10):
-                c_sub = np.clip(c_sub, 0.0, None)
-                c_sub /= c_sub.sum()
-                cand = np.zeros(k)
-                cand[support] = c_sub
-                dist = float(np.linalg.norm(columns @ cand - target))
-                if dist <= best:
-                    coeffs, best = cand, dist
-        except np.linalg.LinAlgError:
-            pass
-    return coeffs, best
+    k = columns.shape[1]
+    lifted = np.vstack([columns - target[:, None], np.ones((1, k))])
+    u, _ = nnls(lifted, np.concatenate([np.zeros(columns.shape[0]), [1.0]]))
+    coeffs = u / u.sum()
+    return coeffs, float(np.linalg.norm(columns @ coeffs - target))
 
 
 def dist_to_operator_set(L: LinearMap, lam: OperatorSet) -> float:
     """Frobenius distance from a map to an operator set.
 
     Exact minimum over the generators, or over their convex hull when the
-    set carries the convex-closure flag; a distance of at most 1e-12 is
+    set carries the convex-closure flag, at every scale of the set (up to
+    rounding of about 1e-16 (1 + |data|)); a distance of at most 1e-12 is
     returned as 0.
     """
     if L.entries.shape != lam.shape:
@@ -476,8 +452,12 @@ def convex_hull_points(points) -> np.ndarray:
 
 
 def hull_membership_residual(point: np.ndarray, vertices: np.ndarray) -> float:
-    """Distance from a point to the convex hull of ``vertices``."""
-    _, d = _simplex_least_squares(np.atleast_2d(vertices).T
-                                  if vertices.ndim == 1 else vertices.T,
-                                  np.atleast_1d(point))
-    return d
+    """Distance from a d-vector ``point`` to the convex hull of the rows of
+    the (k, d) array ``vertices``; other shapes raise
+    ``DimensionMismatchError``."""
+    point = np.asarray(point, dtype=float)
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 2 or point.shape != vertices.shape[1:]:
+        raise DimensionMismatchError(
+            f"point shape {point.shape} vs vertices shape {vertices.shape}")
+    return _simplex_least_squares(vertices.T, point)[1]

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import ConvexCone, conic_hull
+from .cones import conic_hull
 from .separation import MultiCone
 
 

@@ -53,6 +53,16 @@ class TestAbsvalueFamily:
         assert rep.accepted
         assert rep.rho_monotone
 
+    def test_tiny_scaled_certificate_accepted(self):
+        # 3e-8 |x| has Lambda = hull{-3e-8, 3e-8}: every slope lies inside
+        # it, so the operator distance is 0 however small the set is
+        cert = c.combine_certificates("linear", c.absvalue_qdq(),
+                                      c.absvalue_qdq(), alpha=3e-8, beta=0.0)
+        rep = c.verify_certificate(lambda x: 3e-8 * abs_map(x), cert,
+                                   [1e-1, 1e-2, 1e-3], 200, seed=0)
+        assert rep.accepted
+        assert rep.violations == []
+
     def test_shrunk_lambda_rejected_at_minus_delta(self):
         cert = replace(c.absvalue_qdq(),
                        lam=OperatorSet.from_matrices([[[-0.5]], [[1.0]]],

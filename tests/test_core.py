@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasidiff.core import (
@@ -25,6 +25,11 @@ from quasidiff.core import (
     hausdorff_distance,
     hull_membership_residual,
 )
+
+# a hull distance for a point inside the hull is rounding error of the
+# vertex magnitude, at every scale
+INTERIOR_TOL = 1e-14
+SCALES = st.sampled_from([1e-8, 1.0, 1e8])
 
 
 def zoom_grid_hull_distance(vertices, target, rounds=40, grid=11):
@@ -136,9 +141,37 @@ class TestOperatorSet:
 
     def test_hull_membership_residual(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert hull_membership_residual(np.array([0.2, 0.2]), verts) == 0.0
+        assert hull_membership_residual(np.array([0.2, 0.2]), verts) \
+            <= INTERIOR_TOL * 2.0
         assert hull_membership_residual(np.array([1.0, 1.0]), verts) \
             == pytest.approx(np.sqrt(2) / 2)
+
+    def test_hull_membership_residual_one_dimensional(self):
+        # two scalar vertices are a (2, 1) array, not one vertex of R^2
+        verts = np.array([[0.0], [1.0]])
+        assert hull_membership_residual(np.array([0.5]), verts) \
+            <= INTERIOR_TOL * 2.0
+        assert hull_membership_residual(np.array([3.0]), verts) \
+            == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("point, verts", [
+        (np.array(0.5), np.array([0.0, 1.0])),
+        (np.array([0.5, 0.5]), np.array([[0.0], [1.0]])),
+        (np.array([0.5]), np.array([[0.0, 0.0], [1.0, 0.0]])),
+    ])
+    def test_hull_membership_residual_shape_mismatch(self, point, verts):
+        with pytest.raises(DimensionMismatchError):
+            hull_membership_residual(point, verts)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_interior_residual_at_rounding_level(self, scale):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            verts = scale * rng.normal(size=(d + 1, d))
+            point = rng.dirichlet(np.ones(d + 1)) @ verts
+            assert hull_membership_residual(point, verts) \
+                <= INTERIOR_TOL * (1.0 + np.abs(verts).max())
 
 
 class TestHausdorff:
@@ -210,32 +243,39 @@ class TestHausdorffAxioms:
         assert (hausdorff_distance(a, b) == 0.0) == (rows(a) == rows(b))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(a=operator_sets(True), w=st.floats(0.0, 1.0))
-    def test_hull_unchanged_by_an_inner_generator(self, a, w):
-        flats = a.flat_generators()
+    @given(a=operator_sets(True), w=st.floats(0.0, 1.0), scale=SCALES)
+    # hull{-3e-8, 2e-8} against the same hull with 1e-8 added
+    @example(a=OperatorSet.from_matrices([[[-3.0]], [[2.0]]],
+                                         convex_closure=True),
+             w=0.2, scale=1e-8)
+    def test_hull_unchanged_by_an_inner_generator(self, a, w, scale):
+        flats = scale * a.flat_generators()
         inner = w * flats[0] + (1.0 - w) * flats[-1]
+        a = OperatorSet.from_matrices([[g] for g in flats], convex_closure=True)
         b = OperatorSet.from_matrices([[g] for g in np.vstack([flats, inner])],
                                       convex_closure=True)
-        assert hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-9)
+        assert hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-9 * scale)
 
 
 class TestDistanceProperty:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), k=st.integers(1, 4), n=st.integers(1, 3),
-           outside=st.booleans())
-    def test_hull_distance_matches_zoom_oracle(self, data, k, n, outside):
+           outside=st.booleans(), scale=SCALES)
+    def test_hull_distance_matches_zoom_oracle(self, data, k, n, outside,
+                                               scale):
         coord = st.floats(-2.0, 2.0, allow_nan=False)
-        verts = np.array(data.draw(st.lists(coord, min_size=k * n,
-                                            max_size=k * n))).reshape(k, n)
+        verts = scale * np.array(data.draw(st.lists(
+            coord, min_size=k * n, max_size=k * n))).reshape(k, n)
         w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k,
                                         max_size=k))) + 1e-3
-        shift = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+        shift = scale * np.array(data.draw(st.lists(coord, min_size=n,
+                                                    max_size=n)))
         target = (w / w.sum()) @ verts + (shift if outside else 0.0)
         s = OperatorSet.from_matrices([v.reshape(1, n) for v in verts],
                                       convex_closure=True)
         got = dist_to_operator_set(LinearMap(target.reshape(1, n)), s)
         assert got == pytest.approx(zoom_grid_hull_distance(verts, target),
-                                    abs=1e-6)
+                                    abs=1e-6 * scale)
 
 
 class TestConvexHullPoints:
