@@ -30,14 +30,10 @@ from .cones import (
     SeparationCertificate,
     analyze_pair,
     analyze_pairs,
-    classify_pair,
     conic_hull,
     image_cone,
     is_full_space,
-    is_transversal,
     polar_cone,
-    polar_of_cone,
-    separating_functional,
 )
 from .core import (
     BlowUpError,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from . import cones as _cones
 from .core import (
@@ -72,7 +73,7 @@ class QdqCertificate:
         return self.y_bar.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     accepted: bool
     worst_violations: list
@@ -95,6 +96,14 @@ def _as_linear_map(value) -> LinearMap:
     if isinstance(value, LinearMap):
         return value
     return LinearMap(np.atleast_2d(np.asarray(value, dtype=float)))
+
+
+def _family_at(cert: QdqCertificate, delta: float):
+    """``cert.family(delta)`` with its map read as a ``LinearMap`` and its
+    remainder as a 1-D array: the one reader the calculus uses."""
+    L_fn, h_fn = cert.family(delta)
+    return (lambda x: _as_linear_map(L_fn(x)),
+            lambda x: np.atleast_1d(h_fn(x)))
 
 
 def verify_certificate(F, cert: QdqCertificate, delta_grid,
@@ -239,7 +248,6 @@ class CurveData:
     t_bar: float
     right_derivative: np.ndarray
     left_derivative: np.ndarray
-    arc: Callable[[float], LinearMap] | None = None
 
     def __post_init__(self):
         for name in ("right_derivative", "left_derivative"):
@@ -250,14 +258,15 @@ class CurveData:
     def codomain_dim(self) -> int:
         return self.right_derivative.size
 
+    def arc_points(self, u) -> np.ndarray:
+        """Points of the straight segment from the left derivative (u = -1)
+        to the right one (u = +1), one row per entry of an array ``u``."""
+        w = 0.5 * (1.0 + np.asarray(u, dtype=float))[..., None]
+        return w * self.right_derivative + (1.0 - w) * self.left_derivative
+
     def arc_map(self, u: float) -> LinearMap:
-        """Arc from the left derivative (u = -1) to the right one (u = +1);
-        defaults to the straight segment."""
-        if self.arc is not None:
-            return _as_linear_map(self.arc(u))
-        w = 0.5 * (1.0 + u)
-        vec = w * self.right_derivative + (1.0 - w) * self.left_derivative
-        return LinearMap.from_vector(vec)
+        """The arc point at u as an m x 1 map."""
+        return LinearMap.from_vector(self.arc_points(u))
 
     @staticmethod
     def from_function(f, t_bar: float) -> "CurveData":
@@ -350,9 +359,8 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
     if data.codomain_dim == 1:
         lam = _derivative_segment(data.left_derivative, data.right_derivative)
     else:
-        pts = [data.arc_map(u).flat() for u in np.linspace(-1.0, 1.0, 41)]
-        lam = OperatorSet(tuple(LinearMap(p.reshape(-1, 1)) for p in pts),
-                          convex_closure=False)
+        lam = OperatorSet.from_vectors(
+            data.arc_points(np.linspace(-1.0, 1.0, 41)))
 
     grid = sorted(set([2.0 ** (-k) for k in range(2, 13)]
                       + [float(d) for d in DEFAULT_DELTA_GRID]))
@@ -424,24 +432,15 @@ def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     if lam.convex_closure:
         return None  # hulls are connected
     flats = lam.flat_generators()
-    k = flats.shape[0]
-    # single-linkage components at the gap threshold
-    labels = list(range(k))
-
-    def find(i):
-        while labels[i] != i:
-            labels[i] = labels[labels[i]]
-            i = labels[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.linalg.norm(flats[i] - flats[j]) <= CURVE_GAP:
-                labels[find(i)] = find(j)
-    comp_right = find(int(np.argmin(
-        np.linalg.norm(flats - right.flat(), axis=1))))
-    comp_left = find(int(np.argmin(
-        np.linalg.norm(flats - left.flat(), axis=1))))
+    # single-linkage components at the gap threshold, numbered in the order
+    # of their first generator
+    _, labels = connected_components(
+        np.linalg.norm(flats[:, None] - flats[None], axis=2) <= CURVE_GAP,
+        directed=False)
+    comp_right = int(labels[np.argmin(
+        np.linalg.norm(flats - right.flat(), axis=1))])
+    comp_left = int(labels[np.argmin(
+        np.linalg.norm(flats - left.flat(), axis=1))])
     if comp_right != comp_left:
         return {"kind": "disconnected", "gap": CURVE_GAP,
                 "components": [comp_left, comp_right]}
@@ -479,15 +478,19 @@ def gamma_intersection(g1: GammaSet, g2: GammaSet) -> GammaSet:
     raise ValueError(f"unsupported intersection {g1.kind!r} with {g2.kind!r}")
 
 
-def _minkowski(alpha: float, a: OperatorSet, beta: float,
-               b: OperatorSet) -> OperatorSet:
-    gens = tuple(LinearMap(alpha * ga.entries + beta * gb.entries)
-                 for ga in a.generators for gb in b.generators)
-    return OperatorSet(gens, a.convex_closure or b.convex_closure)
+def _pair_set(op, a: OperatorSet, b: OperatorSet) -> OperatorSet:
+    """The set of ``op(a_i, b_j)`` over every generator pair, a-major (b's
+    index runs fastest), and a hull when either operand is.  ``op`` maps two
+    broadcast (ka, kb, m, n) stacks to one (ka, kb, p, q) stack."""
+    ka, kb = len(a.generators), len(b.generators)
+    out = op(np.broadcast_to(a.generators[:, None], (ka, kb) + a.shape),
+             np.broadcast_to(b.generators[None], (ka, kb) + b.shape))
+    return OperatorSet(out.reshape((ka * kb,) + out.shape[2:]),
+                       a.convex_closure or b.convex_closure)
 
 
 def _max_generator_norm(s: OperatorSet) -> float:
-    return max(float(np.linalg.norm(g.entries, 2)) for g in s.generators)
+    return float(np.max(np.linalg.norm(s.generators, 2, axis=(1, 2))))
 
 
 def combine_certificates(kind: str, certF: QdqCertificate,
@@ -507,76 +510,60 @@ def combine_certificates(kind: str, certF: QdqCertificate,
         if certF.codomain_dim != certG.codomain_dim:
             raise DimensionMismatchError("linear combination needs a shared "
                                          "codomain")
-        lam = _minkowski(alpha, certF.lam, beta, certG.lam)
+        lam = _pair_set(lambda f, g: alpha * f + beta * g,
+                        certF.lam, certG.lam)
+        y_bar = alpha * certF.y_bar + beta * certG.y_bar
+        rho = lambda d: abs(alpha) * certF.rho(d) + abs(beta) * certG.rho(d)
 
         def family(d):
-            LF, hF = certF.family(d)
-            LG, hG = certG.family(d)
-            L = lambda x: LinearMap(alpha * _as_linear_map(LF(x)).entries
-                                    + beta * _as_linear_map(LG(x)).entries)
-            h = lambda x: alpha * np.atleast_1d(hF(x)) \
-                + beta * np.atleast_1d(hG(x))
-            return L, h
+            LF, hF = _family_at(certF, d)
+            LG, hG = _family_at(certG, d)
+            return (lambda x: LinearMap(alpha * LF(x).entries
+                                        + beta * LG(x).entries),
+                    lambda x: alpha * hF(x) + beta * hG(x))
 
-        return QdqCertificate(
-            certF.x_bar, alpha * certF.y_bar + beta * certG.y_bar, gamma, lam,
-            delta_star,
-            lambda d: abs(alpha) * certF.rho(d) + abs(beta) * certG.rho(d),
-            family, budget)
-
-    if kind == "set_product":
-        gens = tuple(
-            LinearMap(np.vstack([ga.entries, gb.entries]))
-            for ga in certF.lam.generators for gb in certG.lam.generators)
-        lam = OperatorSet(gens, certF.lam.convex_closure
-                          or certG.lam.convex_closure)
+    elif kind == "set_product":
+        lam = _pair_set(lambda f, g: np.concatenate([f, g], axis=2),
+                        certF.lam, certG.lam)
+        y_bar = np.concatenate([certF.y_bar, certG.y_bar])
+        rho = lambda d: certF.rho(d) + certG.rho(d)
 
         def family(d):
-            LF, hF = certF.family(d)
-            LG, hG = certG.family(d)
-            L = lambda x: LinearMap(np.vstack(
-                [_as_linear_map(LF(x)).entries, _as_linear_map(LG(x)).entries]))
-            h = lambda x: np.concatenate(
-                [np.atleast_1d(hF(x)), np.atleast_1d(hG(x))])
-            return L, h
+            LF, hF = _family_at(certF, d)
+            LG, hG = _family_at(certG, d)
+            return (lambda x: LinearMap(np.vstack([LF(x).entries,
+                                                   LG(x).entries])),
+                    lambda x: np.concatenate([hF(x), hG(x)]))
 
-        return QdqCertificate(
-            certF.x_bar, np.concatenate([certF.y_bar, certG.y_bar]), gamma,
-            lam, delta_star, lambda d: certF.rho(d) + certG.rho(d), family,
-            budget)
-
-    if kind == "scalar_product":
+    elif kind == "scalar_product":
         if certF.codomain_dim != 1 or certG.codomain_dim != 1:
             raise DimensionMismatchError("product rule needs m = 1")
         yF = float(certF.y_bar[0])
         yG = float(certG.y_bar[0])
-        lam = _minkowski(yF, certG.lam, yG, certF.lam)
+        lam = _pair_set(lambda g, f: yF * g + yG * f, certG.lam, certF.lam)
+        y_bar = np.array([yF * yG])
         cap = min(delta_star, 0.5)
         K = (_max_generator_norm(certF.lam) + 2.0 * certF.rho(cap)) \
             * (_max_generator_norm(certG.lam) + 2.0 * certG.rho(cap)) + 1.0
+        rho = lambda d: abs(yF) * certG.rho(d) + abs(yG) * certF.rho(d) \
+            + K * d
 
         def family(d):
-            LF, hF = certF.family(d)
-            LG, hG = certG.family(d)
-
-            def L(x):
-                return LinearMap(yF * _as_linear_map(LG(x)).entries
-                                 + yG * _as_linear_map(LF(x)).entries)
+            LF, hF = _family_at(certF, d)
+            LG, hG = _family_at(certG, d)
 
             def h(x):
                 dx = np.atleast_1d(x) - certF.x_bar
-                aF = _as_linear_map(LF(x)).apply(dx) + np.atleast_1d(hF(x))
-                aG = _as_linear_map(LG(x)).apply(dx) + np.atleast_1d(hG(x))
-                return yF * np.atleast_1d(hG(x)) + yG * np.atleast_1d(hF(x)) \
-                    + aF * aG
-            return L, h
+                aF = LF(x).apply(dx) + hF(x)
+                aG = LG(x).apply(dx) + hG(x)
+                return yF * hG(x) + yG * hF(x) + aF * aG
+            return (lambda x: LinearMap(yF * LG(x).entries
+                                        + yG * LF(x).entries)), h
 
-        return QdqCertificate(
-            certF.x_bar, np.array([yF * yG]), gamma, lam, delta_star,
-            lambda d: abs(yF) * certG.rho(d) + abs(yG) * certF.rho(d) + K * d,
-            family, budget)
-
-    raise ValueError(f"unknown combinator kind {kind!r}")
+    else:
+        raise ValueError(f"unknown combinator kind {kind!r}")
+    return QdqCertificate(certF.x_bar, y_bar, gamma, lam, delta_star, rho,
+                          family, budget)
 
 
 def compose_certificates(certF: QdqCertificate,
@@ -586,31 +573,22 @@ def compose_certificates(certF: QdqCertificate,
     if not np.allclose(certF.y_bar, certG.x_bar):
         raise ValueError("chaining point mismatch: codomain base of the inner "
                          "certificate must equal the outer base point")
-    gens = tuple(LinearMap(gg.entries @ gf.entries)
-                 for gg in certG.lam.generators for gf in certF.lam.generators)
-    lam = OperatorSet(gens, certF.lam.convex_closure
-                      or certG.lam.convex_closure)
+    lam = _pair_set(np.matmul, certG.lam, certF.lam)
     M = max(1.0, _max_generator_norm(certF.lam), _max_generator_norm(certG.lam))
     delta_star = min(certF.delta_star, certG.delta_star / (3.0 * M), 1.0)
 
     def family(d):
-        LF, hF = certF.family(d)
-        LG, hG = certG.family(3.0 * M * d)
+        LF, hF = _family_at(certF, d)
+        LG, hG = _family_at(certG, 3.0 * M * d)
 
         def xi(x):
             return certF.y_bar \
-                + _as_linear_map(LF(x)).apply(np.atleast_1d(x) - certF.x_bar) \
-                + np.atleast_1d(hF(x))
-
-        def L(x):
-            return LinearMap(_as_linear_map(LG(xi(x))).entries
-                             @ _as_linear_map(LF(x)).entries)
+                + LF(x).apply(np.atleast_1d(x) - certF.x_bar) + hF(x)
 
         def h(x):
             y = xi(x)
-            return _as_linear_map(LG(y)).apply(np.atleast_1d(hF(x))) \
-                + np.atleast_1d(hG(y))
-        return L, h
+            return LG(y).apply(hF(x)) + hG(y)
+        return (lambda x: LinearMap(LG(xi(x)).entries @ LF(x).entries)), h
 
     return QdqCertificate(
         certF.x_bar, certG.y_bar, certF.gamma, lam, delta_star,

@@ -14,9 +14,8 @@ The trichotomy of a transversal pair needs no further LP.  If
 K1 - K2 = R^n and x is in K1, write -x = k1 - k2; then k2 = k1 + x lies
 in K1 and K2.  So if the cones meet only at 0, -x = k1 is in K1: K1 is a
 subspace, and likewise K2.  Two subspaces with K1 + K2 = R^n meet only at
-0 exactly when their dimensions add up to n.  ``analyze_pair``,
-``is_transversal``, ``separating_functional`` and ``classify_pair`` are
-views of the batch records.
+0 exactly when their dimensions add up to n.  ``analyze_pair`` is the
+one-pair view of the batch records.
 
 Polars and intersections use Qhull (Barber, Dobkin & Huhdanpaa 1996), as
 ``convex_hull_points`` does.  {p : A p <= 0} is the polar of C = cone(rows
@@ -139,10 +138,6 @@ def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
     # drop rays that only witness numerical noise
     good = np.all(vecs @ rays.T <= 1e-8, axis=0)
     return ConvexCone(vecs.shape[1], rays[good])
-
-
-def polar_of_cone(cone: ConvexCone) -> ConvexCone:
-    return polar_cone(cone.generators, cone.dimension)
 
 
 def _block_lp(blocks) -> list:
@@ -286,22 +281,6 @@ def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
     return analyze_pairs([(k1, k2)])[0]
 
 
-def is_transversal(k1: ConvexCone, k2: ConvexCone) -> bool:
-    """True iff K1 - K2 is the whole space."""
-    return analyze_pair(k1, k2).transversal
-
-
-def separating_functional(k1: ConvexCone, k2: ConvexCone):
-    """A nonzero functional >=0 on K1 and <=0 on K2, or None."""
-    return analyze_pair(k1, k2).certificate
-
-
-def classify_pair(k1: ConvexCone, k2: ConvexCone) -> str:
-    """Trichotomy for a cone pair: strongly transversal, complementary
-    subspaces, or linearly separable."""
-    return analyze_pair(k1, k2).verdict
-
-
 def image_cone(L: LinearMap, gamma: GammaSet) -> ConvexCone:
     """The cone {L v : v in Gamma} in V-representation."""
     if L.cols != gamma.dimension:
@@ -327,8 +306,8 @@ def is_full_space(cone: ConvexCone) -> bool:
 
 def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
     """V-representation of K1 intersected with K2 (via polar constraints)."""
-    p1 = polar_of_cone(k1).generators
-    p2 = polar_of_cone(k2).generators
+    p1 = polar_cone(k1.generators, k1.dimension).generators
+    p2 = polar_cone(k2.generators, k2.dimension).generators
     rays = _extreme_rays(np.vstack([p1, p2]), k1.dimension)
     good = [r for r in rays
             if k1.contains(r, 1e-7) and k2.contains(r, 1e-7)]

@@ -130,54 +130,62 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """A compact set of linear maps, represented by finitely many generators.
+    """A compact set of linear maps, represented by finitely many generators:
+    a read-only float array of shape (k, m, n), one m x n matrix per
+    generator, like ``ConvexCone.generators``.
 
     With ``convex_closure`` the set is the convex hull of the generators,
     otherwise the generator list itself.
     """
 
-    generators: tuple
+    generators: np.ndarray
     convex_closure: bool = False
 
     def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
+        try:
+            gens = np.array(self.generators, dtype=float)
+        except ValueError as exc:  # a ragged list of matrices
+            raise DimensionMismatchError(
+                "generators must share one shape") from exc
+        if not len(gens):
             raise ValueError("operator set needs at least one generator")
-        shape = gens[0].entries.shape
-        for g in gens:
-            if g.entries.shape != shape:
-                raise DimensionMismatchError("generators must share one shape")
+        if gens.ndim != 3 or 0 in gens.shape:
+            raise ValueError("generators must form a (k, m, n) array with "
+                             "m, n >= 1")
+        if not np.all(np.isfinite(gens)):
+            raise NonFiniteValueError("generators must be finite")
+        gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
     @property
     def shape(self) -> tuple:
-        return self.generators[0].entries.shape
+        return self.generators.shape[1:]
 
     def flat_generators(self) -> np.ndarray:
-        return np.array([g.flat() for g in self.generators])
+        """The generators as the rows of a read-only (k, m * n) view."""
+        return self.generators.reshape(len(self.generators), -1)
 
     def canonicalized(self) -> "OperatorSet":
         """Sort generators lexicographically so hulls compare bitwise."""
         order = _canonical_order(self.flat_generators())
-        return OperatorSet(
-            tuple(self.generators[i] for i in order), self.convex_closure
-        )
+        return OperatorSet(self.generators[order], self.convex_closure)
 
     @staticmethod
     def from_matrices(mats: Sequence, convex_closure: bool = False) -> "OperatorSet":
-        return OperatorSet(
-            tuple(LinearMap(np.asarray(m, dtype=float)) for m in mats), convex_closure
-        )
+        """One generator per entry of ``mats``; a scalar or a row is read as
+        a 1 x 1 or a 1 x n matrix, as ``LinearMap`` reads it."""
+        return OperatorSet([np.atleast_2d(np.asarray(m, dtype=float))
+                            for m in mats], convex_closure)
 
     @staticmethod
     def from_vectors(vecs: Sequence, convex_closure: bool = False) -> "OperatorSet":
-        return OperatorSet(
-            tuple(LinearMap.from_vector(v) for v in vecs), convex_closure
-        )
+        """One n x 1 generator per vector, as ``LinearMap.from_vector``."""
+        return OperatorSet([np.asarray(v, dtype=float).reshape(-1, 1)
+                            for v in vecs], convex_closure)
 
     def to_jsonable(self) -> dict:
         return {
-            "generators": [g.entries.tolist() for g in self.generators],
+            "generators": self.generators.tolist(),
             "convex_closure": self.convex_closure,
         }
 
@@ -367,7 +375,7 @@ def _directed_hausdorff(a: OperatorSet, b: OperatorSet) -> float:
             and not b.convex_closure and len(b.generators) > 1:
         raise InexactHausdorffError(
             "directed Hausdorff distance from a hull to a generator list")
-    return max(dist_to_operator_set(g, b) for g in a.generators)
+    return max(dist_to_operator_set(LinearMap(g), b) for g in a.generators)
 
 
 def hausdorff_distance(a: OperatorSet, b: OperatorSet) -> float:

@@ -134,23 +134,12 @@ def _half_space_3d_sampler():
     return sampler
 
 
-def _axis_line_3d_sampler(axis_index: int):
-    def sampler(rng, z, radius, count):
-        half = np.linspace(0.0, radius, max(count // 2, 2))
-        ts = np.concatenate([-half[:0:-1], half])
-        pts = np.zeros((ts.size, 3))
-        pts[:, axis_index] = ts
-        return z + pts
-    return sampler
-
-
 def _coordinate_plane_3d_sampler(axes: tuple):
     """Coordinate plane spanned by the two given axes, with each spanning
     axis grid included exactly."""
 
     def sampler(rng, z, radius, count):
-        half = np.linspace(0.0, radius, max(count // 2, 2))
-        ts = np.concatenate([-half[:0:-1], half])
+        ts = _axis_grid(radius, count)
         rows = []
         for ax in axes:
             pts = np.zeros((ts.size, 3))
@@ -217,7 +206,7 @@ def builtin_fixtures() -> list:
             "half_space_vs_line", 3, z3,
             _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])], 3),
             _mc(_lines([0, 0, 1]), 3),
-            _half_space_3d_sampler(), _axis_line_3d_sampler(2), 1.0,
+            _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
             "strongly transversal; common points on the positive z-axis"),
         SeparationFixture(
             "parabola_vs_axis", 2, z2,

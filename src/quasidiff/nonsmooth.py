@@ -208,8 +208,8 @@ def clarke_jacobian_estimate(f, x_bar, radius: float, samples: int,
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")
     verts = _vertex_reduce(kept.reshape(kept.shape[0], -1))
-    gens = tuple(LinearMap(v.reshape(kept.shape[1:])) for v in verts)
-    return OperatorSet(gens, convex_closure=True).canonicalized()
+    return OperatorSet(verts.reshape((-1,) + kept.shape[1:]),
+                       convex_closure=True).canonicalized()
 
 
 def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,

@@ -72,7 +72,7 @@ class Scenario:
             raise ConfigError(f"scenario entry missing key {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioResult:
     name: str
     kind: str

@@ -14,8 +14,8 @@ from .cones import (
     image_cone,
     is_full_space,
 )
-from .core import DimensionMismatchError, GammaSet, OperatorSet, \
-    evaluate_rows
+from .core import DimensionMismatchError, GammaSet, LinearMap, \
+    OperatorSet, evaluate_rows
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -47,7 +47,7 @@ def build_multicone(lam: OperatorSet, gamma: GammaSet,
     enumerated (conservative for the all-pairs verdict lift)."""
     if gamma.kind not in (GammaSet.FULL, GammaSet.HALFLINE, GammaSet.CONE):
         raise ValueError(f"unsupported direction-set kind {gamma.kind!r}")
-    cones = tuple(image_cone(g, gamma) for g in lam.generators)
+    cones = tuple(image_cone(LinearMap(g), gamma) for g in lam.generators)
     return MultiCone(cones, z_ignoring)
 
 
@@ -148,9 +148,9 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
     for idx, g in enumerate(lam.generators):
-        if not is_full_space(image_cone(g, gamma)):
+        if not is_full_space(image_cone(LinearMap(g), gamma)):
             raise SurjectivityError(
-                f"generator {idx} with matrix {g.entries.tolist()} is not "
+                f"generator {idx} with matrix {g.tolist()} is not "
                 "surjective on the direction set")
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
@@ -182,19 +182,13 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
     p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
     distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
-    tree = cKDTree(p2)
-    dists, idx = tree.query(p1, k=1)
-    best = None
-    best_score = np.inf
-    for d, i, p in zip(dists, idx, p1):
-        if d > MATCH_TOL:
-            continue
-        mid = 0.5 * (p + p2[i])
-        dz = float(np.linalg.norm(mid - z))
-        if dz <= distinct_tol or dz > radius + MATCH_TOL:
-            continue
-        if d < best_score:
-            best, best_score = mid, d
-    if best is not None:
+    dists, idx = cKDTree(p2).query(p1, k=1)
+    near = np.flatnonzero(dists <= MATCH_TOL)
+    mids = 0.5 * (p1[near] + p2[idx[near]])
+    dz = np.linalg.norm(mids - z, axis=1)
+    ok = (dz > distinct_tol) & (dz <= radius + MATCH_TOL)
+    if ok.any():
+        # argmin takes the first of equal distances, in the order of p1
+        best = mids[ok][np.argmin(dists[near][ok])]
         return {"common_point": best, "separated_at_resolution": False}
     return {"common_point": None, "separated_at_resolution": True}

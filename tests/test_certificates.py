@@ -46,6 +46,11 @@ class TestAbsvalueFamily:
         with pytest.raises(FrozenInstanceError):
             cert.lam = cert.lam
 
+    def test_report_is_frozen(self):
+        rep = c.verify_certificate(abs_map, c.absvalue_qdq(), [1e-1], 20)
+        with pytest.raises(FrozenInstanceError):
+            rep.accepted = not rep.accepted
+
     def test_full_certificate_accepted(self):
         cert = c.absvalue_qdq()
         rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 200,
@@ -364,6 +369,15 @@ class TestCurveFalsifier:
         assert w is not None and w["kind"] == "missing_derivative"
         assert w["side"] == "left"
 
+    def test_components_numbered_by_first_generator(self):
+        # components {-1, -0.995}, {0.3}, {1, 0.999}: the derivatives -1 and
+        # 1 lie in the first and the third
+        lam = OperatorSet.from_matrices(
+            [[[-1.0]], [[-0.995]], [[0.3]], [[1.0]], [[0.999]]])
+        w = c.falsify_curve_qdq(self.data, lam)
+        assert w == {"kind": "disconnected", "gap": c.CURVE_GAP,
+                     "components": [0, 2]}
+
     def test_dense_chain_not_flagged(self):
         mats = [[[s]] for s in np.linspace(-1.0, 1.0, 401)]
         lam = OperatorSet.from_matrices(mats)
@@ -402,6 +416,81 @@ class TestCombinators:
         other = replace(c.absvalue_qdq(), x_bar=[1.0])
         with pytest.raises(ValueError):
             c.combine_certificates("linear", self.a, other)
+
+
+def _stub_certificate(x_bar, y_bar, gens, hull):
+    """A certificate that only carries an operator set; its family is never
+    called by the calculus."""
+    return c.QdqCertificate(
+        x_bar=x_bar, y_bar=y_bar, gamma=GammaSet.full_space(len(x_bar)),
+        lam=OperatorSet(gens, convex_closure=hull), delta_star=1.0,
+        rho=lambda d: d, family=None)
+
+
+class TestGeneratorOrder:
+    """Each combinator's Lambda against a loop over the generator pairs, in
+    the order the calculus has always used: F-major for the linear
+    combination and the set product, G-major for the scalar product and
+    the chain rule."""
+
+    @staticmethod
+    def pair_loop(op, outer, inner):
+        return np.array([op(a, b) for a in outer.lam.generators
+                         for b in inner.lam.generators])
+
+    @pytest.mark.parametrize("hulls", [(False, False), (True, False),
+                                       (False, True)])
+    def test_linear_and_set_product(self, hulls):
+        rng = np.random.default_rng(3)
+        F = _stub_certificate([0.0, 0.0], [1.0, 2.0],
+                              rng.normal(size=(3, 2, 2)), hulls[0])
+        G = _stub_certificate([0.0, 0.0], [-1.0, 0.5],
+                              rng.normal(size=(4, 2, 2)), hulls[1])
+        lin = c.combine_certificates("linear", F, G, alpha=0.3, beta=-1.7)
+        np.testing.assert_array_equal(
+            lin.lam.generators,
+            self.pair_loop(lambda f, g: 0.3 * f - 1.7 * g, F, G))
+        sp = c.combine_certificates("set_product", F, G)
+        np.testing.assert_array_equal(
+            sp.lam.generators,
+            self.pair_loop(lambda f, g: np.vstack([f, g]), F, G))
+        assert lin.lam.convex_closure == sp.lam.convex_closure == any(hulls)
+
+    def test_set_product_of_different_codomains(self):
+        rng = np.random.default_rng(4)
+        F = _stub_certificate([0.0, 0.0], [1.0], rng.normal(size=(2, 1, 2)),
+                              False)
+        G = _stub_certificate([0.0, 0.0], [0.0, 0.0, 0.0],
+                              rng.normal(size=(3, 3, 2)), False)
+        sp = c.combine_certificates("set_product", F, G)
+        assert sp.lam.shape == (4, 2)
+        np.testing.assert_array_equal(
+            sp.lam.generators,
+            self.pair_loop(lambda f, g: np.vstack([f, g]), F, G))
+
+    def test_scalar_product(self):
+        rng = np.random.default_rng(5)
+        F = _stub_certificate([0.0, 0.0], [1.5], rng.normal(size=(3, 1, 2)),
+                              True)
+        G = _stub_certificate([0.0, 0.0], [-0.25],
+                              rng.normal(size=(2, 1, 2)), True)
+        pr = c.combine_certificates("scalar_product", F, G)
+        np.testing.assert_array_equal(
+            pr.lam.generators,
+            self.pair_loop(lambda g, f: 1.5 * g - 0.25 * f, G, F))
+        assert pr.lam.convex_closure
+
+    def test_compose(self):
+        rng = np.random.default_rng(6)
+        F = _stub_certificate([0.0, 0.0], [0.0, 0.0, 0.0],
+                              rng.normal(size=(3, 3, 2)), False)
+        G = _stub_certificate([0.0, 0.0, 0.0], [0.0],
+                              rng.normal(size=(2, 1, 3)), True)
+        comp = c.compose_certificates(F, G)
+        assert comp.lam.shape == (1, 2)
+        np.testing.assert_array_equal(
+            comp.lam.generators, self.pair_loop(np.matmul, G, F))
+        assert comp.lam.convex_closure
 
 
 class TestCompose:

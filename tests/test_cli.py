@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,11 @@ class TestRunScenarios:
         result = run_scenario(Scenario("probe", "OpenMappingProbe", params))
         assert result.verdict == "FAILED"
         assert "domain sample is empty" in result.report["error"]
+
+    def test_result_is_frozen(self):
+        result = run_scenario(Scenario(**SMALL_SUITE[1]))
+        with pytest.raises(FrozenInstanceError):
+            result.verdict = "FAIL"
 
     def test_empty_scenario_list(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -24,15 +24,11 @@ from quasidiff.cones import (
     SeparationCertificate,
     analyze_pair,
     analyze_pairs,
-    classify_pair,
     cone_intersection,
     conic_hull,
     image_cone,
     is_full_space,
-    is_transversal,
     polar_cone,
-    polar_of_cone,
-    separating_functional,
 )
 from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap
 
@@ -202,7 +198,7 @@ class TestConicHull:
 class TestPolar:
     def test_polar_of_first_quadrant(self):
         c = conic_hull([[1.0, 0.0], [0.0, 1.0]])
-        p = polar_of_cone(c)
+        p = polar_cone(c.generators, c.dimension)
         # polar is the third quadrant
         assert p.contains([-1.0, -1.0])
         assert p.contains([-1.0, 0.0])
@@ -217,7 +213,8 @@ class TestPolar:
 
     def test_double_polar_of_subspace(self):
         line = conic_hull([[1.0, 2.0], [-1.0, -2.0]])
-        pp = polar_of_cone(polar_of_cone(line))
+        p = polar_cone(line.generators, line.dimension)
+        pp = polar_cone(p.generators, p.dimension)
         for g in line.generators:
             assert pp.contains(g)
         for g in pp.generators:
@@ -229,12 +226,12 @@ class TestTransversality:
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         k2 = conic_hull([[0.0, 1.0]])
         # K1 - K2 = upper half-plane + downward ray = the whole plane
-        assert is_transversal(k1, k2)
+        assert analyze_pair(k1, k2).transversal
 
     def test_two_rays_not_transversal(self):
         k1 = conic_hull([[1.0, 0.0]])
         k2 = conic_hull([[-1.0, 0.0]])
-        assert not is_transversal(k1, k2)
+        assert not analyze_pair(k1, k2).transversal
 
     def test_matches_sampling_oracle_random(self):
         rng = np.random.default_rng(21)
@@ -242,12 +239,12 @@ class TestTransversality:
             n = int(rng.integers(2, 4))
             k1 = conic_hull(rng.normal(size=(rng.integers(1, n + 2), n)), n)
             k2 = conic_hull(rng.normal(size=(rng.integers(1, n + 2), n)), n)
-            assert is_transversal(k1, k2) == \
+            assert analyze_pair(k1, k2).transversal == \
                 sampling_transversal_oracle(k1, k2, seed=i)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            is_transversal(conic_hull([[1.0]], 1), conic_hull([[1.0, 0.0]], 2))
+            analyze_pair(conic_hull([[1.0]], 1), conic_hull([[1.0, 0.0]], 2))
 
 
 class TestAnalyzePair:
@@ -274,11 +271,11 @@ class TestAnalyzePair:
         k2 = conic_hull([[-1.0, -1.0]])
         got = analyze_pair(k1, k2)
         assert not got.transversal
-        assert is_transversal(k1, k2) == got.transversal
-        assert classify_pair(k1, k2) == got.verdict
-        np.testing.assert_array_equal(
-            separating_functional(k1, k2).functional,
-            got.certificate.functional)
+        batch = analyze_pairs([(k1, k2)])[0]
+        assert (batch.transversal, batch.verdict) == \
+            (got.transversal, got.verdict)
+        np.testing.assert_array_equal(batch.certificate.functional,
+                                      got.certificate.functional)
 
     def test_rank_deficient_witness_is_a_null_vector(self):
         # both cones lie on the x-axis: (0, 1) separates them
@@ -292,11 +289,11 @@ class TestAnalyzePair:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_trivial_cones(self, n):
         trivial = conic_hull([], dimension=n)
-        assert not is_transversal(trivial, trivial)
+        assert not analyze_pair(trivial, trivial).transversal
         assert not is_full_space(trivial)
-        assert classify_pair(trivial, trivial) == LINEARLY_SEPARABLE
-        assert separating_functional(trivial, trivial).validate(trivial,
-                                                                trivial)
+        assert analyze_pair(trivial, trivial).verdict == LINEARLY_SEPARABLE
+        assert analyze_pair(trivial, trivial).certificate.validate(trivial,
+                                                                   trivial)
 
 
 def _corpus_like_pairs():
@@ -333,7 +330,7 @@ class TestAnalyzePairs:
 
     def test_nonoptimal_batch_is_resolved_block_by_block(self, monkeypatch):
         pairs = _corpus_like_pairs()
-        want = [(is_transversal(k1, k2), classify_pair(k1, k2))
+        want = [(analyze_pair(k1, k2).transversal, analyze_pair(k1, k2).verdict)
                 for k1, k2 in pairs]
         assert {verdict for _, verdict in want} == {
             STRONGLY_TRANSVERSAL, LINEARLY_SEPARABLE, COMPLEMENTARY_SUBSPACES}
@@ -435,21 +432,21 @@ class TestSeparation:
     def test_separable_pair_has_valid_certificate(self):
         k1 = conic_hull([[1.0, 0.0]])
         k2 = conic_hull([[-1.0, 1.0]])
-        cert = separating_functional(k1, k2)
+        cert = analyze_pair(k1, k2).certificate
         assert cert is not None
         assert cert.validate(k1, k2)
 
     def test_transversal_pair_has_no_certificate(self):
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         k2 = conic_hull([[0.0, 1.0]])
-        assert separating_functional(k1, k2) is None
+        assert analyze_pair(k1, k2).certificate is None
 
 
 class TestClassifyPair:
     def test_strongly_transversal(self):
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         k2 = conic_hull([[0.0, 1.0]])
-        assert classify_pair(k1, k2) == STRONGLY_TRANSVERSAL
+        assert analyze_pair(k1, k2).verdict == STRONGLY_TRANSVERSAL
 
     def test_planes_sharing_a_line_strongly_transversal(self):
         # two subspaces whose dimensions add up to more than n meet along
@@ -457,18 +454,18 @@ class TestClassifyPair:
         e = np.eye(3)
         k1 = conic_hull(np.vstack([e[[0, 2]], -e[[0, 2]]]))
         k2 = conic_hull(np.vstack([e[[1, 2]], -e[[1, 2]]]))
-        assert is_transversal(k1, k2)
-        assert classify_pair(k1, k2) == STRONGLY_TRANSVERSAL
+        assert analyze_pair(k1, k2).transversal
+        assert analyze_pair(k1, k2).verdict == STRONGLY_TRANSVERSAL
 
     def test_complementary_subspaces(self):
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0]])
         k2 = conic_hull([[0.0, 1.0], [0.0, -1.0]])
-        assert classify_pair(k1, k2) == COMPLEMENTARY_SUBSPACES
+        assert analyze_pair(k1, k2).verdict == COMPLEMENTARY_SUBSPACES
 
     def test_linearly_separable(self):
         k1 = conic_hull([[1.0, 0.0]])
         k2 = conic_hull([[-1.0, 1.0]])
-        assert classify_pair(k1, k2) == LINEARLY_SEPARABLE
+        assert analyze_pair(k1, k2).verdict == LINEARLY_SEPARABLE
 
 
 class TestImageCone:

@@ -3,6 +3,7 @@ oracles for hull distance and hull vertex enumeration."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -114,6 +115,72 @@ class TestLinearMap:
 
 
 class TestOperatorSet:
+    def test_no_generators_refused(self):
+        for make in (OperatorSet, OperatorSet.from_matrices,
+                     OperatorSet.from_vectors):
+            with pytest.raises(ValueError, match="at least one generator"):
+                make([])
+
+    def test_generators_of_different_shapes_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            OperatorSet.from_matrices([[[1.0]], [[1.0, 2.0]]])
+        with pytest.raises(DimensionMismatchError):
+            OperatorSet([np.zeros((1, 2)), np.zeros((2, 1))])
+        with pytest.raises(DimensionMismatchError):
+            OperatorSet.from_vectors([[1.0], [1.0, 2.0]])
+
+    def test_generators_must_be_matrices(self):
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            OperatorSet(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            OperatorSet(np.zeros((2, 0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            OperatorSet.from_matrices([[[1.0, 0.0]], [[0.0, bad]]])
+
+    def test_generators_are_one_read_only_copy(self):
+        source = np.arange(6.0).reshape(3, 1, 2)
+        s = OperatorSet(source, convex_closure=True)
+        source[0, 0, 0] = 99.0
+        assert s.generators.dtype == float and s.generators.shape == (3, 1, 2)
+        np.testing.assert_array_equal(s.flat_generators(),
+                                      np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError):
+            s.generators[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.flat_generators()[0, 0] = 1.0
+
+    def test_from_matrices_reads_entries_as_linear_map_does(self):
+        mats = [2.0, [3.0], [[4.0]]]
+        s = OperatorSet.from_matrices(mats)
+        assert s.shape == (1, 1)
+        np.testing.assert_array_equal(
+            s.generators, [LinearMap(m).entries for m in mats])
+        rows = OperatorSet.from_matrices([[1.0, 2.0], [3.0, 4.0]])
+        assert rows.shape == (1, 2)
+        np.testing.assert_array_equal(rows.generators,
+                                      [[[1.0, 2.0]], [[3.0, 4.0]]])
+
+    def test_from_vectors_matches_linear_map_from_vector(self):
+        vecs = [[1.0, 2.0], [3.0, 4.0]]
+        s = OperatorSet.from_vectors(vecs)
+        np.testing.assert_array_equal(
+            s.generators, [LinearMap.from_vector(v).entries for v in vecs])
+
+    def test_to_jsonable(self):
+        s = OperatorSet.from_matrices([[[1.0, 2.0]], [[3.0, -4.5]]],
+                                      convex_closure=True)
+        assert s.to_jsonable() == {
+            "generators": [[[1.0, 2.0]], [[3.0, -4.5]]],
+            "convex_closure": True}
+        assert json.dumps(s.to_jsonable()) == \
+            '{"generators": [[[1.0, 2.0]], [[3.0, -4.5]]], ' \
+            '"convex_closure": true}'
+        assert OperatorSet.from_vectors([[1.0, 2.0]]).to_jsonable() == {
+            "generators": [[[1.0], [2.0]]], "convex_closure": False}
+
     def test_canonicalized_is_order_invariant(self):
         a = OperatorSet.from_matrices([[[1.0]], [[-1.0]], [[0.5]]])
         b = OperatorSet.from_matrices([[[0.5]], [[1.0]], [[-1.0]]])
@@ -239,7 +306,7 @@ class TestHausdorffAxioms:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(a=operator_sets(False), b=operator_sets(False))
     def test_lists_at_zero_exactly_when_equal(self, a, b):
-        rows = lambda s: {tuple(g.flat()) for g in s.generators}
+        rows = lambda s: {tuple(g) for g in s.flat_generators()}
         assert (hausdorff_distance(a, b) == 0.0) == (rows(a) == rows(b))
 
     @settings(max_examples=40, deadline=None, derandomize=True)

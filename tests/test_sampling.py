@@ -110,7 +110,7 @@ def clarke_loop(f, x_bar, radius, samples, seed, fd_step=None):
     if not kept:
         raise EstimatorFailedError("no sample kept")
     verts = vertex_reduce_loop(np.array(kept))
-    gens = tuple(LinearMap(v.reshape(shape)) for v in verts)
+    gens = verts.reshape((-1,) + shape)
     return OperatorSet(gens, convex_closure=True).canonicalized()
 
 
@@ -470,10 +470,11 @@ class TestExtremeRays:
         quad = cones.conic_hull([[1.0, 0.0], [0.0, 1.0]])
         half = cones.conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         line = cones.conic_hull([[1.0, 1.0], [-1.0, -1.0]])
-        cones.polar_of_cone(quad)
+        cones.polar_cone(quad.generators, quad.dimension)
         cones.polar_cone([[1.0, 0.0]])
         cones.polar_cone([], dimension=3)
-        cones.polar_of_cone(cones.polar_of_cone(line))
+        polar = cones.polar_cone(line.generators, line.dimension)
+        cones.polar_cone(polar.generators, polar.dimension)
         cones.cone_intersection(quad, half)
         cones.cone_intersection(cones.conic_hull([[1.0, 0.0]]),
                                 cones.conic_hull([[-1.0, 0.0]]))

@@ -12,6 +12,7 @@ from quasidiff.core import GammaSet, LinearMap, NonFiniteValueError, \
 from quasidiff.fields import make_map
 from quasidiff.fixtures import builtin_fixtures, fixture_by_name
 from quasidiff.separation import (
+    MATCH_TOL,
     NO_CONCLUSION,
     NOT_LOCALLY_SEPARATED,
     SurjectivityError,
@@ -30,6 +31,26 @@ def dense_cover_oracle(F, radius, a, grid=4001):
     vals = np.sort([F(np.array([x, 0.0]))[0] for x in xs])
     targets = np.linspace(-a, a, 81)
     return all(np.min(np.abs(vals - t)) <= 1e-3 for t in targets)
+
+
+def probe_loop(sampler1, sampler2, z, radius, samples, seed):
+    """Oracle: the common point of the separation probe, one match at a
+    time; a later match replaces the best only when strictly closer."""
+    rng = np.random.default_rng(seed)
+    p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
+    p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
+    distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
+    best, best_d = None, np.inf
+    for p in p1:
+        d = np.linalg.norm(p2 - p, axis=1)
+        i = int(np.argmin(d))
+        if d[i] > MATCH_TOL:
+            continue
+        mid = 0.5 * (p + p2[i])
+        dz = float(np.linalg.norm(mid - z))
+        if distinct_tol < dz <= radius + MATCH_TOL and d[i] < best_d:
+            best, best_d = mid, d[i]
+    return best
 
 
 class TestBuildMulticone:
@@ -160,6 +181,25 @@ class TestLocalSeparationProbe:
                                      seed=0)
         assert out["common_point"] is not None
         assert abs(out["common_point"][1]) <= 1e-6
+
+    def test_first_of_equal_matches_wins(self):
+        # three exact matches: one too close to z, then two at distance 0
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.7, 0.0]])
+        out = local_separation_probe(lambda *a: pts, lambda *a: pts[::-1],
+                                     np.zeros(2), 1.0, 3, seed=0)
+        np.testing.assert_array_equal(out["common_point"], [0.5, 0.0])
+
+    @pytest.mark.parametrize("fixture", builtin_fixtures(),
+                             ids=lambda f: f.name)
+    def test_matches_loop_oracle(self, fixture):
+        for seed, radius in ((0, 1.0), (1, 0.2)):
+            got = local_separation_probe(fixture.sampler1, fixture.sampler2,
+                                         fixture.z, radius, 300, seed)
+            want = probe_loop(fixture.sampler1, fixture.sampler2, fixture.z,
+                              radius, 300, seed)
+            assert (got["common_point"] is None) == (want is None)
+            if want is not None:
+                assert got["common_point"].tobytes() == want.tobytes()
 
     def test_parabola_vs_axis_tangential(self):
         f = fixture_by_name("parabola_vs_axis")
