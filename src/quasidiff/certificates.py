@@ -23,8 +23,9 @@ from .core import (
     OperatorSet,
     VERDICT_TOL,
     ball_samples,
-    dist_to_operator_set,
+    distances_to_operator_set,
     evaluate_rows,
+    row_norms,
 )
 
 DEFAULT_DELTA_GRID = (1e-1, 1e-2, 1e-3)
@@ -93,9 +94,7 @@ class VerificationReport:
 
 
 def _as_linear_map(value) -> LinearMap:
-    if isinstance(value, LinearMap):
-        return value
-    return LinearMap(np.atleast_2d(np.asarray(value, dtype=float)))
+    return value if isinstance(value, LinearMap) else LinearMap(value)
 
 
 def _family_at(cert: QdqCertificate, delta: float):
@@ -104,6 +103,23 @@ def _family_at(cert: QdqCertificate, delta: float):
     L_fn, h_fn = cert.family(delta)
     return (lambda x: _as_linear_map(L_fn(x)),
             lambda x: np.atleast_1d(h_fn(x)))
+
+
+def _map_stack(L_fn, xs) -> np.ndarray:
+    """``L_fn`` at every row of ``xs``, one call each, stacked (k, m, n)."""
+    maps = [_as_linear_map(L_fn(x)).entries for x in xs]
+    if len({m.shape for m in maps}) > 1:
+        raise DimensionMismatchError("L_fn returned maps of several shapes")
+    return np.array(maps)
+
+
+def _violations(delta, xs, checks) -> list:
+    """The records of the failed ``(name, values, bound, failed)`` checks at
+    the rows of ``xs``, point by point and then in the order of ``checks``."""
+    failed = np.column_stack([bad for _, _, _, bad in checks])
+    return [{"delta": delta, "x": xs[i].tolist(), "check": checks[j][0],
+             "value": checks[j][1][i].tolist(), "bound": checks[j][2]}
+            for i, j in zip(*np.nonzero(failed))]
 
 
 def verify_certificate(F, cert: QdqCertificate, delta_grid,
@@ -116,7 +132,8 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
     and on delta values at or above ``cert.delta_star``.  A delta whose
     sample holds fewer than ``points_per_delta`` points (a box direction
     set that misses most of the ball) blocks acceptance, so the verifier
-    never passes vacuously.
+    never passes vacuously.  Each sampled point is evaluated once; the
+    continuity budget is checked at every one but ``x_bar``.
     """
     deltas = sorted(float(d) for d in delta_grid)
     if not deltas:
@@ -137,49 +154,40 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         xs = cert.gamma.sample(rng, cert.x_bar, d, points_per_delta)
         xs = xs[:points_per_delta + 2]
         checks_per_delta.append((d, len(xs)))
+        if not len(xs):
+            continue
         hs = evaluate_rows(h_fn, xs, "h_fn")
-        if membership is None:
-            fxs = evaluate_rows(F, xs, "F")
-        for i, (x, h) in enumerate(zip(xs, hs)):
-            L = _as_linear_map(L_fn(x))
-            dist = dist_to_operator_set(L, cert.lam)
-            if dist > rho_d + VERDICT_TOL:
-                violations.append({"delta": d, "x": x.tolist(),
-                                   "check": "operator_distance",
-                                   "value": dist, "bound": rho_d})
-            hn = float(np.linalg.norm(h))
-            if hn > d * rho_d + VERDICT_TOL:
-                violations.append({"delta": d, "x": x.tolist(),
-                                   "check": "remainder_size",
-                                   "value": hn, "bound": d * rho_d})
-            value = cert.y_bar + L.apply(x - cert.x_bar) + h
-            if membership is not None:
-                if not membership(x, value):
-                    violations.append({"delta": d, "x": x.tolist(),
-                                       "check": "membership",
-                                       "value": value.tolist(), "bound": None})
-            else:
-                resid = float(np.linalg.norm(value - fxs[i]))
-                if resid > VERDICT_TOL:
-                    violations.append({"delta": d, "x": x.tolist(),
-                                       "check": "approximation_identity",
-                                       "value": resid, "bound": VERDICT_TOL})
-        if cert.lipschitz_budget is not None and len(xs) >= 2:
+        Ls = _map_stack(L_fn, xs)
+        dists = distances_to_operator_set(Ls, cert.lam)
+        hns = row_norms(hs)
+        # one matmul per row, as in LinearMap.apply, keeps its bits
+        values = cert.y_bar \
+            + np.matmul(Ls, (xs - cert.x_bar)[:, :, None])[:, :, 0] + hs
+        checks = [("operator_distance", dists, rho_d,
+                   dists > rho_d + VERDICT_TOL),
+                  ("remainder_size", hns, d * rho_d,
+                   hns > d * rho_d + VERDICT_TOL)]
+        if membership is not None:
+            member = np.array([bool(membership(x, v))
+                               for x, v in zip(xs, values)])
+            checks.append(("membership", values, None, ~member))
+        else:
+            resids = row_norms(values - evaluate_rows(F, xs, "F"))
+            checks.append(("approximation_identity", resids, VERDICT_TOL,
+                           resids > VERDICT_TOL))
+        violations += _violations(d, xs, checks)
+        # x2 moves toward x_bar by d * 1e-6 of the distance, so only x_bar
+        # itself, which does not move, is skipped
+        x2s = xs + d * 1e-6 * (cert.x_bar - xs)
+        moved = ~np.all(x2s == xs, axis=1)
+        if cert.lipschitz_budget is not None and len(xs) >= 2 and moved.any():
             budget = cert.lipschitz_budget(d)
-            for x in xs[: min(16, len(xs))]:
-                # x2 moves toward x_bar by d * 1e-6 of the distance, so
-                # only x_bar itself, which does not move, is skipped
-                x2 = x + d * 1e-6 * (cert.x_bar - x)
-                if np.array_equal(x, x2):
-                    continue
-                dx = float(np.linalg.norm(x2 - x))
-                dev = _as_linear_map(L_fn(x)).frobenius_distance(
-                    _as_linear_map(L_fn(x2)))
-                if dev > budget * dx * 1.5 + 1e-9:
-                    violations.append({"delta": d, "x": x.tolist(),
-                                       "check": "continuity_budget",
-                                       "value": dev / max(dx, 1e-300),
-                                       "bound": budget})
+            dxs = row_norms(x2s[moved] - xs[moved])
+            devs = row_norms((Ls[moved] - _map_stack(L_fn, x2s[moved]))
+                             .reshape(len(dxs), -1))
+            violations += _violations(d, xs[moved], [(
+                "continuity_budget", devs / np.maximum(dxs, 1e-300), budget,
+                devs > budget * dxs * 1.5 + 1e-9)])
 
     ranked = sorted(violations,
                     key=lambda v: -(v["value"]
@@ -264,10 +272,6 @@ class CurveData:
         w = 0.5 * (1.0 + np.asarray(u, dtype=float))[..., None]
         return w * self.right_derivative + (1.0 - w) * self.left_derivative
 
-    def arc_map(self, u: float) -> LinearMap:
-        """The arc point at u as an m x 1 map."""
-        return LinearMap.from_vector(self.arc_points(u))
-
     @staticmethod
     def from_function(f, t_bar: float) -> "CurveData":
         left, right = one_sided_derivatives(f, t_bar)
@@ -331,16 +335,12 @@ def curve_certificate(data: CurveData, delta: float):
     def L_fn(x):
         s = float(np.atleast_1d(x)[0]) - t_bar
         if abs(s) <= d2 / 2.0:
-            return data.arc_map(2.0 * s / d2)
+            return LinearMap.from_vector(data.arc_points(2.0 * s / d2))
         if abs(s) < d2:
-            if s > 0:
-                w = (s - d2 / 2.0) / (d2 / 2.0)
-                end = phi(d2) / d2
-                start = data.arc_map(1.0).flat()
-            else:
-                w = (-s - d2 / 2.0) / (d2 / 2.0)
-                end = phi(-d2) / (-d2)
-                start = data.arc_map(-1.0).flat()
+            side = 1.0 if s > 0 else -1.0
+            w = (side * s - d2 / 2.0) / (d2 / 2.0)
+            end = phi(side * d2) / (side * d2)
+            start = data.arc_points(side)
             return LinearMap.from_vector((1.0 - w) * start + w * end)
         return LinearMap.from_vector(phi(s) / s)
 
@@ -365,7 +365,6 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
     grid = sorted(set([2.0 ** (-k) for k in range(2, 13)]
                       + [float(d) for d in DEFAULT_DELTA_GRID]))
     grid = [d for d in grid if d < delta_star]
-    samples = []
     budgets = {}
     raw = []
     for d in grid:
@@ -378,25 +377,17 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
         ]))
         ts = data.t_bar + offs
         hs = evaluate_rows(h_fn, ts[:, None], "h_fn")
-        worst = 0.0
-        slope = 0.0
-        prev = None
-        prev_t = None
-        for t, h in zip(ts, hs):
-            L = L_fn(np.array([t]))
-            worst = max(worst, dist_to_operator_set(L, lam),
-                        float(np.linalg.norm(h)) / d)
-            if prev is not None and t > prev_t:
-                slope = max(slope, L.frobenius_distance(prev) / (t - prev_t))
-            prev, prev_t = L, t
-        raw.append(worst)
-        budgets[d] = 2.0 * slope + 1.0
+        Ls = _map_stack(L_fn, ts[:, None])
+        raw.append(max(float(np.max(distances_to_operator_set(Ls, lam))),
+                       float(np.max(row_norms(hs))) / d))
+        # the slope of L between neighbours that t_bar + offs kept apart
+        steps = np.diff(ts)
+        jumps = row_norms((Ls[1:] - Ls[:-1]).reshape(len(steps), -1))
+        budgets[d] = 2.0 * float(np.max(jumps[steps > 0] / steps[steps > 0],
+                                        initial=0.0)) + 1.0
     # monotonize with headroom so the verifier's own samples stay inside
-    acc = 0.0
-    for i, d in enumerate(grid):
-        acc = max(acc, raw[i])
-        samples.append((d, 1.3 * acc + 1e-9))
-    rho = Modulus.from_samples(samples)
+    rho = Modulus.from_samples(
+        zip(grid, 1.3 * np.maximum.accumulate(raw) + 1e-9))
 
     def budget(d, budgets=budgets, grid=grid):
         nearest = min(grid, key=lambda g: abs(g - d))
@@ -419,16 +410,12 @@ def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     Absence of a witness does not certify anything.
     """
     tol = 1e-6
-    right = LinearMap.from_vector(data.right_derivative)
-    left = LinearMap.from_vector(data.left_derivative)
-    d_right = dist_to_operator_set(right, lam)
-    d_left = dist_to_operator_set(left, lam)
-    if d_right > tol:
-        return {"kind": "missing_derivative", "side": "right",
-                "distance": d_right}
-    if d_left > tol:
-        return {"kind": "missing_derivative", "side": "left",
-                "distance": d_left}
+    ends = np.stack([data.right_derivative, data.left_derivative])
+    dists = distances_to_operator_set(ends[:, :, None], lam).tolist()
+    for side, dist in zip(("right", "left"), dists):
+        if dist > tol:
+            return {"kind": "missing_derivative", "side": side,
+                    "distance": dist}
     if lam.convex_closure:
         return None  # hulls are connected
     flats = lam.flat_generators()
@@ -437,10 +424,8 @@ def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     _, labels = connected_components(
         np.linalg.norm(flats[:, None] - flats[None], axis=2) <= CURVE_GAP,
         directed=False)
-    comp_right = int(labels[np.argmin(
-        np.linalg.norm(flats - right.flat(), axis=1))])
-    comp_left = int(labels[np.argmin(
-        np.linalg.norm(flats - left.flat(), axis=1))])
+    comp_right, comp_left = labels[np.argmin(
+        np.linalg.norm(flats - ends[:, None], axis=2), axis=1)].tolist()
     if comp_right != comp_left:
         return {"kind": "disconnected", "gap": CURVE_GAP,
                 "components": [comp_left, comp_right]}
@@ -610,11 +595,9 @@ def singleton_qdq_check(F, x_bar, L: LinearMap) -> bool:
         d = 2.0 ** (-k)
         pts = np.vstack([ball_samples(rng, x_bar, d, 64),
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
-        sup = 0.0
-        for x, fx in zip(pts, evaluate_rows(F, pts, "F")):
-            resid = float(np.linalg.norm(fx - F0 - L.apply(x - x_bar)))
-            sup = max(sup, resid)
-        ratios.append(sup / d)
+        resids = evaluate_rows(F, pts, "F") - F0 \
+            - np.matmul(L.entries, (pts - x_bar)[:, :, None])[:, :, 0]
+        ratios.append(float(np.max(row_norms(resids))) / d)
     return ratios[-1] <= 1e-3 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
 
 
@@ -632,12 +615,13 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
                            min(cert.delta_star * 0.9, 1.0), 100)
     ys = evaluate_rows(F, xs, "F")
     for eta in (1e-1, 1e-2, 1e-3, 1e-4):
-        thetas = evaluate_rows(theta_family(eta), ys, "the retraction")
-        for x, y, theta_y in zip(xs, ys, thetas):
-            err = float(np.linalg.norm(y - theta_y))
-            if err >= eta + VERDICT_TOL:
-                raise AbundanceError(
-                    f"retraction at eta={eta} misses by {err}", worst_point=x)
+        errs = row_norms(ys - evaluate_rows(theta_family(eta), ys,
+                                            "the retraction"))
+        misses = np.flatnonzero(errs >= eta + VERDICT_TOL)
+        if misses.size:
+            i = misses[0]
+            raise AbundanceError(f"retraction at eta={eta} misses by "
+                                 f"{errs[i]}", worst_point=xs[i])
 
     def family(d):
         L_fn, h_fn = cert.family(d)

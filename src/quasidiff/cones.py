@@ -32,8 +32,8 @@ from scipy.optimize import linprog, nnls  # noqa: F401
 from scipy.sparse import coo_array
 from scipy.spatial import ConvexHull
 
-from .core import DimensionMismatchError, GammaSet, LinearMap, _svd_rank, \
-    dedupe, in_conic_hull
+from .core import DimensionMismatchError, GammaSet, LinearMap, \
+    NonFiniteValueError, _svd_rank, dedupe, in_conic_hull
 
 WITNESS_TOL = 1e-7
 
@@ -46,8 +46,9 @@ class ConvexCone:
     generators: np.ndarray  # k x n, possibly k = 0 for the trivial cone
 
     def __post_init__(self):
-        gens = np.asarray(self.generators, dtype=float).reshape(-1, self.dimension)
-        gens = gens.copy()
+        gens = np.array(self.generators, dtype=float).reshape(-1, self.dimension)
+        if not np.all(np.isfinite(gens)):
+            raise NonFiniteValueError("generators must be finite")
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
@@ -90,14 +91,16 @@ class SeparationCertificate:
 
 
 def conic_hull(vectors, dimension: int | None = None) -> ConvexCone:
-    """Conic hull of a finite vector list; zero vectors are dropped."""
+    """Conic hull of a finite vector list; zero vectors are dropped, and a
+    NaN or an infinite entry raises ``NonFiniteValueError``."""
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     if vecs.size == 0:
         if dimension is None:
             raise ValueError("dimension required for an empty generator list")
         return ConvexCone(dimension, np.zeros((0, dimension)))
     n = vecs.shape[1]
-    keep = vecs[np.linalg.norm(vecs, axis=1) > 1e-12]
+    # a NaN row is not within 1e-12 of 0, so it is kept and refused
+    keep = vecs[~(np.linalg.norm(vecs, axis=1) <= 1e-12)]
     return ConvexCone(n, keep.reshape(-1, n))
 
 
@@ -210,12 +213,6 @@ def _nonzero_points(systems) -> list:
     return points
 
 
-def _nonzero_point_in_polyhedral_cone(constraints: np.ndarray, n: int):
-    """A nonzero point of {p : constraints @ p <= 0} with |p|_inf <= 1, or
-    None; the one-system view of ``_nonzero_points``."""
-    return _nonzero_points([(constraints, n)])[0]
-
-
 STRONGLY_TRANSVERSAL = "StronglyTransversal"
 COMPLEMENTARY_SUBSPACES = "ComplementarySubspaces"
 LINEARLY_SEPARABLE = "LinearlySeparable"
@@ -300,8 +297,7 @@ def image_cone(L: LinearMap, gamma: GammaSet) -> ConvexCone:
 
 def is_full_space(cone: ConvexCone) -> bool:
     """True iff the cone positively spans the whole space."""
-    return _nonzero_point_in_polyhedral_cone(cone.generators,
-                                             cone.dimension) is None
+    return _nonzero_points([(cone.generators, cone.dimension)])[0] is None
 
 
 def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:

@@ -73,6 +73,13 @@ def evaluate_rows(F, points, name: str) -> np.ndarray:
     return values
 
 
+def row_norms(rows) -> np.ndarray:
+    """The Euclidean norm of each row of a (k, d) array by one BLAS dot per
+    row, as ``np.linalg.norm`` of the row (``norm(axis=1)`` differs)."""
+    a = np.ascontiguousarray(rows, dtype=float)
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+
+
 def ball_samples(rng: np.random.Generator, center, radius: float,
                  count: int) -> np.ndarray:
     """``count`` points uniform in ``center + B_radius``: normalised
@@ -114,13 +121,6 @@ class LinearMap:
 
     def flat(self) -> np.ndarray:
         return self.entries.ravel()
-
-    def frobenius_distance(self, other: "LinearMap") -> float:
-        if self.entries.shape != other.entries.shape:
-            raise DimensionMismatchError(
-                f"shape {self.entries.shape} vs {other.entries.shape}"
-            )
-        return float(np.linalg.norm(self.entries - other.entries))
 
     @staticmethod
     def from_vector(v: np.ndarray) -> "LinearMap":
@@ -204,6 +204,11 @@ class GammaSet:
     HALFLINE = "halfline"
     CONE = "cone"
     BOX = "box"
+
+    def __post_init__(self):
+        for value in (self.direction, self.generators):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise NonFiniteValueError("directions must be finite")
 
     @staticmethod
     def full_space(n: int) -> "GammaSet":
@@ -340,25 +345,31 @@ def _simplex_least_squares(columns: np.ndarray, target: np.ndarray):
     return coeffs, float(np.linalg.norm(columns @ coeffs - target))
 
 
-def dist_to_operator_set(L: LinearMap, lam: OperatorSet) -> float:
-    """Frobenius distance from a map to an operator set.
+def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
+    """Frobenius distance from each map of a (k, m, n) stack to an operator
+    set.
 
     Exact minimum over the generators, or over their convex hull when the
     set carries the convex-closure flag, at every scale of the set (up to
     rounding of about 1e-16 (1 + |data|)); a distance of at most 1e-12 is
     returned as 0.
     """
-    if L.entries.shape != lam.shape:
+    maps = np.asarray(maps, dtype=float)
+    if maps.shape[1:] != lam.shape:
         raise DimensionMismatchError(
-            f"map shape {L.entries.shape} vs set shape {lam.shape}"
-        )
+            f"map shape {maps.shape[1:]} vs set shape {lam.shape}")
     flats = lam.flat_generators()
-    target = L.flat()
+    targets = maps.reshape(len(maps), -1)
     if not lam.convex_closure:
-        d = float(np.min(np.linalg.norm(flats - target, axis=1)))
+        d = np.min(np.linalg.norm(flats - targets[:, None], axis=2), axis=1)
     else:
-        _, d = _simplex_least_squares(flats.T, target)
-    return 0.0 if d <= 1e-12 else d
+        d = np.array([_simplex_least_squares(flats.T, t)[1] for t in targets])
+    return np.where(d <= 1e-12, 0.0, d)
+
+
+def dist_to_operator_set(L: LinearMap, lam: OperatorSet) -> float:
+    """The one-map view of ``distances_to_operator_set``."""
+    return float(distances_to_operator_set(L.entries[None], lam)[0])
 
 
 class InexactHausdorffError(ValueError):
@@ -375,7 +386,7 @@ def _directed_hausdorff(a: OperatorSet, b: OperatorSet) -> float:
             and not b.convex_closure and len(b.generators) > 1:
         raise InexactHausdorffError(
             "directed Hausdorff distance from a hull to a generator list")
-    return max(dist_to_operator_set(LinearMap(g), b) for g in a.generators)
+    return float(np.max(distances_to_operator_set(a.generators, b)))
 
 
 def hausdorff_distance(a: OperatorSet, b: OperatorSet) -> float:

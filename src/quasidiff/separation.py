@@ -10,12 +10,12 @@ from scipy.spatial import cKDTree
 from .cones import (
     ConvexCone,
     STRONGLY_TRANSVERSAL,
+    _nonzero_points,
     analyze_pairs,
     image_cone,
-    is_full_space,
 )
 from .core import DimensionMismatchError, GammaSet, LinearMap, \
-    OperatorSet, evaluate_rows
+    OperatorSet, distances_to_operator_set, evaluate_rows, row_norms
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -91,9 +91,9 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
     origin = np.zeros(gamma.dimension)
     for d in deltas:
         xs = gamma.sample(rng, origin, d, 200)
-        for y in evaluate_rows(g_family(d), xs, "g_family"):
-            if float(np.linalg.norm(y - z)) <= MATCH_TOL:
-                return False
+        ys = evaluate_rows(g_family(d), xs, "g_family")
+        if len(xs) and np.any(row_norms(ys - z) <= MATCH_TOL):
+            return False
     return True
 
 
@@ -137,21 +137,29 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     when a sampled value lies within half the lattice spacing,
     a / (2 * target_grid).
 
-    The surjectivity hypothesis (every generator maps the direction set
-    onto the codomain) is checked first and raises SurjectivityError —
+    The surjectivity hypothesis (every map of Lambda maps the direction
+    set onto the codomain) is checked first and raises SurjectivityError —
     that signal means the hypotheses fail, not that the probe failed.  A
-    NaN or an infinity from F raises ``NonFiniteValueError``, and an empty
-    domain sample raises ``ValueError``.
+    hull is checked whole only for m = 1 and Gamma = R^n (it fails exactly
+    when it holds 0), else at its vertices.  A NaN or an infinity from F
+    raises ``NonFiniteValueError``, an empty domain sample ``ValueError``.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
-    for idx, g in enumerate(lam.generators):
-        if not is_full_space(image_cone(LinearMap(g), gamma)):
+    images = [image_cone(LinearMap(g), gamma) for g in lam.generators]
+    witnesses = _nonzero_points([(k.generators, k.dimension) for k in images])
+    for idx, (g, p) in enumerate(zip(lam.generators, witnesses)):
+        if p is not None:
             raise SurjectivityError(
                 f"generator {idx} with matrix {g.tolist()} is not "
                 "surjective on the direction set")
+    zero = np.zeros((1,) + lam.shape)
+    if lam.convex_closure and lam.shape[0] == 1 \
+            and gamma.kind == GammaSet.FULL \
+            and distances_to_operator_set(zero, lam)[0] == 0.0:
+        raise SurjectivityError("the hull of Lambda holds the zero map")
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
     xs = gamma.sample(rng, x_bar, a * beta, domain_samples)

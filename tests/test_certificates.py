@@ -189,9 +189,22 @@ class TestContinuityBudget:
         assert not rep.accepted
         assert {v["check"] for v in rep.violations} == {"continuity_budget"}
 
-    def test_first_sixteen_points_checked(self):
-        # one L call per check, and two for each of the first 16 points of
-        # every delta (none of them is x_bar)
+    def test_budget_wrong_below_the_top_delta_refused(self):
+        # the budget is right at 1e-1 and ten times below the ramp's slope
+        # at 1e-2 and 1e-3, where a point of the ramp |t| <= delta^2 turns
+        # up with probability delta; none of the first 16 points of seed 0
+        # is on it
+        cert = replace(c.absvalue_qdq(), lipschitz_budget=lambda d: (
+            0.1 / (d * d) if d <= 1e-2 else 1.1 / (d * d) + 2.0))
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 200,
+                                   seed=0)
+        assert not rep.accepted
+        assert {v["check"] for v in rep.violations} == {"continuity_budget"}
+        assert {v["delta"] for v in rep.violations} <= {1e-2, 1e-3}
+
+    def test_every_point_checked(self):
+        # one L call per check, and one more at the moved point of each
+        # check (none of them is x_bar)
         calls = []
 
         def family(d):
@@ -203,7 +216,29 @@ class TestContinuityBudget:
                                    seed=0)
         assert rep.accepted
         assert rep.checks_run == 606
-        assert len(calls) == 606 + 3 * 16 * 2
+        assert len(calls) == 2 * 606
+
+
+class TestModulusMonotone:
+    def test_decreasing_rho_refused(self):
+        # every inequality holds under the generous rho, but a modulus must
+        # not decrease in delta
+        cert = replace(c.absvalue_qdq(), rho=lambda d: 2.0 - d)
+        rep = c.verify_certificate(abs_map, cert, [1e-1, 1e-2, 1e-3], 50,
+                                   seed=0)
+        assert not rep.rho_monotone
+        assert rep.violations == []
+        assert not rep.accepted
+
+
+class TestMapShapes:
+    def test_maps_of_several_shapes_refused(self):
+        # a map of the wrong shape at some points only
+        cert = replace(c.absvalue_qdq(), family=lambda d: (
+            lambda x: [[1.0]] if x[0] > 0 else [[1.0, 0.0]],
+            c.absvalue_certificate(d)[1]))
+        with pytest.raises(core.DimensionMismatchError):
+            c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
 
 
 class TestEmptyDeltaGrid:

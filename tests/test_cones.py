@@ -30,7 +30,8 @@ from quasidiff.cones import (
     is_full_space,
     polar_cone,
 )
-from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap
+from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap, \
+    NonFiniteValueError
 
 
 def sampling_transversal_oracle(k1, k2, directions=400, seed=0, tol=1e-7):
@@ -181,6 +182,17 @@ class TestConicHull:
         assert c.is_trivial
         assert c.contains([0.0, 0.0])
         assert not c.contains([1.0, 0.0])
+
+    def test_nan_generator_refused(self):
+        # a NaN row fails the norm test against 0, so it was dropped and
+        # the pair verdict read off the rest
+        with pytest.raises(NonFiniteValueError):
+            conic_hull([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_nan_cone_refused(self):
+        # analyze_pair on this cone raised LinAlgError from the SVD
+        with pytest.raises(NonFiniteValueError):
+            ConvexCone(2, [[np.nan, 0.0]])
 
 
     def test_membership_recomputes_the_nnls_residual(self):

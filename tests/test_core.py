@@ -109,10 +109,6 @@ class TestLinearMap:
         with pytest.raises(ValueError):
             L.entries[0, 0] = 2.0
 
-    def test_frobenius_distance_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            LinearMap([[1.0]]).frobenius_distance(LinearMap([[1.0, 0.0]]))
-
 
 class TestOperatorSet:
     def test_no_generators_refused(self):
@@ -403,6 +399,15 @@ class TestGammaSet:
         g = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]])
         assert g.contains([0.5, 0.25])
         assert not g.contains([-0.5, 0.25])
+
+    def test_nan_half_line_refused(self):
+        # a NaN norm passes the nonzero test
+        with pytest.raises(NonFiniteValueError):
+            GammaSet.half_line([np.nan, 1.0])
+
+    def test_nan_finite_cone_refused(self):
+        with pytest.raises(NonFiniteValueError):
+            GammaSet.finite_cone([[np.nan, 1.0]])
 
 
 def evaluate_loop(F, points, name):

@@ -145,6 +145,20 @@ class TestOpenMappingProbe:
                                0.1, 2.0, 5, 100, seed=5)
         assert "generator 2" in str(err.value)
 
+    def test_hull_through_zero_precondition_error(self):
+        # both generators of co{1, -1} are surjective, but the hull holds
+        # the zero map; the probe read covered 0.52 instead of refusing
+        F = make_map("abs1d")
+        lam = OperatorSet.from_matrices([[[1.0]], [[-1.0]]],
+                                        convex_closure=True)
+        with pytest.raises(SurjectivityError, match="hull"):
+            open_mapping_probe(F, [0.0], [0.0], GammaSet.full_space(1), lam,
+                               0.1, 2.0, 10, 20000, seed=0)
+        rep = open_mapping_probe(F, [0.0], [0.0], GammaSet.full_space(1),
+                                 OperatorSet(lam.generators), 0.1, 2.0, 10,
+                                 20000, seed=0)
+        assert rep.covered_fraction < 1.0
+
     def test_identity_is_open(self):
         F = make_map("identity", {"dimension": 1})
         lam = OperatorSet.from_matrices([[[1.0]]])
