@@ -20,6 +20,7 @@ from .core import (
     GammaSet,
     LinearMap,
     Modulus,
+    NonFiniteValueError,
     OperatorSet,
     VERDICT_TOL,
     ball_samples,
@@ -37,6 +38,11 @@ CURVE_GAP = 1e-2
 
 class NotOneSidedDifferentiableError(RuntimeError):
     """One-sided difference quotients failed the Cauchy check."""
+
+
+class WindowResolutionError(ValueError):
+    """A curve's reference time is too large for its sample offsets to
+    resolve the certificate's inner window [-delta^2, delta^2]."""
 
 
 class AbundanceError(RuntimeError):
@@ -354,7 +360,9 @@ def curve_certificate(data: CurveData, delta: float):
 def curve_qdq(data: CurveData) -> QdqCertificate:
     """Full curve certificate with an empirically measured modulus, on
     delta_star = 0.5.  Lambda is the derivative segment of a scalar curve,
-    else 41 points of the connecting arc."""
+    else 41 points of the connecting arc.  Raises ``WindowResolutionError``
+    when t_bar + offset merges distinct offsets of an inner window, whose
+    modulus would then be measured without sampling the window."""
     delta_star = 0.5
     if data.codomain_dim == 1:
         lam = _derivative_segment(data.left_derivative, data.right_derivative)
@@ -370,11 +378,13 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
     for d in grid:
         L_fn, h_fn = curve_certificate(data, d)
         # multi-scale grid: the piecewise regions live at scales d and d^2
+        inner = np.linspace(-d * d, d * d, 161)
+        if np.unique(data.t_bar + inner).size < inner.size:
+            raise WindowResolutionError(
+                f"t_bar = {data.t_bar!r} merges the inner-window offsets "
+                f"at delta {d!r}, so the window would go unsampled")
         offs = np.unique(np.concatenate([
-            np.linspace(-d, d, 161),
-            np.linspace(-d * d, d * d, 161),
-            [-d * d / 2.0, d * d / 2.0],
-        ]))
+            np.linspace(-d, d, 161), inner, [-d * d / 2.0, d * d / 2.0]]))
         ts = data.t_bar + offs
         hs = evaluate_rows(h_fn, ts[:, None], "h_fn")
         Ls = _map_stack(L_fn, ts[:, None])
@@ -645,19 +655,30 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
         retraction_eta=lambda d: d * float(cert.rho(d)))
 
 
+def _finite(value, name: str, x) -> np.ndarray:
+    """``value`` as a 1-D float array; ``NonFiniteValueError`` at ``x`` if
+    it has a NaN or an infinite entry."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.isfinite(value).all():
+        raise NonFiniteValueError(f"{name} returned a non-finite value at "
+                                  f"{np.asarray(x).tolist()}", point=x)
+    return value
+
+
 def abundant_membership(F, cert: QdqCertificate, theta_family,
                         delta_grid=DEFAULT_DELTA_GRID):
     """Membership oracle for the retraction union, for use as the
-    ``membership`` argument of the verifier."""
+    ``membership`` argument of the verifier.  A NaN or an infinity from F
+    or the retraction raises ``NonFiniteValueError``: it would compare as
+    no image at all and so read as a non-member."""
     eta_of = cert.retraction_eta or (lambda d: d * float(cert.rho(d)))
     etas = sorted({float(eta_of(d)) for d in delta_grid} - {0.0})
 
     def member(x, y):
-        base = np.atleast_1d(np.asarray(F(x), dtype=float))
+        base = _finite(F(x), "F", x)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         for eta in etas:
-            img = np.atleast_1d(
-                np.asarray(theta_family(eta)(base), dtype=float))
+            img = _finite(theta_family(eta)(base), "the retraction", base)
             if np.linalg.norm(y - img) <= VERDICT_TOL:
                 return True
         return False

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull as _QhullHull
 from scipy.spatial import QhullError
+from scipy.spatial import cKDTree
 
 EQUALITY_TOL = 1e-10
 VERDICT_TOL = 1e-8
@@ -53,24 +54,45 @@ class NonFiniteValueError(ValueError):
 def evaluate_rows(F, points, name: str) -> np.ndarray:
     """F at every row of ``points``, stacked into a ``(k, m)`` array.
 
-    F is called once per row, in order; the rows of a 1-D ``points`` are
-    passed as floats.  Raises ``NonFiniteValueError`` at the first row
-    whose value has a NaN or an infinite entry: such a value fails every
-    comparison and so would pass every check.  The test is on entries, so
-    a huge finite value whose norm overflows is left to the caller's
-    bound.  Empty ``points`` call nothing and give a ``(0, 0)`` array.
+    When F carries a row evaluator ``F.rows`` (the catalog's maps and
+    fields do), it is called once on the whole ``(k, n)`` sample, the rows
+    of a 1-D ``points`` as a column.  Otherwise, or when that call raises
+    ``DomainEscapeError``, F is called once per row, in order, and the rows
+    of a 1-D ``points`` are passed as floats.  Raises
+    ``NonFiniteValueError`` at the first row whose value has a NaN or an
+    infinite entry: such a value fails every comparison and so would pass
+    every check.  The test is on entries, so a huge finite value whose norm
+    overflows is left to the caller's bound.  Empty ``points`` call nothing
+    and give a ``(0, 0)`` array.
     """
     pts = np.asarray(points, dtype=float)
     if not len(pts):
         return np.zeros((0, 0))
-    rows = pts.tolist() if pts.ndim == 1 else pts
-    values = np.array([F(x) for x in rows], dtype=float).reshape(len(pts), -1)
+    values = _row_values(F, pts.reshape(len(pts), -1))
+    if values is None:
+        rows = pts.tolist() if pts.ndim == 1 else pts
+        values = np.array([F(x) for x in rows], dtype=float)
+    values = values.reshape(len(pts), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        x = rows[int(np.argmin(finite))]
+        i = int(np.argmin(finite))
+        x = pts[i].tolist() if pts.ndim == 1 else pts[i]
         raise NonFiniteValueError(f"{name} returned a non-finite value at "
                                   f"{np.asarray(x).tolist()}", point=x)
     return values
+
+
+def _row_values(F, X: np.ndarray):
+    """``F.rows(X)`` as a float array with one row per row of the (k, n)
+    array ``X``, or None when F has no row evaluator or it raises
+    ``DomainEscapeError``: the caller then calls F row by row."""
+    rows = getattr(F, "rows", None)
+    if rows is None:
+        return None
+    try:
+        return np.array(rows(X), dtype=float).reshape(len(X), -1)
+    except DomainEscapeError:
+        return None
 
 
 def row_norms(rows) -> np.ndarray:
@@ -425,19 +447,30 @@ def dedupe(points, tol: float) -> np.ndarray:
     """Rows of ``points`` without near-duplicates, in their original order.
 
     Greedy first occurrence: a row is kept unless an earlier kept row lies
-    within ``tol`` (Euclidean).  Each pass keeps the first remaining row and
-    drops every later row within ``tol`` of it, so the cost is
-    O(rows x kept) in vectorised distance evaluations.
+    within ``tol`` (Euclidean, ``norm <= tol``).  One k-d tree query
+    (Bentley, CACM 1975) first finds the rows with no other row within
+    ``tol * (1 + 1e-6)``; the margin covers the tree's own rounding.  Such
+    a row is kept and drops nothing, so only the crowded rows go through
+    the greedy passes, each of which keeps the first remaining row and
+    drops every later row within ``tol`` of it.  The cost is one tree
+    query plus O(crowded x kept) vectorised distances.  Input with a NaN
+    or an infinite entry, and a ``tol`` below 1e-100, whose square the
+    tree's squared distances cannot resolve, skip the tree: every row is
+    then crowded.
     """
     pts = np.asarray(points, dtype=float)
-    keep = []
-    rest = np.arange(pts.shape[0])
+    crowded = np.ones(len(pts), dtype=bool)
+    if len(pts) > 1 and tol >= 1e-100 and np.isfinite(pts).all():
+        crowded = cKDTree(pts).query_ball_point(
+            pts, tol * (1.0 + 1e-6), return_length=True) > 1
+    keep = [np.flatnonzero(~crowded)]
+    rest = np.flatnonzero(crowded)
     while rest.size:
         first, rest = rest[0], rest[1:]
-        keep.append(first)
+        keep.append([first])
         # a NaN distance is not within tol, so it keeps the row
         rest = rest[~(np.linalg.norm(pts[rest] - pts[first], axis=1) <= tol)]
-    return pts[keep]
+    return pts[np.sort(np.concatenate(keep))]
 
 
 def convex_hull_points(points) -> np.ndarray:

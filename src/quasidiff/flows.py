@@ -26,7 +26,7 @@ class Box:
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
 
     def contains_rows(self, points) -> np.ndarray:
         """Row-wise ``contains`` of a (k, n) array, as a length-k mask."""
@@ -36,20 +36,29 @@ class Box:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A Lipschitz map on a box domain, with a declared Lipschitz estimate."""
+    """A Lipschitz map on a box domain, with a declared Lipschitz estimate.
+
+    ``rows``, when given, maps a (k, n) array to the (k, n) array of the
+    field's values at its rows, with the bits of ``self(x)`` row for row;
+    the sampling layer then makes one call per sample instead of one per
+    point.
+    """
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: Box
     lipschitz_estimate: float
     label: str = ""
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
 
     def negated(self) -> "VectorField":
+        rows = None if self.rows is None else \
+            (lambda X: -np.asarray(self.rows(X), dtype=float))
         return VectorField(self.dimension, lambda x: -self(x), self.domain,
-                           self.lipschitz_estimate, f"-({self.label})")
+                           self.lipschitz_estimate, f"-({self.label})", rows)
 
     def audit_lipschitz(self, seed: int = 0) -> bool:
         """Spot-check 200 sampled difference quotients against the declared
@@ -100,7 +109,7 @@ def flow(f: VectorField, q, t: float, cfg: FlowSolverConfig) -> np.ndarray:
         k3 = f(y + 0.5 * h * k2)
         k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise BlowUpError(f"non-finite state at step {i + 1}")
         if not f.domain.contains(y, tol=1e-12):
             raise DomainEscapeError("trajectory left the domain",

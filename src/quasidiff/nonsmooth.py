@@ -10,9 +10,12 @@ all remaining samples, and the step-h Jacobians come back with their
 two-scale differentiability scores.  ``fd_jacobian`` and
 ``differentiability_score`` are one-row views of the same pass.  Sample
 balls come from ``core.ball_samples``; maps and fields are called on a
-whole sample through ``core.evaluate_rows``, except in the stencil pass,
-which must skip the rows whose calls leave the domain.  Non-finite values
-raise ``NonFiniteValueError`` instead of reaching a score.
+whole sample through ``core.evaluate_rows``.  A map or field with a row
+evaluator (``rows``, as every catalog entry has) is called once per
+sample, and in the stencil pass once per stencil side and column; any
+other callable is called point by point, and the stencil pass then skips
+the rows whose calls leave the domain.  Non-finite values raise
+``NonFiniteValueError`` instead of reaching a score.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .core import (
     LinearMap,
     NonFiniteValueError,
     OperatorSet,
+    _row_values,
     ball_samples,
     convex_hull_points,
     dedupe,
@@ -57,7 +61,10 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
     Returns ``(rows, jacobians)``: the indices of the rows whose stencils
     x +- step * e_i all lie in ``f.domain`` (when f has one) and evaluate
     without ``DomainEscapeError``, and for each step a C-contiguous
-    ``(len(rows), m, n)`` array of their Jacobians.  Raises
+    ``(len(rows), m, n)`` array of their Jacobians.  A row evaluator
+    ``f.rows`` is called once per stencil side and column on the rows still
+    kept; a column whose call raises ``DomainEscapeError``, and every
+    column of an f without one, calls f row by row.  Raises
     ``NonFiniteValueError`` when a kept row has a non-finite quotient.
     """
     k, n = pts.shape
@@ -74,7 +81,16 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
             ok &= domain.contains_rows(plus) & domain.contains_rows(minus)
     values = None  # (stencil, +/-, row, output), sized at the first value
     for c, (plus, minus, _) in enumerate(stencils):
-        for r in np.flatnonzero(ok):
+        live = np.flatnonzero(ok)
+        vp = _row_values(f, plus[live]) if live.size else None
+        vm = _row_values(f, minus[live]) if vp is not None else None
+        if vm is not None:
+            if values is None:
+                values = np.zeros((len(stencils), 2, k, vp.shape[1]))
+            values[c, 0, live] = vp
+            values[c, 1, live] = vm
+            continue
+        for r in live:
             try:
                 vp = np.asarray(f(plus[r]), dtype=float).ravel()
                 vm = np.asarray(f(minus[r]), dtype=float).ravel()

@@ -598,6 +598,23 @@ class TestAbundantTransfer:
         with pytest.raises(c.AbundanceError):
             c.abundant_transfer(self.F, self.cert, bad, seed=7)
 
+    def test_nan_retraction_in_membership_raises(self):
+        # a NaN image compares as no image at all: the oracle read every
+        # point as a non-member and the verifier reported violations
+        t = c.abundant_transfer(self.F, self.cert, self.theta, seed=7)
+        member = c.abundant_membership(
+            self.F, t, lambda eta: (lambda y: y * np.nan), delta_grid=[1e-1])
+        with pytest.raises(core.NonFiniteValueError, match="retraction"):
+            c.verify_certificate(self.F, t, [1e-1], 20, seed=8,
+                                 membership=member)
+
+    def test_nan_map_in_membership_raises(self):
+        t = c.abundant_transfer(self.F, self.cert, self.theta, seed=7)
+        member = c.abundant_membership(
+            lambda x: np.array([np.nan]), t, self.theta, delta_grid=[1e-1])
+        with pytest.raises(core.NonFiniteValueError, match="F returned"):
+            member(np.array([0.05]), np.array([0.05]))
+
 
 class TestGammaIntersection:
     def test_full_with_anything(self):

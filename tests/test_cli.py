@@ -14,6 +14,8 @@ from quasidiff.scenarios import ConfigError, Scenario, load_config, \
     run_scenario, run_scenarios
 
 GOLDEN_SUMMARY = Path(__file__).parent / "golden" / "reference_summary.csv"
+GOLDEN_REPORTS = sorted(
+    (Path(__file__).parent / "golden" / "reference").glob("*.json"))
 
 
 def write_config(path, scenarios):
@@ -232,3 +234,19 @@ class TestReferenceGolden:
                 float(w["metric_value"]), abs=1e-12, rel=1e-9), g["scenario"]
         assert (tmp_path / "summary.csv").read_bytes() == \
             GOLDEN_SUMMARY.read_bytes()
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "parallel"])
+    def test_reports_match_golden(self, tmp_path, parallel):
+        """Every report JSON of the reference suite is byte-identical to
+        the committed one.  ``summary.csv`` rounds its values to 12 digits;
+        the reports carry every generator and margin at full precision, so
+        a drift in the last bit shows here."""
+        argv = ["run", "reference", "--out", str(tmp_path)]
+        assert main(argv + ["--parallel"] if parallel else argv) == 0
+        assert len(GOLDEN_REPORTS) == 7
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == \
+            [p.name for p in GOLDEN_REPORTS]
+        for golden in GOLDEN_REPORTS:
+            assert (tmp_path / golden.name).read_bytes() == \
+                golden.read_bytes(), golden.name

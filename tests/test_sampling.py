@@ -3,12 +3,14 @@
 The loops below (the greedy dedupe, the per-sample finite-difference
 estimators and the pointwise mollifier) are kept here as oracles only.
 Where the arithmetic is unchanged the vectorised code must match them bit
-for bit.  The active-set scan that ``_extreme_rays`` replaced is kept as an
+for bit.  So must the catalog's row evaluators match their own pointwise
+functions, stacked.  The active-set scan that ``_extreme_rays`` replaced is kept as an
 oracle too: the Qhull read-off must span the same cone, minimally.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from quasidiff.core import (
     dedupe,
     in_conic_hull,
 )
-from quasidiff.fields import abs_shear_field, linear_field, make_map, \
-    unit_x_field
+from quasidiff.fields import abs_1d_field, abs_shear_field, \
+    constant_field, linear_field, make_map, unit_x_field
 from quasidiff.flows import Box, VectorField
 from quasidiff.nonsmooth import (
     DIFFERENTIABILITY_THRESHOLD,
@@ -217,6 +219,58 @@ def same_generators(a, b):
     return np.array_equal(a.flat_generators(), b.flat_generators())
 
 
+def refusing_rows_field():
+    """refusing_field with a row evaluator that refuses a whole stencil
+    column when any of its rows has x1 > 2e-4."""
+    def rows(X):
+        if np.any(X[:, 0] > 2e-4):
+            raise DomainEscapeError("refused", point=X[np.argmax(X[:, 0])])
+        return np.column_stack([np.zeros(len(X)), np.abs(X[:, 0])])
+    return replace(refusing_field(), rows=rows)
+
+
+def stacked_loop(F, X):
+    """Oracle: F at each row of X, one call per row, stacked."""
+    return np.array([np.asarray(F(x), dtype=float) for x in X]) \
+        .reshape(len(X), -1)
+
+
+def outcome(fn):
+    """The bytes and shape of ``fn()``, or the type of what it raised."""
+    try:
+        out = np.asarray(fn(), dtype=float)
+    except ArithmeticError as exc:  # float ** 2 overflows
+        return type(exc)
+    return out.shape, out.tobytes()
+
+
+# signed zeros, and both signs at magnitudes from 1e-300 to 1e300
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999),
+              st.integers(-300, 299)))
+
+
+def entry_arrays(*shape):
+    size = int(np.prod(shape))
+    return st.lists(ENTRIES, min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=float).reshape(shape))
+
+
+# the catalog, by label: (builder, input dimension)
+CATALOG = {
+    "map:fold_sum": (lambda: make_map("fold_sum"), 2),
+    "map:identity": (lambda: make_map("identity", {"dimension": 3}), 3),
+    "map:abs1d": (lambda: make_map("abs1d"), 1),
+    "map:square1d": (lambda: make_map("square1d"), 1),
+    "field:constant": (lambda: constant_field([2.5, -0.0, 1e-300]), 3),
+    "field:unit_x": (unit_x_field, 2),
+    "field:abs_shear": (abs_shear_field, 2),
+    "field:abs1d": (abs_1d_field, 1),
+}
+
+
 # ---------------------------------------------------------------------------
 
 class TestDedupe:
@@ -267,6 +321,79 @@ class TestDedupe:
     def test_empty_and_single(self):
         assert dedupe(np.zeros((0, 3)), 1e-8).shape == (0, 3)
         assert np.array_equal(dedupe([[1.0, 2.0]], 1e-8), [[1.0, 2.0]])
+
+
+class TestDedupeAgainstTree:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           tol=st.sampled_from([1e-12, 1e-10, 1e-3]),
+           nans=st.integers(0, 3))
+    def test_clusters_isolated_and_nan_rows_match_loop(self, seed, dim, tol,
+                                                       nans):
+        # tight clusters (repeats and neighbours at tol * (1 +- 1e-6)),
+        # rows far from every other, and rows with a NaN entry, shuffled
+        rng = np.random.default_rng(seed)
+        centres = 100.0 * tol * rng.normal(size=(30, dim))
+        u = rng.normal(size=(150, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        scale = tol * rng.choice([0.3, 1.0 - 1e-6, 1.0 + 1e-6, 2.0],
+                                 size=(150, 1))
+        clusters = centres[rng.integers(30, size=150)] + scale * u
+        isolated = 1e4 * tol * rng.normal(size=(120, dim))
+        nan_rows = rng.normal(size=(nans, dim))
+        nan_rows[:, rng.integers(dim)] = np.nan
+        cloud = np.vstack([centres, clusters, isolated, nan_rows])
+        cloud = cloud[rng.permutation(len(cloud))]
+        got = dedupe(cloud, tol)
+        assert got.tobytes() == dedupe_loop(cloud, tol).tobytes()
+
+
+class TestRowEvaluators:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), label=st.sampled_from(sorted(CATALOG)),
+           k=st.integers(1, 6), negate=st.booleans())
+    def test_catalog_rows_match_pointwise(self, data, label, k, negate):
+        make, n = CATALOG[label]
+        F = make()
+        if negate and label.startswith("field:"):
+            F = F.negated()
+        X = data.draw(entry_arrays(k, n))
+        assert outcome(lambda: F.rows(X)) == \
+            outcome(lambda: stacked_loop(F, X))
+
+    # products of entries near 1e300 overflow, alike on both paths
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 3),
+           k=st.integers(1, 6), negate=st.booleans())
+    def test_linear_rows_match_pointwise(self, data, n, m, k, negate):
+        # linear_field takes a square matrix; an m x n one checks the
+        # stacked product of any shape
+        a = data.draw(entry_arrays(m, n))
+        f = linear_field(data.draw(entry_arrays(n, n)))
+        g = replace(f, evaluator=lambda x: a @ x, rows=lambda X: np.matmul(
+            a[None], X[:, :, None])[:, :, 0])
+        X = data.draw(entry_arrays(k, n))
+        for F in (f, g):
+            F = F.negated() if negate else F
+            assert outcome(lambda: F.rows(X)) == \
+                outcome(lambda: stacked_loop(F, X))
+
+    def test_refused_row_call_falls_back_to_the_loop(self):
+        g, want = refusing_rows_field(), refusing_field()
+        pts = ball_samples(np.random.default_rng(7), np.zeros(2), 1e-3, 400)
+        got = _scored_jacobians(g, pts, 1e-4)
+        ref = _scored_jacobians(want, pts, 1e-4)
+        assert 0 < len(got[0]) < len(pts)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        f = unit_x_field()
+        assert same_generators(
+            clarke_jacobian_estimate(g, [0.0, 0.0], 1e-3, 300, 4),
+            clarke_jacobian_estimate(want, [0.0, 0.0], 1e-3, 300, 4))
+        assert same_generators(
+            set_lie_bracket_estimate(f, g, [0.0, 0.0], 1e-3, 300, 4),
+            set_lie_bracket_estimate(f, want, [0.0, 0.0], 1e-3, 300, 4))
 
 
 class TestEstimatorsMatchLoops:

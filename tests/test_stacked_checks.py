@@ -186,8 +186,11 @@ def curve(name):
     if name == "space":
         return c.CurveData.from_function(
             lambda t: np.array([t, abs(t), t * t]), 0.0)
-    # far from 0, t_bar + offs rounds neighbouring offsets together
-    return c.CurveData(lambda t: np.array([abs(t - 1e9)]), 1e9, [1.0], [-1.0])
+    # |t - t_bar| at t_bar = float(name); far from 0, t_bar + offs rounds
+    # neighbouring offsets together
+    t_bar = float(name)
+    return c.CurveData(lambda t: np.array([abs(t - t_bar)]), t_bar, [1.0],
+                       [-1.0])
 
 
 @lru_cache(maxsize=None)
@@ -294,13 +297,20 @@ class TestVerifierMatchesLoop:
 
 class TestCurveModulusMatchesLoop:
     def test_modulus_and_budgets_bit_identical(self):
-        for name in ("abs", "corner", "sin", "space", "far"):
+        for name in ("abs", "corner", "sin", "space", "0", "0.5", "-3"):
             samples, budgets = curve_modulus_loop(curve(name))
             cert = curve_cert(name)
             assert bits(cert.rho.samples) == \
                 bits(Modulus.from_samples(samples).samples)
             assert bits([cert.lipschitz_budget(d) for d in budgets]) == \
                 bits([2.0 * b for b in budgets.values()])
+
+    def test_unresolved_inner_window_raises(self):
+        # at t_bar = 1e9 one ulp is 1.2e-7, wider than the inner window
+        # [-d^2, d^2] at d = 2^-12, so every window offset rounds onto
+        # t_bar and the modulus would be measured without the window
+        with pytest.raises(c.WindowResolutionError, match="inner-window"):
+            c.curve_qdq(curve("1e9"))
 
 
 class TestStackedPrimitives:
