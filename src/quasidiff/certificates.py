@@ -617,12 +617,15 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
 
     ``theta_family(eta)`` must return a continuous map with
     ``|F(x) - theta_eta(F(x))| < eta`` everywhere; this is audited on 100
-    seeded samples at eta = 1e-1 ... 1e-4 before the transfer, and a NaN or
-    an infinity from F or the retraction raises ``NonFiniteValueError``.
+    seeded samples at eta = 1e-1 ... 1e-4 before the transfer; an empty
+    sample, which audits nothing, raises ``ValueError``.  A NaN or an
+    infinity from F or the retraction raises ``NonFiniteValueError``.
     """
     rng = np.random.default_rng(seed)
     xs = cert.gamma.sample(rng, cert.x_bar,
                            min(cert.delta_star * 0.9, 1.0), 100)
+    if not len(xs):
+        raise ValueError("the retraction audit sample is empty")
     ys = evaluate_rows(F, xs, "F")
     for eta in (1e-1, 1e-2, 1e-3, 1e-4):
         errs = row_norms(ys - evaluate_rows(theta_family(eta), ys,

@@ -231,6 +231,8 @@ class GammaSet:
         for value in (self.direction, self.generators):
             if value is not None and not np.all(np.isfinite(value)):
                 raise NonFiniteValueError("directions must be finite")
+        if self.bounds is not None and np.isnan(np.hstack(self.bounds)).any():
+            raise NonFiniteValueError("box bounds must not be NaN")
 
     @staticmethod
     def full_space(n: int) -> "GammaSet":

@@ -189,8 +189,7 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
                            weights[:, None] * values])
         return np.add.accumulate(terms, axis=0)[-1]
 
-    return VectorField(f.dimension, evaluator, f.domain, f.lipschitz_estimate,
-                       label=f"mollified({f.label},{cfg.eta})")
+    return VectorField(evaluator, f.domain)
 
 
 def lie_bracket_pointwise(f: VectorField, g: VectorField, x, h: float) -> np.ndarray:

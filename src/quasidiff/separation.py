@@ -82,8 +82,9 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
     """Spot-check the declared base-point-avoiding property of a
     generating family: ``g_family(delta)`` returns a continuous map whose
     values on 200 admissible steps of size delta must stay farther than
-    ``MATCH_TOL`` from z.  An empty ``deltas`` raises ``ValueError``, and a
-    NaN or an infinity from a map raises ``NonFiniteValueError``."""
+    ``MATCH_TOL`` from z.  An empty ``deltas``, or a delta whose sample is
+    empty and so checks nothing, raises ``ValueError``, and a NaN or an
+    infinity from a map raises ``NonFiniteValueError``."""
     if not len(deltas):
         raise ValueError("deltas is empty")
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -91,8 +92,10 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
     origin = np.zeros(gamma.dimension)
     for d in deltas:
         xs = gamma.sample(rng, origin, d, 200)
+        if not len(xs):
+            raise ValueError(f"the sample at delta={d} is empty")
         ys = evaluate_rows(g_family(d), xs, "g_family")
-        if len(xs) and np.any(row_norms(ys - z) <= MATCH_TOL):
+        if np.any(row_norms(ys - z) <= MATCH_TOL):
             return False
     return True
 

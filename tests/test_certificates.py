@@ -598,6 +598,16 @@ class TestAbundantTransfer:
         with pytest.raises(c.AbundanceError):
             c.abundant_transfer(self.F, self.cert, bad, seed=7)
 
+    def test_empty_audit_sample_refused(self):
+        # with Gamma = [5, 6] no audit point lies within delta_star of 0,
+        # so a retraction that misses by 10 would pass unaudited
+        bad = lambda eta: (lambda y: y + 10.0)
+        with pytest.raises(c.AbundanceError):
+            c.abundant_transfer(self.F, self.cert, bad, seed=7)
+        far = replace(self.cert, gamma=GammaSet.box([5.0], [6.0]))
+        with pytest.raises(ValueError, match="audit sample is empty"):
+            c.abundant_transfer(self.F, far, bad, seed=7)
+
     def test_nan_retraction_in_membership_raises(self):
         # a NaN image compares as no image at all: the oracle read every
         # point as a non-member and the verifier reported violations

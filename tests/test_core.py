@@ -409,6 +409,17 @@ class TestGammaSet:
         with pytest.raises(NonFiniteValueError):
             GammaSet.finite_cone([[np.nan, 1.0]])
 
+    def test_nan_box_bound_refused(self):
+        # the sample would die in numpy's uniform draw
+        with pytest.raises(NonFiniteValueError):
+            GammaSet.box([np.nan], [1.0])
+        with pytest.raises(NonFiniteValueError):
+            GammaSet.box([0.0, 0.0], [1.0, np.nan])
+        # an infinite bound is clipped to the cube around the ball
+        pts = GammaSet.box([-np.inf], [np.inf]).sample(
+            np.random.default_rng(0), np.zeros(1), 0.1, 10)
+        assert pts.shape == (10, 1) and np.all(np.abs(pts) <= 0.1)
+
 
 def evaluate_loop(F, points, name):
     """Oracle: one call per point, each value tested as it arrives."""

@@ -3,9 +3,11 @@
 The loops below (the greedy dedupe, the per-sample finite-difference
 estimators and the pointwise mollifier) are kept here as oracles only.
 Where the arithmetic is unchanged the vectorised code must match them bit
-for bit.  So must the catalog's row evaluators match their own pointwise
-functions, stacked.  The active-set scan that ``_extreme_rays`` replaced is kept as an
-oracle too: the Qhull read-off must span the same cone, minimally.
+for bit.  So must the catalog's row evaluators match, stacked, the fields'
+own evaluators and the maps' pointwise definitions that a one-row call of
+``rows`` replaced.  The active-set scan that ``_extreme_rays`` replaced is
+kept as an oracle too: the Qhull read-off must span the same cone,
+minimally.
 """
 from __future__ import annotations
 
@@ -197,7 +199,7 @@ def smooth_2d(x):
 
 def cut_field(value, lo, hi):
     """A field on a box that the sample ball around 0 overhangs."""
-    return VectorField(2, value, Box(np.array(lo), np.array(hi)), 1.0)
+    return VectorField(value, Box(np.array(lo), np.array(hi)))
 
 
 def refusing_field():
@@ -207,7 +209,7 @@ def refusing_field():
         if x[0] > 2e-4:
             raise DomainEscapeError("refused", point=x)
         return np.array([0.0, abs(x[0])])
-    return VectorField(2, value, Box(-np.ones(2), np.ones(2)), 1.0)
+    return VectorField(value, Box(-np.ones(2), np.ones(2)))
 
 
 def nan_on_right(x):
@@ -257,6 +259,15 @@ def entry_arrays(*shape):
     return st.lists(ENTRIES, min_size=size, max_size=size).map(
         lambda v: np.array(v, dtype=float).reshape(shape))
 
+
+# the catalog maps' pointwise definitions, which their one-row calls replaced
+POINTWISE_MAPS = {
+    "map:fold_sum": lambda x: np.array([x[0] + abs(x[1])]),
+    "map:identity": lambda x: np.asarray(x, dtype=float).reshape(3),
+    "map:abs1d": lambda x: np.array([abs(np.asarray(x).reshape(-1)[0])]),
+    "map:square1d": lambda x: np.array(
+        [float(np.asarray(x).reshape(-1)[0]) ** 2]),
+}
 
 # the catalog, by label: (builder, input dimension)
 CATALOG = {
@@ -351,22 +362,33 @@ class TestDedupeAgainstTree:
 class TestRowEvaluators:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data(), label=st.sampled_from(sorted(CATALOG)),
-           k=st.integers(1, 6), negate=st.booleans())
-    def test_catalog_rows_match_pointwise(self, data, label, k, negate):
+           k=st.integers(1, 6))
+    def test_catalog_rows_match_pointwise(self, data, label, k):
         make, n = CATALOG[label]
         F = make()
-        if negate and label.startswith("field:"):
-            F = F.negated()
         X = data.draw(entry_arrays(k, n))
         assert outcome(lambda: F.rows(X)) == \
-            outcome(lambda: stacked_loop(F, X))
+            outcome(lambda: stacked_loop(POINTWISE_MAPS.get(label, F), X))
+
+    @pytest.mark.parametrize("label", sorted(
+        label for label in CATALOG if label.startswith("map:")))
+    def test_map_call_is_one_row(self, label):
+        make, n = CATALOG[label]
+        F = make()
+        point = -1.5 - np.arange(n, dtype=float)
+        want = F.rows(point.reshape(1, -1))
+        inputs = [point, point.tolist()] + ([float(point[0])] if n == 1 else [])
+        for x in inputs:
+            got = F(x)
+            assert got.shape == want.shape[1:]
+            assert got.tobytes() == want[0].tobytes()
 
     # products of entries near 1e300 overflow, alike on both paths
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 3),
-           k=st.integers(1, 6), negate=st.booleans())
-    def test_linear_rows_match_pointwise(self, data, n, m, k, negate):
+           k=st.integers(1, 6))
+    def test_linear_rows_match_pointwise(self, data, n, m, k):
         # linear_field takes a square matrix; an m x n one checks the
         # stacked product of any shape
         a = data.draw(entry_arrays(m, n))
@@ -375,7 +397,6 @@ class TestRowEvaluators:
             a[None], X[:, :, None])[:, :, 0])
         X = data.draw(entry_arrays(k, n))
         for F in (f, g):
-            F = F.negated() if negate else F
             assert outcome(lambda: F.rows(X)) == \
                 outcome(lambda: stacked_loop(F, X))
 
@@ -496,8 +517,8 @@ class TestNonFiniteValues:
             clarke_jacobian_estimate(nan_on_right, [0.0], 1e-3, 200, 0)
 
     def test_bracket_raises(self):
-        g = VectorField(2, lambda x: np.array([0.0, nan_on_right(x)[0]]),
-                        Box(-np.ones(2), np.ones(2)), 1.0)
+        g = VectorField(lambda x: np.array([0.0, nan_on_right(x)[0]]),
+                        Box(-np.ones(2), np.ones(2)))
         with pytest.raises(NonFiniteValueError):
             set_lie_bracket_estimate(unit_x_field(), g, [0.0, 0.0], 1e-3,
                                      200, 0)
@@ -507,9 +528,9 @@ class TestNonFiniteValues:
         # where the bracket takes f(x) and g(x), is not
         pts = ball_samples(np.random.default_rng(0), np.zeros(2), 1e-3, 50)
         samples = {tuple(p) for p in pts}
-        f = VectorField(2, lambda x: np.array(
+        f = VectorField(lambda x: np.array(
             [np.nan if tuple(x) in samples else 1.0, 0.0]),
-            Box(-np.ones(2), np.ones(2)), 1.0)
+            Box(-np.ones(2), np.ones(2)))
         g = linear_field([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(NonFiniteValueError) as err:
             set_lie_bracket_estimate(f, g, [0.0, 0.0], 1e-3, 50, 0)
@@ -522,7 +543,7 @@ class TestNonFiniteValues:
             differentiability_score(nan_on_right, [0.5], 1e-3)
 
     def test_mollify_raises_at_first_nan_point(self):
-        f = VectorField(1, nan_on_right, Box(-np.ones(1), np.ones(1)), 1.0)
+        f = VectorField(nan_on_right, Box(-np.ones(1), np.ones(1)))
         cfg = MollifierConfig(eta=1e-2, quadrature_points=64)
         with pytest.raises(NonFiniteValueError) as err:
             mollify(f, cfg)(np.zeros(1))
@@ -537,8 +558,8 @@ class TestMollifierMatchesLoop:
            which=st.sampled_from(["abs1d", "shear", "linear"]))
     def test_value_bit_identical(self, seed, x, which):
         if which == "abs1d":
-            f = VectorField(1, lambda y: np.array([abs(y[0])]),
-                            Box(-np.ones(1), np.ones(1)), 1.0)
+            f = VectorField(lambda y: np.array([abs(y[0])]),
+                            Box(-np.ones(1), np.ones(1)))
             point = np.array([x])
         else:
             f = abs_shear_field() if which == "shear" else \
@@ -551,8 +572,8 @@ class TestMollifierMatchesLoop:
         assert got.tobytes() == want.tobytes()
 
     def test_escape_raised_at_same_point(self):
-        f = VectorField(2, lambda y: np.array([1.0, 0.0]),
-                        Box(-np.ones(2), np.ones(2)), 1e-9)
+        f = VectorField(lambda y: np.array([1.0, 0.0]),
+                        Box(-np.ones(2), np.ones(2)))
         cfg = MollifierConfig(eta=0.1, quadrature_points=64)
         x = np.array([0.95, 0.0])
         with pytest.raises(DomainEscapeError) as got:

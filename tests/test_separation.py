@@ -249,6 +249,14 @@ class TestFixtureSuite:
         assert not audit_z_ignoring(onto_z, GammaSet.full_space(1),
                                     [0.0, 0.0])
 
+    def test_empty_sample_refused(self):
+        # a box Gamma outside every delta ball gives samples that check
+        # nothing; on R the same family fails the audit
+        onto_z = lambda d: (lambda x: np.zeros(1))
+        with pytest.raises(ValueError, match="delta=0.1"):
+            audit_z_ignoring(onto_z, GammaSet.box([5.0], [6.0]), [0.0])
+        assert not audit_z_ignoring(onto_z, GammaSet.full_space(1), [0.0])
+
     def test_z_ignoring_families_audited(self):
         for f in builtin_fixtures():
             if f.z_ignoring_family is not None:
