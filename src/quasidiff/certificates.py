@@ -18,11 +18,11 @@ from . import cones as _cones
 from .core import (
     DimensionMismatchError,
     GammaSet,
-    LinearMap,
     Modulus,
     NonFiniteValueError,
     OperatorSet,
     VERDICT_TOL,
+    as_matrix,
     ball_samples,
     distances_to_operator_set,
     evaluate_rows,
@@ -99,24 +99,28 @@ class VerificationReport:
         }
 
 
-def _as_linear_map(value) -> LinearMap:
-    return value if isinstance(value, LinearMap) else LinearMap(value)
-
-
 def _family_at(cert: QdqCertificate, delta: float):
-    """``cert.family(delta)`` with its map read as a ``LinearMap`` and its
-    remainder as a 1-D array: the one reader the calculus uses."""
+    """``cert.family(delta)`` with its map read as a 2-D float array, left
+    unchecked for ``_map_stack``, and its remainder as a 1-D array."""
     L_fn, h_fn = cert.family(delta)
-    return (lambda x: _as_linear_map(L_fn(x)),
+    return (lambda x: np.atleast_2d(np.asarray(L_fn(x), dtype=float)),
             lambda x: np.atleast_1d(h_fn(x)))
 
 
 def _map_stack(L_fn, xs) -> np.ndarray:
-    """``L_fn`` at every row of ``xs``, one call each, stacked (k, m, n)."""
-    maps = [_as_linear_map(L_fn(x)).entries for x in xs]
+    """``L_fn`` at every row of ``xs``, one call each, read as by
+    ``_family_at`` and stacked (k, m, n); maps of several shapes raise
+    ``DimensionMismatchError``, and a NaN or an infinity
+    ``NonFiniteValueError`` at the first row whose map has one."""
+    maps = [np.atleast_2d(np.asarray(L_fn(x), dtype=float)) for x in xs]
     if len({m.shape for m in maps}) > 1:
         raise DimensionMismatchError("L_fn returned maps of several shapes")
-    return np.array(maps)
+    stack = np.array(maps)
+    bad = ~np.isfinite(stack.reshape(len(xs), -1)).all(axis=1)
+    if bad.any():
+        x = xs[bad.argmax()]
+        raise NonFiniteValueError(f"non-finite L_fn at {x.tolist()}", point=x)
+    return stack
 
 
 def _violations(delta, xs, checks) -> list:
@@ -166,7 +170,7 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         Ls = _map_stack(L_fn, xs)
         dists = distances_to_operator_set(Ls, cert.lam)
         hns = row_norms(hs)
-        # one matmul per row, as in LinearMap.apply, keeps its bits
+        # one matmul per row, as in L @ (x - x_bar), keeps its bits
         values = cert.y_bar \
             + np.matmul(Ls, (xs - cert.x_bar)[:, :, None])[:, :, 0] + hs
         checks = [("operator_distance", dists, rho_d,
@@ -225,7 +229,7 @@ def absvalue_certificate(delta: float):
             slope = t / d2
         else:
             slope = 1.0 if t > 0 else -1.0
-        return LinearMap([[slope]])
+        return np.array([[slope]])
 
     def h_fn(x):
         t = float(np.atleast_1d(x)[0])
@@ -341,18 +345,18 @@ def curve_certificate(data: CurveData, delta: float):
     def L_fn(x):
         s = float(np.atleast_1d(x)[0]) - t_bar
         if abs(s) <= d2 / 2.0:
-            return LinearMap.from_vector(data.arc_points(2.0 * s / d2))
+            return data.arc_points(2.0 * s / d2).reshape(-1, 1)
         if abs(s) < d2:
             side = 1.0 if s > 0 else -1.0
             w = (side * s - d2 / 2.0) / (d2 / 2.0)
             end = phi(side * d2) / (side * d2)
             start = data.arc_points(side)
-            return LinearMap.from_vector((1.0 - w) * start + w * end)
-        return LinearMap.from_vector(phi(s) / s)
+            return ((1.0 - w) * start + w * end).reshape(-1, 1)
+        return (phi(s) / s).reshape(-1, 1)
 
     def h_fn(x):
         s = float(np.atleast_1d(x)[0]) - t_bar
-        return phi(s) - L_fn(x).apply(np.array([s]))
+        return phi(s) - L_fn(x) @ np.array([s])
 
     return L_fn, h_fn
 
@@ -513,8 +517,7 @@ def combine_certificates(kind: str, certF: QdqCertificate,
         def family(d):
             LF, hF = _family_at(certF, d)
             LG, hG = _family_at(certG, d)
-            return (lambda x: LinearMap(alpha * LF(x).entries
-                                        + beta * LG(x).entries),
+            return (lambda x: alpha * LF(x) + beta * LG(x),
                     lambda x: alpha * hF(x) + beta * hG(x))
 
     elif kind == "set_product":
@@ -526,8 +529,7 @@ def combine_certificates(kind: str, certF: QdqCertificate,
         def family(d):
             LF, hF = _family_at(certF, d)
             LG, hG = _family_at(certG, d)
-            return (lambda x: LinearMap(np.vstack([LF(x).entries,
-                                                   LG(x).entries])),
+            return (lambda x: np.vstack([LF(x), LG(x)]),
                     lambda x: np.concatenate([hF(x), hG(x)]))
 
     elif kind == "scalar_product":
@@ -549,11 +551,10 @@ def combine_certificates(kind: str, certF: QdqCertificate,
 
             def h(x):
                 dx = np.atleast_1d(x) - certF.x_bar
-                aF = LF(x).apply(dx) + hF(x)
-                aG = LG(x).apply(dx) + hG(x)
+                aF = LF(x) @ dx + hF(x)
+                aG = LG(x) @ dx + hG(x)
                 return yF * hG(x) + yG * hF(x) + aF * aG
-            return (lambda x: LinearMap(yF * LG(x).entries
-                                        + yG * LF(x).entries)), h
+            return (lambda x: yF * LG(x) + yG * LF(x)), h
 
     else:
         raise ValueError(f"unknown combinator kind {kind!r}")
@@ -578,12 +579,12 @@ def compose_certificates(certF: QdqCertificate,
 
         def xi(x):
             return certF.y_bar \
-                + LF(x).apply(np.atleast_1d(x) - certF.x_bar) + hF(x)
+                + LF(x) @ (np.atleast_1d(x) - certF.x_bar) + hF(x)
 
         def h(x):
             y = xi(x)
-            return LG(y).apply(hF(x)) + hG(y)
-        return (lambda x: LinearMap(LG(xi(x)).entries @ LF(x).entries)), h
+            return LG(y) @ hF(x) + hG(y)
+        return (lambda x: LG(xi(x)) @ LF(x)), h
 
     return QdqCertificate(
         certF.x_bar, certG.y_bar, certF.gamma, lam, delta_star,
@@ -591,12 +592,13 @@ def compose_certificates(certF: QdqCertificate,
         family, None)
 
 
-def singleton_qdq_check(F, x_bar, L: LinearMap) -> bool:
+def singleton_qdq_check(F, x_bar, L) -> bool:
     """True iff F looks differentiable at x_bar with derivative L: the
     scaled sup-residual over the balls of radius 2^-2 ... 2^-13 (64 seeded
     samples each, plus the axis points) drops below 1e-3.  Raises
     ``NonFiniteValueError`` if F returns a NaN or an infinity."""
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    L = as_matrix(L)
     F0 = evaluate_rows(F, x_bar[None, :], "F")[0]
     rng = np.random.default_rng(0)
     n = x_bar.size
@@ -606,7 +608,7 @@ def singleton_qdq_check(F, x_bar, L: LinearMap) -> bool:
         pts = np.vstack([ball_samples(rng, x_bar, d, 64),
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
         resids = evaluate_rows(F, pts, "F") - F0 \
-            - np.matmul(L.entries, (pts - x_bar)[:, :, None])[:, :, 0]
+            - np.matmul(L, (pts - x_bar)[:, :, None])[:, :, 0]
         ratios.append(float(np.max(row_norms(resids))) / d)
     return ratios[-1] <= 1e-3 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
 
@@ -637,7 +639,7 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
                                  f"{errs[i]}", worst_point=xs[i])
 
     def family(d):
-        L_fn, h_fn = cert.family(d)
+        L_fn, h_fn = _family_at(cert, d)
         eta = d * float(cert.rho(d))
 
         def h(x):
@@ -647,7 +649,7 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
                     np.asarray(theta_family(eta)(y), dtype=float)) - y
             else:
                 shift = np.zeros_like(y)
-            return shift + np.atleast_1d(h_fn(x))
+            return shift + h_fn(x)
         return L_fn, h
 
     # the retraction-width schedule lets membership oracles reconstruct

@@ -32,8 +32,8 @@ from scipy.optimize import linprog, nnls  # noqa: F401
 from scipy.sparse import coo_array
 from scipy.spatial import ConvexHull
 
-from .core import DimensionMismatchError, GammaSet, LinearMap, \
-    NonFiniteValueError, _svd_rank, dedupe, in_conic_hull
+from .core import DimensionMismatchError, GammaSet, \
+    NonFiniteValueError, _svd_rank, as_matrix, dedupe, in_conic_hull
 
 WITNESS_TOL = 1e-7
 
@@ -278,20 +278,20 @@ def analyze_pair(k1: ConvexCone, k2: ConvexCone) -> PairAnalysis:
     return analyze_pairs([(k1, k2)])[0]
 
 
-def image_cone(L: LinearMap, gamma: GammaSet) -> ConvexCone:
+def image_cone(L, gamma: GammaSet) -> ConvexCone:
     """The cone {L v : v in Gamma} in V-representation."""
-    if L.cols != gamma.dimension:
+    L = as_matrix(L)
+    m, n = L.shape
+    if n != gamma.dimension:
         raise DimensionMismatchError(
-            f"map has {L.cols} columns, gamma dimension is {gamma.dimension}"
-        )
-    m = L.rows
+            f"map has {n} columns, gamma dimension is {gamma.dimension}")
     if gamma.kind == GammaSet.FULL:
-        cols = L.entries.T  # images of the basis vectors
+        cols = L.T  # images of the basis vectors
         return conic_hull(np.vstack([cols, -cols]), m)
     if gamma.kind == GammaSet.HALFLINE:
-        return conic_hull([L.apply(gamma.direction)], m)
+        return conic_hull([L @ gamma.direction], m)
     if gamma.kind == GammaSet.CONE:
-        return conic_hull([L.apply(g) for g in gamma.generators], m)
+        return conic_hull([L @ g for g in gamma.generators], m)
     raise ValueError("image of a box is not a cone")
 
 

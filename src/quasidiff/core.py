@@ -102,6 +102,21 @@ def row_norms(rows) -> np.ndarray:
     return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
+def box_bounds(lo, hi) -> tuple:
+    """Read-only float copies of a box's bounds, which must share a shape,
+    hold no NaN and have lo <= hi; an infinite bound is legal."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if lo.shape != hi.shape:
+        raise DimensionMismatchError("box bounds of different shapes")
+    if np.isnan([lo, hi]).any():
+        raise NonFiniteValueError("box bounds must not be NaN")
+    if (lo > hi).any():
+        raise ValueError("box bounds are inverted: lo > hi")
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
 def ball_samples(rng: np.random.Generator, center, radius: float,
                  count: int) -> np.ndarray:
     """``count`` points uniform in ``center + B_radius``: normalised
@@ -114,40 +129,30 @@ def ball_samples(rng: np.random.Generator, center, radius: float,
     return center + dirs * radii
 
 
+def as_matrix(value) -> np.ndarray:
+    """A linear map (an array-like or a ``LinearMap``) as a read-only m x n
+    float copy, a scalar as 1 x 1 and a row as 1 x n; another shape raises
+    ``ValueError``, a NaN or an infinity ``NonFiniteValueError``."""
+    arr = np.array(value, dtype=float, ndmin=2)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError("a linear map must be an m x n matrix with m, n >= 1")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValueError("a linear map must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map R^n -> R^m stored as a dense m x n matrix."""
+    """A linear map as input: ``np.asarray`` reads its checked entries."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("entries must form an m x n matrix with m, n >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError("entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", as_matrix(self.entries))
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(v, dtype=float)
-
-    def flat(self) -> np.ndarray:
-        return self.entries.ravel()
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "LinearMap":
-        """Store an n-vector as an n x 1 map (used for bracket values)."""
-        return LinearMap(np.asarray(v, dtype=float).reshape(-1, 1))
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -194,14 +199,12 @@ class OperatorSet:
 
     @staticmethod
     def from_matrices(mats: Sequence, convex_closure: bool = False) -> "OperatorSet":
-        """One generator per entry of ``mats``; a scalar or a row is read as
-        a 1 x 1 or a 1 x n matrix, as ``LinearMap`` reads it."""
-        return OperatorSet([np.atleast_2d(np.asarray(m, dtype=float))
-                            for m in mats], convex_closure)
+        """One generator per entry of ``mats``, read by ``as_matrix``."""
+        return OperatorSet([as_matrix(m) for m in mats], convex_closure)
 
     @staticmethod
     def from_vectors(vecs: Sequence, convex_closure: bool = False) -> "OperatorSet":
-        """One n x 1 generator per vector, as ``LinearMap.from_vector``."""
+        """One n x 1 generator per vector: a vector is read as a column."""
         return OperatorSet([np.asarray(v, dtype=float).reshape(-1, 1)
                             for v in vecs], convex_closure)
 
@@ -231,8 +234,8 @@ class GammaSet:
         for value in (self.direction, self.generators):
             if value is not None and not np.all(np.isfinite(value)):
                 raise NonFiniteValueError("directions must be finite")
-        if self.bounds is not None and np.isnan(np.hstack(self.bounds)).any():
-            raise NonFiniteValueError("box bounds must not be NaN")
+        if self.bounds is not None:
+            object.__setattr__(self, "bounds", box_bounds(*self.bounds))
 
     @staticmethod
     def full_space(n: int) -> "GammaSet":
@@ -255,9 +258,7 @@ class GammaSet:
 
     @staticmethod
     def box(lo, hi) -> "GammaSet":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        return GammaSet(GammaSet.BOX, lo.size, bounds=(lo, hi))
+        return GammaSet(GammaSet.BOX, np.size(lo), bounds=(lo, hi))
 
     def sample(self, rng: np.random.Generator, center: np.ndarray, delta: float,
                count: int) -> np.ndarray:
@@ -391,9 +392,9 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
     return np.where(d <= 1e-12, 0.0, d)
 
 
-def dist_to_operator_set(L: LinearMap, lam: OperatorSet) -> float:
+def dist_to_operator_set(L, lam: OperatorSet) -> float:
     """The one-map view of ``distances_to_operator_set``."""
-    return float(distances_to_operator_set(L.entries[None], lam)[0])
+    return float(distances_to_operator_set(as_matrix(L)[None], lam)[0])
 
 
 class InexactHausdorffError(ValueError):

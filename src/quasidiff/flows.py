@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BlowUpError, DomainEscapeError, NonFiniteValueError
+from .core import BlowUpError, DomainEscapeError, box_bounds
 
 
 @dataclass(frozen=True)
@@ -17,12 +17,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise NonFiniteValueError("box bounds must not be NaN")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
+        lo, hi = box_bounds(self.lo, self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

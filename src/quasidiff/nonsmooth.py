@@ -27,7 +27,6 @@ from scipy.stats import qmc
 from .core import (
     DomainEscapeError,
     EstimatorFailedError,
-    LinearMap,
     NonFiniteValueError,
     OperatorSet,
     _row_values,
@@ -139,9 +138,9 @@ def _at_point(f, x, steps: tuple) -> list:
     return [j[0] for j in jacs]
 
 
-def fd_jacobian(f, x, h: float) -> LinearMap:
-    """Central-difference Jacobian of f at x with step h."""
-    return LinearMap(_at_point(f, x, (h,))[0])
+def fd_jacobian(f, x, h: float) -> np.ndarray:
+    """Central-difference Jacobian of f at x with step h, an m x n array."""
+    return _at_point(f, x, (h,))[0]
 
 
 def differentiability_score(f, x, h: float) -> float:
@@ -197,7 +196,7 @@ def lie_bracket_pointwise(f: VectorField, g: VectorField, x, h: float) -> np.nda
     x = np.asarray(x, dtype=float)
     jf = fd_jacobian(f, x, h)
     jg = fd_jacobian(g, x, h)
-    return jg.apply(f(x)) - jf.apply(g(x))
+    return jg @ f(x) - jf @ g(x)
 
 
 def _vertex_reduce(flats: np.ndarray) -> np.ndarray:
@@ -242,7 +241,7 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
     pts, jf = pts[rows_f][rows_g], jf[rows_g]
     keep = np.maximum(score_f[rows_g], score_g) <= DIFFERENTIABILITY_THRESHOLD
-    # the same entries @ v product as lie_bracket_pointwise
+    # the same J @ v product as lie_bracket_pointwise
     pts = pts[keep]
     kept = [b @ fx - a @ gx for fx, gx, a, b in zip(
         evaluate_rows(f, pts, "f"), evaluate_rows(g, pts, "g"),

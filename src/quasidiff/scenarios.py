@@ -200,7 +200,7 @@ def _run_certificate_verify(seed, *, certificate="absvalue",
                                          int(points_per_delta), seed=seed)
     out = report.to_jsonable()
     out["lambda"] = cert.lam.to_jsonable()
-    return report.accepted, "violations", float(len(report.worst_violations)), out
+    return report.accepted, "violations", float(len(report.violations)), out
 
 
 def _run_clarke_estimate(seed, *, expected_generators, map="abs1d",
@@ -390,6 +390,8 @@ def run_scenarios(config_path, out_dir, parallel: bool = False,
     scenarios = load_config(config_path)
     if name_filter is not None:
         scenarios = [s for s in scenarios if name_filter in s.name]
+        if not scenarios:
+            raise ConfigError(f"filter {name_filter!r} selects no scenario")
     if seed_override is not None:
         scenarios = [replace(s, seed=seed_override) for s in scenarios]
     out = Path(out_dir)

@@ -14,8 +14,8 @@ from .cones import (
     analyze_pairs,
     image_cone,
 )
-from .core import DimensionMismatchError, GammaSet, LinearMap, \
-    OperatorSet, distances_to_operator_set, evaluate_rows, row_norms
+from .core import DimensionMismatchError, GammaSet, OperatorSet, \
+    distances_to_operator_set, evaluate_rows, row_norms
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -47,7 +47,7 @@ def build_multicone(lam: OperatorSet, gamma: GammaSet,
     enumerated (conservative for the all-pairs verdict lift)."""
     if gamma.kind not in (GammaSet.FULL, GammaSet.HALFLINE, GammaSet.CONE):
         raise ValueError(f"unsupported direction-set kind {gamma.kind!r}")
-    cones = tuple(image_cone(LinearMap(g), gamma) for g in lam.generators)
+    cones = tuple(image_cone(g, gamma) for g in lam.generators)
     return MultiCone(cones, z_ignoring)
 
 
@@ -151,7 +151,7 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
         raise ValueError("a and beta must be positive")
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
-    images = [image_cone(LinearMap(g), gamma) for g in lam.generators]
+    images = [image_cone(g, gamma) for g in lam.generators]
     witnesses = _nonzero_points([(k.generators, k.dimension) for k in images])
     for idx, (g, p) in enumerate(zip(lam.generators, witnesses)):
         if p is not None:

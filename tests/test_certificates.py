@@ -24,7 +24,7 @@ class TestAbsvalueFamily:
         for delta in (0.3, 0.1, 0.01):
             L_fn, h_fn = c.absvalue_certificate(delta)
             for x in np.linspace(-delta, delta, 41):
-                lhs = L_fn([x]).apply([x])[0] + h_fn([x])[0]
+                lhs = (np.asarray(L_fn([x])) @ [x])[0] + h_fn([x])[0]
                 assert lhs == pytest.approx(abs(x), abs=1e-15)
 
     def test_remainder_bound(self):
@@ -38,7 +38,7 @@ class TestAbsvalueFamily:
     def test_slope_stays_in_interval(self):
         L_fn, _ = c.absvalue_certificate(0.1)
         for x in np.linspace(-0.1, 0.1, 101):
-            s = L_fn([x]).entries[0, 0]
+            s = np.asarray(L_fn([x]))[0, 0]
             assert -1.0 <= s <= 1.0
 
     def test_certificate_is_frozen(self):
@@ -240,6 +240,41 @@ class TestMapShapes:
         with pytest.raises(core.DimensionMismatchError):
             c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
 
+    @pytest.mark.parametrize("matrix", [[[2.0]], [[1.0, -2.0]]])
+    def test_map_forms_give_equal_reports(self, matrix):
+        # a scalar or a row, a nested list, an array and a LinearMap are
+        # one map, in a plain family and through the calculus
+        a = np.array(matrix)
+        forms = [a.ravel().tolist(), matrix, a, LinearMap(matrix)]
+        if a.size == 1:
+            forms.append(2.0)
+        n = a.shape[1]
+        outer = lambda form: c.QdqCertificate(
+            x_bar=np.zeros(n), y_bar=[0.0], gamma=GammaSet.full_space(n),
+            lam=OperatorSet.from_matrices([matrix]), delta_star=1.0,
+            rho=lambda d: 0.0,
+            family=lambda d: (lambda x: form, lambda x: np.zeros(1)))
+        F = lambda x: a @ np.atleast_1d(x)
+
+        def reports(form):
+            cert = outer(form)
+            out = [c.verify_certificate(F, cert, [1e-1, 1e-2], 30, seed=3),
+                   c.verify_certificate(
+                       lambda x: 2.0 * F(x),
+                       c.combine_certificates("linear", cert, cert), [1e-1],
+                       30, seed=4)]
+            if n == 1:
+                out.append(c.verify_certificate(
+                    lambda x: F(abs_map(x)),
+                    c.compose_certificates(c.absvalue_qdq(), cert),
+                    [1e-1, 1e-2], 30, seed=5))
+            return [(r.to_jsonable(), r.violations) for r in out]
+
+        want = reports(forms[0])
+        assert all(rep[0]["accepted"] for rep in want)
+        for form in forms[1:]:
+            assert reports(form) == want
+
 
 class TestEmptyDeltaGrid:
     def test_empty_grid_refused(self):
@@ -276,6 +311,41 @@ class TestNonFiniteValues:
                                          c.absvalue_certificate(d)[1]))
         with pytest.raises(core.NonFiniteValueError):
             c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
+
+    @staticmethod
+    def _nan_right_cert():
+        # the slope family of |x|, NaN on the right half-line only
+        def family(d):
+            L_fn, h_fn = c.absvalue_certificate(d)
+            return (lambda x: [[np.nan]] if x[0] > 0 else L_fn(x)), h_fn
+        return replace(c.absvalue_qdq(), family=family)
+
+    @staticmethod
+    def _first_right_point(cert, delta, count, seed):
+        xs = cert.gamma.sample(np.random.default_rng(seed), cert.x_bar,
+                               delta, count)[:count + 2]
+        return xs[xs[:, 0] > 0][0]
+
+    def test_nonfinite_L_raises_at_its_point(self):
+        cert = self._nan_right_cert()
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
+        want = self._first_right_point(cert, 1e-1, 20, 0)
+        assert np.array_equal(err.value.point, want)
+
+    def test_nonfinite_inner_L_of_compose_raises_at_its_point(self):
+        doubler = c.QdqCertificate(
+            x_bar=[0.0], y_bar=[0.0], gamma=GammaSet.full_space(1),
+            lam=OperatorSet.from_matrices([[[2.0]]]), delta_star=1.0,
+            rho=lambda d: 0.0,
+            family=lambda d: (lambda x: np.array([[2.0]]),
+                              lambda x: np.array([0.0])))
+        comp = c.compose_certificates(self._nan_right_cert(), doubler)
+        with pytest.raises(core.NonFiniteValueError) as err:
+            c.verify_certificate(lambda x: 2.0 * abs_map(x), comp, [1e-1],
+                                 20, seed=0)
+        want = self._first_right_point(comp, 1e-1, 20, 0)
+        assert np.array_equal(err.value.point, want)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_huge_finite_h_is_a_violation(self):
@@ -379,7 +449,7 @@ class TestCurveCertificates:
         data = c.CurveData.from_function(lambda t: abs(t), 0.0)
         L_fn, h_fn = c.curve_certificate(data, 0.1)
         for t in np.linspace(-0.1, 0.1, 101):
-            v = L_fn([t]).apply([t])[0] + h_fn([t])[0]
+            v = (np.asarray(L_fn([t])) @ [t])[0] + h_fn([t])[0]
             assert v == pytest.approx(abs(t), abs=1e-14)
 
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 
+from quasidiff import certificates as cert_mod
 from quasidiff.cli import main, reference_config_path
+from quasidiff.core import OperatorSet
+from quasidiff.fields import make_map
 from quasidiff.scenarios import ConfigError, Scenario, load_config, \
     run_scenario, run_scenarios
 
@@ -165,6 +168,28 @@ class TestRunScenarios:
         assert run_scenarios(cfg, tmp_path / "out") == 0
         assert (tmp_path / "out" / "summary.csv").read_text().strip() \
             == "scenario,kind,verdict,metric_name,metric_value"
+
+    def test_violations_metric_counts_every_violation(self):
+        # the metric read the ranked list, which is cut at 20
+        lam = [[[-0.5]], [[1.0]]]
+        result = run_scenario(Scenario("x", "CertificateVerify",
+                                       {"lambda_generators": lam}, seed=0))
+        cert = replace(cert_mod.absvalue_qdq(), lam=OperatorSet.from_matrices(
+            lam, convex_closure=True))
+        report = cert_mod.verify_certificate(
+            make_map("abs1d"), cert, cert_mod.DEFAULT_DELTA_GRID, 200, seed=0)
+        assert len(report.worst_violations) == 20
+        assert result.metric_value == len(report.violations) > 20
+
+    def test_filter_selecting_nothing_refused(self, tmp_path):
+        # an empty selection wrote a header-only summary and exited 0
+        cfg = tmp_path / "c.json"
+        write_config(cfg, SMALL_SUITE)
+        with pytest.raises(ConfigError, match="nomatch"):
+            run_scenarios(cfg, tmp_path / "out", name_filter="nomatch")
+        assert not (tmp_path / "out" / "summary.csv").exists()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                     "--filter", "nomatch"]) == 2
 
     def test_filter_and_seed_override(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -21,6 +21,7 @@ from quasidiff.core import (
     InexactHausdorffError,
     NonFiniteValueError,
     _directed_hausdorff,
+    as_matrix,
     ball_samples,
     evaluate_rows,
     hausdorff_distance,
@@ -94,9 +95,9 @@ def orientation_hull_2d(points):
 
 class TestLinearMap:
     def test_shapes_and_apply(self):
-        L = LinearMap([[1.0, 2.0], [3.0, 4.0]])
-        assert L.rows == 2 and L.cols == 2
-        assert np.allclose(L.apply([1.0, 1.0]), [3.0, 7.0])
+        L = np.asarray(LinearMap([[1.0, 2.0], [3.0, 4.0]]))
+        assert L.shape == (2, 2)
+        assert np.allclose(L @ [1.0, 1.0], [3.0, 7.0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -108,6 +109,44 @@ class TestLinearMap:
         L = LinearMap([[1.0]])
         with pytest.raises(ValueError):
             L.entries[0, 0] = 2.0
+
+    def test_asarray_reads_the_read_only_entries(self):
+        source = np.array([[1.0, 2.0]])
+        L = LinearMap(source)
+        source[0, 0] = 9.0  # the map keeps its own copy
+        view = np.asarray(L)
+        assert view.tolist() == [[1.0, 2.0]]
+        with pytest.raises(ValueError):
+            view[0, 0] = 5.0
+        # a copy asked for is a writable copy
+        copy = np.array(L)
+        copy[0, 0] = 5.0
+        assert np.asarray(L)[0, 0] == 1.0
+
+
+class TestAsMatrix:
+    def test_scalar_row_and_matrix(self):
+        assert as_matrix(2.0).tolist() == [[2.0]]
+        assert as_matrix([1.0, 2.0]).tolist() == [[1.0, 2.0]]
+        assert as_matrix(LinearMap([[3.0], [4.0]])).tolist() == [[3.0], [4.0]]
+
+    def test_read_only_copy(self):
+        source = np.eye(2)
+        m = as_matrix(source)
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        source[0, 0] = 7.0  # the caller's array stays writable and apart
+        assert m[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2, 2)), [], [[]]])
+    def test_non_matrix_refused(self, bad):
+        with pytest.raises(ValueError, match="m x n matrix"):
+            as_matrix(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            as_matrix([[1.0, bad]])
 
 
 class TestOperatorSet:
@@ -153,7 +192,7 @@ class TestOperatorSet:
         s = OperatorSet.from_matrices(mats)
         assert s.shape == (1, 1)
         np.testing.assert_array_equal(
-            s.generators, [LinearMap(m).entries for m in mats])
+            s.generators, [np.asarray(LinearMap(m)) for m in mats])
         rows = OperatorSet.from_matrices([[1.0, 2.0], [3.0, 4.0]])
         assert rows.shape == (1, 2)
         np.testing.assert_array_equal(rows.generators,
@@ -163,7 +202,7 @@ class TestOperatorSet:
         vecs = [[1.0, 2.0], [3.0, 4.0]]
         s = OperatorSet.from_vectors(vecs)
         np.testing.assert_array_equal(
-            s.generators, [LinearMap.from_vector(v).entries for v in vecs])
+            s.generators, [np.reshape(v, (-1, 1)) for v in vecs])
 
     def test_to_jsonable(self):
         s = OperatorSet.from_matrices([[[1.0, 2.0]], [[3.0, -4.5]]],
@@ -419,6 +458,26 @@ class TestGammaSet:
         pts = GammaSet.box([-np.inf], [np.inf]).sample(
             np.random.default_rng(0), np.zeros(1), 0.1, 10)
         assert pts.shape == (10, 1) and np.all(np.abs(pts) <= 0.1)
+
+    def test_box_bounds_of_different_sizes_refused(self):
+        # hi was broadcast: the set sampled the square [0, 1]^2
+        with pytest.raises(DimensionMismatchError):
+            GammaSet.box([0.0, 0.0], [1.0])
+
+    def test_inverted_box_refused(self):
+        # the set sampled nothing at any delta
+        with pytest.raises(ValueError, match="inverted"):
+            GammaSet.box([1.0], [0.0])
+        with pytest.raises(ValueError, match="inverted"):
+            GammaSet(GammaSet.BOX, 2, bounds=([0.0, 1.0], [1.0, 0.0]))
+
+    def test_box_bounds_copied(self):
+        lo, hi = -np.ones(2), np.ones(2)
+        g = GammaSet.box(lo, hi)
+        lo[0] = -5.0  # the caller's bounds stay writable
+        assert g.bounds[0].tolist() == [-1.0, -1.0]
+        with pytest.raises(ValueError):
+            g.bounds[0][0] = 0.0
 
 
 def evaluate_loop(F, points, name):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasidiff.core import BlowUpError, DomainEscapeError, \
-    NonFiniteValueError
+from quasidiff.core import BlowUpError, DimensionMismatchError, \
+    DomainEscapeError, NonFiniteValueError
 from quasidiff.fields import abs_1d_field, abs_shear_field, constant_field, \
     linear_field, unit_x_field
 from quasidiff.flows import Box, FlowSolverConfig, VectorField, \
@@ -183,3 +183,18 @@ class TestBox:
             Box([0.0, 0.0], [1.0, np.nan])
         box = Box([-np.inf], [np.inf])
         assert box.contains([1e300])
+
+    def test_caller_bounds_left_writable(self):
+        # the box froze the caller's own arrays
+        a = np.ones(2)
+        box = Box(-a, a)
+        a[0] = 5.0
+        assert box.hi.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError):
+            box.hi[0] = 0.0
+
+    def test_bad_bounds_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            Box([0.0, 0.0], [1.0])
+        with pytest.raises(ValueError, match="inverted"):
+            Box([0.0, 1.0], [1.0, 0.0])

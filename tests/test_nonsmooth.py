@@ -35,7 +35,7 @@ class TestFdJacobian:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         f = lambda x: a @ x
         j = fd_jacobian(f, np.array([0.3, -0.2]), 1e-5)
-        assert np.allclose(j.entries, a, atol=1e-9)
+        assert np.allclose(np.asarray(j), a, atol=1e-9)
 
     def test_stencil_leaving_domain_raises(self):
         f = abs_1d_field()  # on [-10, 10]

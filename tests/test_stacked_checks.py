@@ -39,7 +39,7 @@ EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
 def dist_loop(L, lam):
     """Oracle: the distance from one map to an operator set."""
     flats = lam.flat_generators()
-    target = L.flat()
+    target = np.asarray(L, dtype=float).ravel()
     if not lam.convex_closure:
         d = float(np.min(np.linalg.norm(flats - target, axis=1)))
     else:
@@ -66,7 +66,7 @@ def verify_loop(F, cert, delta_grid, points_per_delta, seed=0,
         if membership is None:
             fxs = evaluate_rows(F, xs, "F")
         for i, (x, h) in enumerate(zip(xs, hs)):
-            L = c._as_linear_map(L_fn(x))
+            L = np.atleast_2d(np.asarray(L_fn(x), dtype=float))
             dist = dist_loop(L, cert.lam)
             if dist > rho_d + VERDICT_TOL:
                 violations.append({"delta": d, "x": x.tolist(),
@@ -77,7 +77,7 @@ def verify_loop(F, cert, delta_grid, points_per_delta, seed=0,
                 violations.append({"delta": d, "x": x.tolist(),
                                    "check": "remainder_size",
                                    "value": hn, "bound": d * rho_d})
-            value = cert.y_bar + L.apply(x - cert.x_bar) + h
+            value = cert.y_bar + L @ (x - cert.x_bar) + h
             if membership is not None:
                 if not membership(x, value):
                     violations.append({"delta": d, "x": x.tolist(),
@@ -96,8 +96,8 @@ def verify_loop(F, cert, delta_grid, points_per_delta, seed=0,
                 if np.array_equal(x, x2):
                     continue
                 dx = float(np.linalg.norm(x2 - x))
-                dev = float(np.linalg.norm(c._as_linear_map(L_fn(x)).entries
-                                           - c._as_linear_map(L_fn(x2)).entries))
+                dev = float(np.linalg.norm(np.asarray(L_fn(x), dtype=float)
+                                           - np.asarray(L_fn(x2), dtype=float)))
                 if dev > budget * dx * 1.5 + 1e-9:
                     violations.append({"delta": d, "x": x.tolist(),
                                        "check": "continuity_budget",
@@ -141,7 +141,7 @@ def curve_modulus_loop(data):
                         float(np.linalg.norm(h)) / d)
             if prev is not None and t > prev_t:
                 slope = max(slope, float(np.linalg.norm(
-                    L.entries - prev.entries)) / (t - prev_t))
+                    np.asarray(L) - np.asarray(prev))) / (t - prev_t))
             prev, prev_t = L, t
         raw.append(worst)
         budgets[d] = 2.0 * slope + 1.0
