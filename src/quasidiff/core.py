@@ -236,6 +236,16 @@ class GammaSet:
                 raise NonFiniteValueError("directions must be finite")
         if self.bounds is not None:
             object.__setattr__(self, "bounds", box_bounds(*self.bounds))
+        lo = None if self.bounds is None else self.bounds[0]
+        for name, value in (("direction", self.direction),
+                            ("generators", self.generators), ("bounds", lo)):
+            # a direction, a generator row or a bound holds one entry per
+            # coordinate, and a scalar is one entry
+            size = None if value is None else np.atleast_2d(value).shape[1]
+            if size not in (None, self.dimension):
+                raise DimensionMismatchError(
+                    f"{name} of size {size} in a GammaSet of dimension "
+                    f"{self.dimension}")
 
     @staticmethod
     def full_space(n: int) -> "GammaSet":

@@ -19,6 +19,7 @@ the rows whose calls leave the domain.  Non-finite values raise
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class MollifierConfig:
     eta: float
     quadrature_points: int = 512
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
 
 
 def _bump(v: np.ndarray) -> float:
@@ -170,23 +175,42 @@ def _quadrature_rule(n: int, count: int, seed: int):
 
 
 def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
-    """Convolve a field with the rescaled bump kernel at width eta."""
-    pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
+    """Convolve a field with the rescaled bump kernel at width eta.
 
-    def evaluator(x, pts=pts, weights=weights, eta=cfg.eta):
-        ys = x + eta * pts
-        inside = f.domain.contains_rows(ys)
-        if not inside.all():
-            raise DomainEscapeError("mollification stencil leaves domain",
-                                    point=ys[np.argmin(inside)])
+    Once per mollified field: the quadrature rule, its stencil offsets
+    ``eta * pts``, their least and greatest entry per coordinate (as
+    Python floats, with the box's bounds), the weight column and the zero
+    start row.  Per evaluation at x: the stencil ``x + offsets``, one box
+    test of its two extreme rows (exact, as rounding is monotone, so
+    x + min <= x + o for every offset o), the row-wise test of the whole
+    stencil only when that one misses, to report the first failing row, one
+    ``evaluate_rows`` call and the weighted sum.
+    """
+    pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
+    offsets = cfg.eta * pts
+    # per coordinate: the least and greatest offset, and the box's bounds
+    edges = list(zip(offsets.min(axis=0).tolist(), offsets.max(axis=0).tolist(),
+                     f.domain.lo.tolist(), f.domain.hi.tolist()))
+    column = weights[:, None]
+    zero = np.zeros((1, f.dimension))
+
+    def evaluator(x):
+        ys = x + offsets
+        # strict: a point of another size must not skip a coordinate
+        if not all(lo <= v + a and v + b <= hi
+                   for v, (a, b, lo, hi) in zip(x.tolist(), edges,
+                                                 strict=True)):
+            inside = f.domain.contains_rows(ys)
+            if not inside.all():
+                raise DomainEscapeError("mollification stencil leaves domain",
+                                        point=ys[np.argmin(inside)])
         values = evaluate_rows(f, ys, "f")
         # the weighted rows are added in quadrature order onto a zero start,
         # the same bits as a row loop of `acc += w * v` at well under half
         # its cost; np.sum would add a single column pairwise, which rounds
         # differently
-        terms = np.vstack([np.zeros((1, f.dimension)),
-                           weights[:, None] * values])
-        return np.add.accumulate(terms, axis=0)[-1]
+        return np.add.accumulate(np.vstack([zero, column * values]),
+                                 axis=0)[-1]
 
     return VectorField(evaluator, f.domain)
 
@@ -257,8 +281,8 @@ def bracket_flow_direction(f: VectorField, g: VectorField, q,
                            eps: float) -> np.ndarray:
     """(Psi_sqrt(eps)(q) - q) / eps, the measurable direction quotient of
     the commutator flow, in 200 RK4 steps per leg (``default_config``)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = float(np.sqrt(eps))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     return (multiflow_commutator(f, g, q, t, default_config(t)) - q) / eps
@@ -269,6 +293,8 @@ def mollified_commutator_flow(f: VectorField, g: VectorField, q, eps: float,
                               seed: int = 0) -> np.ndarray:
     """Commutator flow of the mollified fields with the width coupling
     eta = eps^2, in 50 RK4 steps per leg."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
     eta = eps * eps
     f_s = mollify(f, MollifierConfig(eta, quadrature_points, seed))
     g_s = mollify(g, MollifierConfig(eta, quadrature_points, seed + 1))

@@ -471,6 +471,26 @@ class TestGammaSet:
         with pytest.raises(ValueError, match="inverted"):
             GammaSet(GammaSet.BOX, 2, bounds=([0.0, 1.0], [1.0, 0.0]))
 
+    def test_direct_dimension_checked(self):
+        # the one-entry bounds were broadcast into a sample of [0, 1]^3,
+        # and the half-line read dimension 3
+        with pytest.raises(DimensionMismatchError):
+            GammaSet(GammaSet.BOX, 3, bounds=([0.0], [1.0]))
+        with pytest.raises(DimensionMismatchError):
+            GammaSet(GammaSet.HALFLINE, 3, direction=np.array([1.0, 0.0]))
+        with pytest.raises(DimensionMismatchError):
+            GammaSet(GammaSet.CONE, 3, generators=np.eye(2))
+        assert GammaSet(GammaSet.BOX, 2, bounds=([0.0, 0.0],
+                                                 [1.0, 1.0])).dimension == 2
+
+    def test_factories_keep_their_dimension(self):
+        assert GammaSet.full_space(3).dimension == 3
+        assert GammaSet.half_line([0.0, 2.0]).dimension == 2
+        assert GammaSet.finite_cone([1.0, 0.0, 0.0]).dimension == 3
+        assert GammaSet.finite_cone(np.eye(2)).dimension == 2
+        assert GammaSet.box(0.0, 1.0).dimension == 1
+        assert GammaSet.box([0.0, 0.0], [1.0, 1.0]).dimension == 2
+
     def test_box_bounds_copied(self):
         lo, hi = -np.ones(2), np.ones(2)
         g = GammaSet.box(lo, hi)
