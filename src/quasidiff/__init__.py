@@ -43,7 +43,6 @@ from .core import (
     GammaSet,
     InexactHausdorffError,
     LinearMap,
-    Modulus,
     NonFiniteValueError,
     OperatorSet,
     convex_hull_points,

@@ -8,7 +8,7 @@ resolution, not a proof.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +18,6 @@ from . import cones as _cones
 from .core import (
     DimensionMismatchError,
     GammaSet,
-    Modulus,
     NonFiniteValueError,
     OperatorSet,
     VERDICT_TOL,
@@ -83,11 +82,19 @@ class QdqCertificate:
 @dataclass(frozen=True)
 class VerificationReport:
     accepted: bool
-    worst_violations: list
-    checks_run: int
     rho_monotone: bool
-    violations: list = field(default_factory=list)
-    checks_per_delta: tuple = ()  # (delta, points checked) per grid value
+    violations: list
+    checks_per_delta: tuple  # (delta, points checked) per grid value
+
+    @property
+    def worst_violations(self) -> list:
+        """The 20 largest violations by float ``value`` (others rank 0)."""
+        return sorted(self.violations, key=lambda v: -(
+            v["value"] if isinstance(v["value"], float) else 0.0))[:20]
+
+    @property
+    def checks_run(self) -> int:
+        return sum(c for _, c in self.checks_per_delta)
 
     def to_jsonable(self) -> dict:
         return {
@@ -199,14 +206,10 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                 "continuity_budget", devs / np.maximum(dxs, 1e-300), budget,
                 devs > budget * dxs * 1.5 + 1e-9)])
 
-    ranked = sorted(violations,
-                    key=lambda v: -(v["value"]
-                                    if isinstance(v["value"], float) else 0.0))
     sampled_enough = all(c >= points_per_delta for _, c in checks_per_delta)
     accepted = rho_monotone and sampled_enough and not violations
-    checks = sum(c for _, c in checks_per_delta)
-    return VerificationReport(accepted, ranked[:20], checks, rho_monotone,
-                              violations, tuple(checks_per_delta))
+    return VerificationReport(accepted, rho_monotone, violations,
+                              tuple(checks_per_delta))
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +403,12 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
         budgets[d] = 2.0 * float(np.max(jumps[steps > 0] / steps[steps > 0],
                                         initial=0.0)) + 1.0
     # monotonize with headroom so the verifier's own samples stay inside
-    rho = Modulus.from_samples(
-        zip(grid, 1.3 * np.maximum.accumulate(raw) + 1e-9))
-
-    def budget(d, budgets=budgets, grid=grid):
-        nearest = min(grid, key=lambda g: abs(g - d))
-        return budgets[nearest] * 2.0
+    values = 1.3 * np.maximum.accumulate(raw) + 1e-9
+    # linear below the measured grid; from its top on, np.interp holds the
+    # last value exactly
+    rho = lambda d: float(values[0] * d / grid[0] if d <= grid[0]
+                          else np.interp(d, grid, values))
+    budget = lambda d: budgets[min(grid, key=lambda g: abs(g - d))] * 2.0
 
     return QdqCertificate(
         x_bar=np.array([data.t_bar]),
@@ -456,7 +459,7 @@ def gamma_intersection(g1: GammaSet, g2: GammaSet) -> GammaSet:
     if g2.kind == GammaSet.FULL:
         return g1
     if g1.kind == GammaSet.HALFLINE and g2.kind == GammaSet.HALFLINE:
-        if np.allclose(g1.direction, g2.direction):
+        if np.allclose(g1.generators, g2.generators):
             return g1
         raise ValueError("half-lines with distinct directions: intersection "
                          "is not representable")
@@ -470,8 +473,7 @@ def gamma_intersection(g1: GammaSet, g2: GammaSet) -> GammaSet:
     if g1.kind == GammaSet.CONE and g2.kind == GammaSet.HALFLINE:
         return gamma_intersection(g2, g1)
     if g1.kind == GammaSet.HALFLINE and g2.kind == GammaSet.CONE:
-        k2 = _cones.conic_hull(g2.generators)
-        if k2.contains(g1.direction):
+        if _cones.conic_hull(g2.generators).contains(g1.generators[0]):
             return g1
         raise ValueError("half-line leaves the cone")
     raise ValueError(f"unsupported intersection {g1.kind!r} with {g2.kind!r}")
@@ -638,9 +640,13 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
             raise AbundanceError(f"retraction at eta={eta} misses by "
                                  f"{errs[i]}", worst_point=xs[i])
 
+    # the retraction-width schedule lets membership oracles reconstruct
+    # the exact images used by the family
+    eta_of = lambda d: d * float(cert.rho(d))
+
     def family(d):
         L_fn, h_fn = _family_at(cert, d)
-        eta = d * float(cert.rho(d))
+        eta = eta_of(d)
 
         def h(x):
             y = np.atleast_1d(np.asarray(F(x), dtype=float))
@@ -652,12 +658,10 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
             return shift + h_fn(x)
         return L_fn, h
 
-    # the retraction-width schedule lets membership oracles reconstruct
-    # the exact images used by the family
     return QdqCertificate(
         cert.x_bar, cert.y_bar, cert.gamma, cert.lam, cert.delta_star,
         lambda d: 2.0 * cert.rho(d), family, cert.lipschitz_budget,
-        retraction_eta=lambda d: d * float(cert.rho(d)))
+        retraction_eta=eta_of)
 
 
 def _finite(value, name: str, x) -> np.ndarray:
@@ -672,12 +676,15 @@ def _finite(value, name: str, x) -> np.ndarray:
 
 def abundant_membership(F, cert: QdqCertificate, theta_family,
                         delta_grid=DEFAULT_DELTA_GRID):
-    """Membership oracle for the retraction union, for use as the
+    """Membership oracle for the retraction union of a certificate made by
+    ``abundant_transfer`` (another raises ``ValueError``), for use as the
     ``membership`` argument of the verifier.  A NaN or an infinity from F
     or the retraction raises ``NonFiniteValueError``: it would compare as
     no image at all and so read as a non-member."""
-    eta_of = cert.retraction_eta or (lambda d: d * float(cert.rho(d)))
-    etas = sorted({float(eta_of(d)) for d in delta_grid} - {0.0})
+    if cert.retraction_eta is None:
+        raise ValueError("the certificate has no retraction schedule: "
+                         "make it with abundant_transfer")
+    etas = sorted({float(cert.retraction_eta(d)) for d in delta_grid} - {0.0})
 
     def member(x, y):
         base = _finite(F(x), "F", x)

@@ -46,7 +46,12 @@ class ConvexCone:
     generators: np.ndarray  # k x n, possibly k = 0 for the trivial cone
 
     def __post_init__(self):
-        gens = np.array(self.generators, dtype=float).reshape(-1, self.dimension)
+        gens = np.array(self.generators, dtype=float)
+        if gens.ndim == 1:  # an empty list, or one generator
+            gens = gens[None] if gens.size else gens.reshape(0, self.dimension)
+        if gens.ndim != 2 or gens.shape[1] != self.dimension:
+            raise DimensionMismatchError(f"generators of shape {gens.shape} "
+                                         f"in dimension {self.dimension}")
         if not np.all(np.isfinite(gens)):
             raise NonFiniteValueError("generators must be finite")
         gens.setflags(write=False)
@@ -91,17 +96,17 @@ class SeparationCertificate:
 
 
 def conic_hull(vectors, dimension: int | None = None) -> ConvexCone:
-    """Conic hull of a finite vector list; zero vectors are dropped, and a
-    NaN or an infinite entry raises ``NonFiniteValueError``."""
+    """Conic hull of a finite vector list; zero vectors are dropped, a NaN
+    or an infinite entry raises ``NonFiniteValueError``, and vectors of
+    another size than a given ``dimension`` ``DimensionMismatchError``."""
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     if vecs.size == 0:
         if dimension is None:
             raise ValueError("dimension required for an empty generator list")
         return ConvexCone(dimension, np.zeros((0, dimension)))
-    n = vecs.shape[1]
     # a NaN row is not within 1e-12 of 0, so it is kept and refused
     keep = vecs[~(np.linalg.norm(vecs, axis=1) <= 1e-12)]
-    return ConvexCone(n, keep.reshape(-1, n))
+    return ConvexCone(vecs.shape[1] if dimension is None else dimension, keep)
 
 
 def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
@@ -131,7 +136,9 @@ def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
 
 
 def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
-    """Polar cone {p : p.w <= 0 for all w} of a finite vector list."""
+    """Polar cone {p : p.w <= 0 for all w} of a finite vector list; vectors
+    of another size than a given ``dimension`` raise
+    ``DimensionMismatchError``."""
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     if vecs.size == 0:
         if dimension is None:
@@ -140,7 +147,8 @@ def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
     rays = _extreme_rays(vecs, vecs.shape[1])
     # drop rays that only witness numerical noise
     good = np.all(vecs @ rays.T <= 1e-8, axis=0)
-    return ConvexCone(vecs.shape[1], rays[good])
+    return ConvexCone(vecs.shape[1] if dimension is None else dimension,
+                      rays[good])
 
 
 def _block_lp(blocks) -> list:
@@ -285,14 +293,9 @@ def image_cone(L, gamma: GammaSet) -> ConvexCone:
     if n != gamma.dimension:
         raise DimensionMismatchError(
             f"map has {n} columns, gamma dimension is {gamma.dimension}")
-    if gamma.kind == GammaSet.FULL:
-        cols = L.T  # images of the basis vectors
-        return conic_hull(np.vstack([cols, -cols]), m)
-    if gamma.kind == GammaSet.HALFLINE:
-        return conic_hull([L @ gamma.direction], m)
-    if gamma.kind == GammaSet.CONE:
-        return conic_hull([L @ g for g in gamma.generators], m)
-    raise ValueError("image of a box is not a cone")
+    if gamma.kind == GammaSet.BOX:
+        raise ValueError("image of a box is not a cone")
+    return conic_hull([L @ g for g in gamma.generators], m)
 
 
 def is_full_space(cone: ConvexCone) -> bool:
@@ -307,4 +310,4 @@ def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
     rays = _extreme_rays(np.vstack([p1, p2]), k1.dimension)
     good = [r for r in rays
             if k1.contains(r, 1e-7) and k2.contains(r, 1e-7)]
-    return ConvexCone(k1.dimension, np.array(good).reshape(-1, k1.dimension))
+    return ConvexCone(k1.dimension, good)

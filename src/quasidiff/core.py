@@ -8,7 +8,7 @@ so everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -16,7 +16,6 @@ from scipy.spatial import ConvexHull as _QhullHull
 from scipy.spatial import QhullError
 from scipy.spatial import cKDTree
 
-EQUALITY_TOL = 1e-10
 VERDICT_TOL = 1e-8
 # redraws of a box direction set before a short sample is returned
 BOX_SAMPLE_ROUNDS = 64
@@ -217,11 +216,12 @@ class OperatorSet:
 
 @dataclass(frozen=True)
 class GammaSet:
-    """A direction-restriction set: full space, half-line, cone, or box."""
+    """A direction-restriction set.  The full space, a half-line and a
+    finitely generated cone are their generators, the rows of a read-only
+    (k, n) array: +-e_i for the full space, the unit direction for a
+    half-line.  A box is its bounds."""
 
     kind: str
-    dimension: int
-    direction: np.ndarray | None = None
     generators: np.ndarray | None = None
     bounds: tuple | None = None
 
@@ -231,25 +231,38 @@ class GammaSet:
     BOX = "box"
 
     def __post_init__(self):
-        for value in (self.direction, self.generators):
-            if value is not None and not np.all(np.isfinite(value)):
-                raise NonFiniteValueError("directions must be finite")
-        if self.bounds is not None:
+        if self.kind not in (GammaSet.FULL, GammaSet.HALFLINE, GammaSet.CONE,
+                             GammaSet.BOX):
+            raise ValueError(f"unknown gamma kind {self.kind!r}")
+        box = self.kind == GammaSet.BOX
+        if (self.bounds is None) == box or (self.generators is None) != box:
+            raise ValueError(f"a {self.kind} set is given by its "
+                             f"{'bounds' if box else 'generators'} alone")
+        if box:
             object.__setattr__(self, "bounds", box_bounds(*self.bounds))
-        lo = None if self.bounds is None else self.bounds[0]
-        for name, value in (("direction", self.direction),
-                            ("generators", self.generators), ("bounds", lo)):
-            # a direction, a generator row or a bound holds one entry per
-            # coordinate, and a scalar is one entry
-            size = None if value is None else np.atleast_2d(value).shape[1]
-            if size not in (None, self.dimension):
-                raise DimensionMismatchError(
-                    f"{name} of size {size} in a GammaSet of dimension "
-                    f"{self.dimension}")
+            return
+        gens = np.array(self.generators, dtype=float, ndmin=2)
+        if not np.all(np.isfinite(gens)):
+            raise NonFiniteValueError("directions must be finite")
+        if np.any(np.linalg.norm(gens, axis=1) <= 0):
+            raise ValueError("generators must be nonzero")
+        n = gens.shape[1]
+        if self.kind == GammaSet.FULL and not np.array_equal(
+                gens, np.vstack([np.eye(n), -np.eye(n)])):
+            raise ValueError("the full space is generated by +-e_i")
+        if self.kind == GammaSet.HALFLINE and len(gens) != 1:
+            raise ValueError("a half-line has one generator")
+        gens.setflags(write=False)
+        object.__setattr__(self, "generators", gens)
+
+    @property
+    def dimension(self) -> int:
+        return self.generators.shape[1] if self.bounds is None \
+            else self.bounds[0].size
 
     @staticmethod
     def full_space(n: int) -> "GammaSet":
-        return GammaSet(GammaSet.FULL, n)
+        return GammaSet(GammaSet.FULL, np.vstack([np.eye(n), -np.eye(n)]))
 
     @staticmethod
     def half_line(direction) -> "GammaSet":
@@ -257,18 +270,15 @@ class GammaSet:
         nrm = np.linalg.norm(d)
         if nrm <= 0:
             raise ValueError("half-line direction must be nonzero")
-        return GammaSet(GammaSet.HALFLINE, d.size, direction=d / nrm)
+        return GammaSet(GammaSet.HALFLINE, d / nrm)
 
     @staticmethod
     def finite_cone(generators) -> "GammaSet":
-        g = np.atleast_2d(np.asarray(generators, dtype=float))
-        if np.any(np.linalg.norm(g, axis=1) <= 0):
-            raise ValueError("finite-cone generators must be nonzero")
-        return GammaSet(GammaSet.CONE, g.shape[1], generators=g)
+        return GammaSet(GammaSet.CONE, generators)
 
     @staticmethod
     def box(lo, hi) -> "GammaSet":
-        return GammaSet(GammaSet.BOX, np.size(lo), bounds=(lo, hi))
+        return GammaSet(GammaSet.BOX, bounds=(lo, hi))
 
     def sample(self, rng: np.random.Generator, center: np.ndarray, delta: float,
                count: int) -> np.ndarray:
@@ -282,7 +292,7 @@ class GammaSet:
             return out
         if self.kind == GammaSet.HALFLINE:
             radii = delta * np.concatenate([rng.uniform(size=count), [1.0]])
-            return center + np.outer(radii, self.direction)
+            return center + np.outer(radii, self.generators[0])
         if self.kind == GammaSet.CONE:
             coeffs = rng.uniform(size=(count, self.generators.shape[0]))
             raw = coeffs @ self.generators
@@ -292,71 +302,21 @@ class GammaSet:
             norms = norms[keep]
             radii = delta * rng.uniform(size=raw.shape[0]) ** (1.0 / n)
             return center + raw * (radii / norms)[:, None]
-        if self.kind == GammaSet.BOX:
-            # draw from the box clipped to the cube around B_delta, keep the
-            # points inside B_delta, and redraw for what is still missing
-            lo = np.maximum(self.bounds[0], center - delta)
-            hi = np.minimum(self.bounds[1], center + delta)
-            if np.any(lo > hi):
-                return np.zeros((0, n))
-            kept, total = [], 0
-            for _ in range(BOX_SAMPLE_ROUNDS):
-                pts = rng.uniform(lo, hi, size=(count, n))
-                pts = pts[np.linalg.norm(pts - center, axis=1) <= delta]
-                kept.append(pts)
-                total += pts.shape[0]
-                if total >= count:
-                    break
-            return np.vstack(kept)[:count]
-        raise ValueError(f"unknown gamma kind {self.kind!r}")
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.kind == GammaSet.FULL:
-            return True
-        if self.kind == GammaSet.HALFLINE:
-            t = float(self.direction @ x)
-            return t >= -tol and np.linalg.norm(x - t * self.direction) <= tol
-        if self.kind == GammaSet.CONE:
-            return in_conic_hull(self.generators, x, tol)
-        if self.kind == GammaSet.BOX:
-            lo, hi = self.bounds
-            return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
-        raise ValueError(f"unknown gamma kind {self.kind!r}")
-
-
-class Modulus:
-    """A nondecreasing nonnegative function vanishing at 0, with an audit trail
-    of (delta, value) samples."""
-
-    def __init__(self, fn: Callable[[float], float], grid: Sequence[float] = ()):
-        self._fn = fn
-        grid = sorted(grid)
-        self.samples = [(float(d), float(fn(d))) for d in grid]
-        for (d0, v0), (d1, v1) in zip(self.samples, self.samples[1:]):
-            if v1 < v0 - EQUALITY_TOL:
-                raise ValueError("modulus samples must be nondecreasing in delta")
-        if any(v < -EQUALITY_TOL for _, v in self.samples):
-            raise ValueError("modulus values must be nonnegative")
-
-    def __call__(self, delta: float) -> float:
-        return float(self._fn(delta))
-
-    @staticmethod
-    def from_samples(samples: Sequence[tuple]) -> "Modulus":
-        pts = sorted((float(d), float(v)) for d, v in samples)
-        deltas = np.array([d for d, _ in pts])
-        values = np.array([v for _, v in pts])
-
-        def fn(delta, deltas=deltas, values=values):
-            if delta <= deltas[0]:
-                # scale down linearly below the sampled range
-                return values[0] * delta / deltas[0]
-            if delta >= deltas[-1]:
-                return values[-1]
-            return float(np.interp(delta, deltas, values))
-
-        return Modulus(fn, deltas)
+        # a box: draw from the box clipped to the cube around B_delta, keep
+        # the points inside B_delta, and redraw for what is still missing
+        lo = np.maximum(self.bounds[0], center - delta)
+        hi = np.minimum(self.bounds[1], center + delta)
+        if np.any(lo > hi):
+            return np.zeros((0, n))
+        kept, total = [], 0
+        for _ in range(BOX_SAMPLE_ROUNDS):
+            pts = rng.uniform(lo, hi, size=(count, n))
+            pts = pts[np.linalg.norm(pts - center, axis=1) <= delta]
+            kept.append(pts)
+            total += pts.shape[0]
+            if total >= count:
+                break
+        return np.vstack(kept)[:count]
 
 
 def _simplex_least_squares(columns: np.ndarray, target: np.ndarray):

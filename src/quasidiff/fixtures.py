@@ -19,7 +19,6 @@ from .separation import MultiCone
 @dataclass(frozen=True)
 class SeparationFixture:
     name: str
-    dimension: int
     z: np.ndarray
     k1: MultiCone
     k2: MultiCone
@@ -82,17 +81,12 @@ def _half_plane_sampler(sign: float):
     return sampler
 
 
-def _parabola_sampler():
+def _graph_sampler(g):
+    """The graph of the scalar function g over the axis grid."""
+
     def sampler(rng, z, radius, count):
         ts = _axis_grid(radius, count)
-        return z + np.column_stack([ts, ts * ts])
-    return sampler
-
-
-def _abs_graph_sampler():
-    def sampler(rng, z, radius, count):
-        ts = _axis_grid(radius, count)
-        return z + np.column_stack([ts, np.abs(ts)])
+        return z + np.column_stack([ts, g(ts)])
     return sampler
 
 
@@ -185,17 +179,17 @@ def builtin_fixtures() -> list:
     z3 = np.zeros(3)
     fixtures = [
         SeparationFixture(
-            "axes", 2, z2,
+            "axes", z2,
             _mc(_lines([1, 0]), 2), _mc(_lines([0, 1]), 2),
             _line_sampler([1, 0]), _line_sampler([0, 1]), 1.0,
             "two transversal lines; merely transversal, no verdict fires"),
         SeparationFixture(
-            "half_plane_vs_ray", 2, z2,
+            "half_plane_vs_ray", z2,
             _mc([[1, 0], [-1, 0], [0, 1]], 2), _mc([[0, 1]], 2),
             _half_plane_sampler(+1.0), _ray_sampler([0, 1]), 1.0,
             "strongly transversal; common points on the positive y-axis"),
         SeparationFixture(
-            "half_planes", 2, z2,
+            "half_planes", z2,
             _mc([[1, 0], [-1, 0], [0, 1]], 2),
             _mc([[1, 0], [-1, 0], [0, -1]], 2),
             _half_plane_sampler(+1.0), _half_plane_sampler(-1.0), 1.0,
@@ -203,43 +197,43 @@ def builtin_fixtures() -> list:
             "the sets share their boundary line (the theorem has no "
             "converse)"),
         SeparationFixture(
-            "half_space_vs_line", 3, z3,
+            "half_space_vs_line", z3,
             _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])], 3),
             _mc(_lines([0, 0, 1]), 3),
             _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
             "strongly transversal; common points on the positive z-axis"),
         SeparationFixture(
-            "parabola_vs_axis", 2, z2,
+            "parabola_vs_axis", z2,
             _mc(_lines([1, 0]), 2), _mc(_lines([1, 0]), 2),
-            _parabola_sampler(), _line_sampler([1, 0]), 1.0,
+            _graph_sampler(lambda t: t * t), _line_sampler([1, 0]), 1.0,
             "tangential contact; cones coincide, nothing fires"),
         SeparationFixture(
-            "opposite_rays", 2, z2,
+            "opposite_rays", z2,
             _mc([[1, 0]], 2), _mc([[-1, 0]], 2),
             _ray_sampler([1, 0]), _ray_sampler([-1, 0]), 1.0,
             "difference cone is a half-line; not transversal"),
         SeparationFixture(
-            "accumulating_lines", 2, z2,
+            "accumulating_lines", z2,
             _mc(_lines([1, 0]), 2, z_ignoring=True), _mc(_lines([0, 1]), 2),
             _accumulating_lines_sampler(), _y_axis_with_dyadics_sampler(), 1.0,
             "transversal with a base-point-avoiding generator; fires via "
             "the z-ignoring branch",
             z_ignoring_family=_accumulating_family),
         SeparationFixture(
-            "cone_vs_vertical_line", 2, z2,
+            "cone_vs_vertical_line", z2,
             _mc([[1, 1], [-1, 1]], 2), _mc(_lines([0, 1]), 2),
             _cone_region_sampler(), _line_sampler([0, 1]), 1.0,
             "strongly transversal; line enters the cone interior"),
         SeparationFixture(
-            "abs_graph_vs_vertical_line", 2, z2,
+            "abs_graph_vs_vertical_line", z2,
             MultiCone((conic_hull(_lines([1, 1]), 2),
                        conic_hull(_lines([1, -1]), 2))),
             _mc(_lines([0, 1]), 2),
-            _abs_graph_sampler(), _line_sampler([0, 1]), 1.0,
+            _graph_sampler(np.abs), _line_sampler([0, 1]), 1.0,
             "multi-cone of the two one-sided tangent lines; only merely "
             "transversal, no verdict"),
         SeparationFixture(
-            "planes_3d", 3, z3,
+            "planes_3d", z3,
             _mc(_lines([1, 0, 0], [0, 1, 0]), 3),
             _mc(_lines([0, 1, 0], [0, 0, 1]), 3),
             _coordinate_plane_3d_sampler((0, 1)),

@@ -22,9 +22,9 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
+        return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def contains_rows(self, points) -> np.ndarray:
         """Row-wise ``contains`` of a (k, n) array, as a length-k mask."""

@@ -158,20 +158,21 @@ def _quadrature_rule(n: int, count: int, seed: int):
     """Symmetric quasi-Monte-Carlo bump quadrature on the unit ball.
 
     Points come in +-pairs and weights are normalized to unit total mass,
-    so constants are reproduced exactly and odd moments vanish.
+    so constants are reproduced exactly and odd moments vanish.  From n = 5
+    on, fewer than half of the Halton draws land in the ball, and
+    ``EstimatorFailedError`` is raised rather than shrink the rule.
     """
     half = max(count // 2, 8)
     sampler = qmc.Halton(d=n, seed=seed)
     raw = 2.0 * sampler.random(4 * half) - 1.0
     inside = raw[np.linalg.norm(raw, axis=1) < 0.999][:half]
-    if inside.shape[0] == 0:
-        inside = np.zeros((1, n))
+    if len(inside) < half:
+        raise EstimatorFailedError(
+            f"{len(inside)} of {4 * half} quadrature draws land in the unit "
+            f"ball of dimension {n}, fewer than the {half} needed")
     pts = np.vstack([inside, -inside])
     weights = np.array([_bump(v) for v in pts])
-    total = weights.sum()
-    if total <= 0:
-        raise EstimatorFailedError("degenerate mollifier quadrature")
-    return pts, weights / total
+    return pts, weights / weights.sum()
 
 
 def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
@@ -184,7 +185,8 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     test of its two extreme rows (exact, as rounding is monotone, so
     x + min <= x + o for every offset o), the row-wise test of the whole
     stencil only when that one misses, to report the first failing row, one
-    ``evaluate_rows`` call and the weighted sum.
+    ``evaluate_rows`` call and the weighted sum.  From n = 5 on the
+    quadrature rule raises ``EstimatorFailedError``.
     """
     pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
     offsets = cfg.eta * pts

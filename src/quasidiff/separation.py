@@ -44,9 +44,8 @@ class MultiCone:
 def build_multicone(lam: OperatorSet, gamma: GammaSet,
                     z_ignoring: bool = False) -> MultiCone:
     """Image cones of every generator; for hull sets the vertices are
-    enumerated (conservative for the all-pairs verdict lift)."""
-    if gamma.kind not in (GammaSet.FULL, GammaSet.HALFLINE, GammaSet.CONE):
-        raise ValueError(f"unsupported direction-set kind {gamma.kind!r}")
+    enumerated (conservative for the all-pairs verdict lift).  A box
+    direction set, whose image is no cone, raises ``ValueError``."""
     cones = tuple(image_cone(g, gamma) for g in lam.generators)
     return MultiCone(cones, z_ignoring)
 

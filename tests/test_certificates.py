@@ -453,6 +453,31 @@ class TestCurveCertificates:
             assert v == pytest.approx(abs(t), abs=1e-14)
 
 
+class TestCurveModulus:
+    """The measured modulus of ``curve_qdq``, on the grid 2^-12 ... 2^-2
+    with 1e-3, 1e-2 and 1e-1."""
+
+    def setup_method(self):
+        self.rho = c.curve_qdq(c.CurveData.from_function(abs, 0.0)).rho
+
+    def test_linear_below_the_grid(self):
+        lo = 2.0 ** -12
+        assert self.rho(lo / 4.0) == pytest.approx(self.rho(lo) / 4.0)
+        assert self.rho(0.0) == 0.0
+
+    def test_interpolated_inside_the_grid(self):
+        a, b = 0.01, 2.0 ** -6  # neighbours on the grid
+        assert self.rho(0.5 * (a + b)) == pytest.approx(
+            0.5 * (self.rho(a) + self.rho(b)))
+        assert self.rho(a) < self.rho(b)
+        vals = [self.rho(d) for d in np.geomspace(2.0 ** -12, 0.25, 200)]
+        assert vals == sorted(vals) and vals[0] > 0.0
+
+    def test_constant_above_the_grid(self):
+        top = self.rho(0.25)
+        assert self.rho(0.3) == top and self.rho(0.49) == top
+
+
 class TestCurveFalsifier:
     def setup_method(self):
         self.data = c.CurveData.from_function(lambda t: abs(t), 0.0)
@@ -695,6 +720,12 @@ class TestAbundantTransfer:
         with pytest.raises(core.NonFiniteValueError, match="F returned"):
             member(np.array([0.05]), np.array([0.05]))
 
+    def test_membership_of_an_untransferred_certificate_refused(self):
+        # the oracle guessed the widths d * rho(d) of a certificate that
+        # abundant_transfer did not make
+        with pytest.raises(ValueError, match="retraction schedule"):
+            c.abundant_membership(self.F, self.cert, self.theta)
+
 
 class TestGammaIntersection:
     def test_full_with_anything(self):
@@ -707,8 +738,8 @@ class TestGammaIntersection:
         half = GammaSet.finite_cone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         out = c.gamma_intersection(quad, half)
         assert out.kind == GammaSet.CONE
-        assert out.contains([1.0, 1.0])
-        assert not out.contains([-1.0, 0.0])
+        assert core.in_conic_hull(out.generators, [1.0, 1.0], 1e-9)
+        assert not core.in_conic_hull(out.generators, [-1.0, 0.0], 1e-9)
 
     def test_disjoint_halflines_rejected(self):
         g1 = GammaSet.half_line([1.0, 0.0])

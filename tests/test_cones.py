@@ -31,7 +31,7 @@ from quasidiff.cones import (
     polar_cone,
 )
 from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap, \
-    NonFiniteValueError
+    NonFiniteValueError, in_conic_hull
 
 
 def sampling_transversal_oracle(k1, k2, directions=400, seed=0, tol=1e-7):
@@ -189,6 +189,25 @@ class TestConicHull:
         with pytest.raises(NonFiniteValueError):
             conic_hull([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_generators_of_another_width_refused(self):
+        # the 2 x 3 list was reshaped into the generators (1, 2), (3, 4)
+        # and (5, 6), and four entries into two generators
+        with pytest.raises(DimensionMismatchError):
+            ConvexCone(2, [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionMismatchError):
+            ConvexCone(2, [1.0, 2.0, 3.0, 4.0])
+        # a 2-D cone came back, whatever the dimension asked for
+        for build in (conic_hull, polar_cone):
+            with pytest.raises(DimensionMismatchError):
+                build([[1.0, 0.0]], 3)
+        with pytest.raises(DimensionMismatchError):
+            conic_hull([[0.0, 0.0]], 3)  # every row dropped as zero
+        # an empty list is the trivial cone, and one 1-D generator a row
+        assert ConvexCone(3, []).generators.shape == (0, 3)
+        assert ConvexCone(2, [1.0, 2.0]).generators.tolist() == [[1.0, 2.0]]
+        assert conic_hull([1.0, 0.0], 2).generators.tolist() == [[1.0, 0.0]]
+        assert polar_cone([], 2).dimension == 2
+
     def test_nan_cone_refused(self):
         # analyze_pair on this cone raised LinAlgError from the SVD
         with pytest.raises(NonFiniteValueError):
@@ -203,7 +222,7 @@ class TestConicHull:
         cone = ConvexCone(3, gens)
         assert not cone.contains(q[2])
         assert not cone.is_subspace()
-        assert not GammaSet.finite_cone(gens).contains(q[2])
+        assert not in_conic_hull(gens, q[2], 1e-9)
         assert cone.contains(-q[2]) and cone.contains(q[0] - q[2])
 
 
@@ -513,3 +532,45 @@ class TestConeIntersection:
                                   conic_hull([[-1.0, 0.0]]))
         assert not inter.contains([1.0, 0.0])
         assert not inter.contains([-1.0, 0.0])
+
+
+def branch_image_cone(L, gamma, direction):
+    """Oracle: the image cone as it was built, one branch per kind, when a
+    half-line stored its direction and the full space no generators."""
+    L = np.asarray(L, dtype=float)
+    m = L.shape[0]
+    if gamma.kind == GammaSet.FULL:
+        return conic_hull(np.vstack([L.T, -L.T]), m)
+    if gamma.kind == GammaSet.HALFLINE:
+        return conic_hull([L @ direction], m)
+    return conic_hull([L @ g for g in gamma.generators], m)
+
+
+class TestImageConeMatchesBranches:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([GammaSet.FULL, GammaSet.HALFLINE,
+                                 GammaSet.CONE]),
+           m=st.integers(1, 3), n=st.integers(1, 3), k=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_values_and_verdicts_equal(self, kind, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        # zeros of both signs, whose sign the two builds may not share
+        L = rng.normal(size=(m, n))
+        L[rng.uniform(size=(m, n)) < 0.4] = 0.0
+        L[rng.uniform(size=(m, n)) < 0.2] = -0.0
+        direction = rng.integers(-1, 2, size=n).astype(float)
+        direction[0] = 1.0
+        gamma = {GammaSet.FULL: lambda: GammaSet.full_space(n),
+                 GammaSet.HALFLINE: lambda: GammaSet.half_line(direction),
+                 GammaSet.CONE: lambda: GammaSet.finite_cone(
+                     rng.integers(-1, 2, size=(k, n)) + 0.5)}[kind]()
+        got = image_cone(L, gamma)
+        want = branch_image_cone(L, gamma,
+                                 direction / np.linalg.norm(direction))
+        assert got.dimension == want.dimension == m
+        assert np.array_equal(got.generators, want.generators)
+        k2 = conic_hull(rng.integers(-1, 2, size=(int(rng.integers(0, 4)), m)),
+                        m)
+        a, b = analyze_pairs([(got, k2), (want, k2)])
+        assert (a.transversal, a.verdict) == (b.transversal, b.verdict)
+        assert (a.certificate is None) == (b.certificate is None)

@@ -14,7 +14,6 @@ from quasidiff.core import (
     DimensionMismatchError,
     GammaSet,
     LinearMap,
-    Modulus,
     OperatorSet,
     convex_hull_points,
     dist_to_operator_set,
@@ -26,6 +25,7 @@ from quasidiff.core import (
     evaluate_rows,
     hausdorff_distance,
     hull_membership_residual,
+    in_conic_hull,
 )
 
 # a hull distance for a point inside the hull is rounding error of the
@@ -414,7 +414,7 @@ class TestGammaSet:
         pts = g.sample(rng, np.zeros(2), 1.0, 30)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
         for p in pts:
-            assert g.contains(p)
+            assert in_conic_hull(g.generators, p, 1e-9)
 
     def test_box_wider_than_ball_gives_full_sample(self):
         g = GammaSet.box([-1.0, -1.0], [1.0, 0.0])
@@ -422,7 +422,7 @@ class TestGammaSet:
         pts = g.sample(rng, np.zeros(2), 0.1, 40)
         assert pts.shape == (40, 2)
         assert np.all(np.linalg.norm(pts, axis=1) <= 0.1)
-        assert all(g.contains(p, tol=0.0) for p in pts)
+        assert np.all((pts >= g.bounds[0]) & (pts <= g.bounds[1]))
 
     def test_box_missing_ball_gives_no_sample(self):
         rng = np.random.default_rng(0)
@@ -436,8 +436,8 @@ class TestGammaSet:
 
     def test_cone_contains(self):
         g = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]])
-        assert g.contains([0.5, 0.25])
-        assert not g.contains([-0.5, 0.25])
+        assert in_conic_hull(g.generators, [0.5, 0.25], 1e-9)
+        assert not in_conic_hull(g.generators, [-0.5, 0.25], 1e-9)
 
     def test_nan_half_line_refused(self):
         # a NaN norm passes the nonzero test
@@ -469,19 +469,44 @@ class TestGammaSet:
         with pytest.raises(ValueError, match="inverted"):
             GammaSet.box([1.0], [0.0])
         with pytest.raises(ValueError, match="inverted"):
-            GammaSet(GammaSet.BOX, 2, bounds=([0.0, 1.0], [1.0, 0.0]))
+            GammaSet(GammaSet.BOX, bounds=([0.0, 1.0], [1.0, 0.0]))
 
     def test_direct_dimension_checked(self):
-        # the one-entry bounds were broadcast into a sample of [0, 1]^3,
-        # and the half-line read dimension 3
-        with pytest.raises(DimensionMismatchError):
-            GammaSet(GammaSet.BOX, 3, bounds=([0.0], [1.0]))
-        with pytest.raises(DimensionMismatchError):
-            GammaSet(GammaSet.HALFLINE, 3, direction=np.array([1.0, 0.0]))
-        with pytest.raises(DimensionMismatchError):
-            GammaSet(GammaSet.CONE, 3, generators=np.eye(2))
-        assert GammaSet(GammaSet.BOX, 2, bounds=([0.0, 0.0],
-                                                 [1.0, 1.0])).dimension == 2
+        # the data is the one record of the dimension, so a kind given the
+        # other kind's data, or data that is not its own, is refused
+        box = ([0.0, 0.0], [1.0, 1.0])
+        for kind, gens, bounds in [
+                (GammaSet.BOX, np.eye(2), None),
+                (GammaSet.BOX, np.eye(2), box),
+                (GammaSet.CONE, None, box),
+                (GammaSet.HALFLINE, None, None),
+                (GammaSet.FULL, np.vstack([np.eye(2), -np.eye(2)]), box)]:
+            with pytest.raises(ValueError, match="alone"):
+                GammaSet(kind, gens, bounds)
+        with pytest.raises(ValueError, match="unknown gamma kind"):
+            GammaSet("ball", np.eye(2))
+        with pytest.raises(ValueError, match="one generator"):
+            GammaSet(GammaSet.HALFLINE, np.eye(2))
+        # a full space whose generators are not +-e_i would sample the
+        # ball but map another cone
+        with pytest.raises(ValueError, match="e_i"):
+            GammaSet(GammaSet.FULL, np.eye(2))
+        with pytest.raises(ValueError, match="nonzero"):
+            GammaSet(GammaSet.CONE, [[1.0, 0.0], [0.0, 0.0]])
+        assert GammaSet(GammaSet.BOX, bounds=box).dimension == 2
+        assert GammaSet(GammaSet.CONE, np.eye(3)[:2]).dimension == 3
+        line = GammaSet(GammaSet.HALFLINE, [0.0, 1.0])
+        assert line.dimension == 2 and line.generators.shape == (1, 2)
+
+    def test_generators_copied_read_only(self):
+        gens = np.eye(2)
+        g = GammaSet.finite_cone(gens)
+        gens[0, 0] = 5.0
+        assert g.generators.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError):
+            g.generators[0, 0] = 0.0
+        assert GammaSet.full_space(2).generators.tolist() == [
+            [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 
     def test_factories_keep_their_dimension(self):
         assert GammaSet.full_space(3).dimension == 3
@@ -585,13 +610,64 @@ class TestSamplingPrimitives:
         assert full[:50].tobytes() == want.tobytes()
 
 
-class TestModulus:
-    def test_from_samples_interpolates(self):
-        m = Modulus.from_samples([(0.1, 0.1), (1.0, 1.0)])
-        assert m(0.55) == pytest.approx(0.55)
-        assert m(0.05) == pytest.approx(0.05)  # linear below the range
-        assert m(2.0) == pytest.approx(1.0)
+def stored_direction_sample(kind, n, direction, generators, bounds, rng,
+                            center, delta, count):
+    """Oracle: the direction-set sampler as it was when a set stored its
+    dimension and a half-line its direction beside its other data."""
+    center = np.asarray(center, dtype=float)
+    if kind == GammaSet.FULL:
+        out = ball_samples(rng, center, delta, count)
+        if n == 1:
+            out = np.vstack([out, [center - delta], [center + delta]])
+        return out
+    if kind == GammaSet.HALFLINE:
+        radii = delta * np.concatenate([rng.uniform(size=count), [1.0]])
+        return center + np.outer(radii, direction)
+    if kind == GammaSet.CONE:
+        coeffs = rng.uniform(size=(count, generators.shape[0]))
+        raw = coeffs @ generators
+        norms = np.linalg.norm(raw, axis=1)
+        keep = norms > 1e-14
+        raw, norms = raw[keep], norms[keep]
+        radii = delta * rng.uniform(size=raw.shape[0]) ** (1.0 / n)
+        return center + raw * (radii / norms)[:, None]
+    lo = np.maximum(bounds[0], center - delta)
+    hi = np.minimum(bounds[1], center + delta)
+    if np.any(lo > hi):
+        return np.zeros((0, n))
+    kept, total = [], 0
+    for _ in range(64):
+        pts = rng.uniform(lo, hi, size=(count, n))
+        pts = pts[np.linalg.norm(pts - center, axis=1) <= delta]
+        kept.append(pts)
+        total += pts.shape[0]
+        if total >= count:
+            break
+    return np.vstack(kept)[:count]
 
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            Modulus(lambda d: 1.0 - d, grid=[0.1, 0.9])
+
+class TestGammaSampleMatchesStoredDirection:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([GammaSet.FULL, GammaSet.HALFLINE,
+                                 GammaSet.CONE, GammaSet.BOX]),
+           n=st.integers(1, 4), k=st.integers(1, 4),
+           seed=st.integers(0, 2**16), count=st.integers(1, 60),
+           delta=st.sampled_from([1e-3, 0.1, 1.0]))
+    def test_sample_bytes_equal(self, kind, n, k, seed, count, delta):
+        rng = np.random.default_rng(seed)
+        center = rng.normal(size=n)
+        direction = rng.normal(size=n)
+        gens = rng.normal(size=(k, n))
+        lo = center + rng.uniform(-1.5, 0.5, size=n) * delta
+        bounds = (lo, lo + rng.uniform(0.0, 2.0, size=n) * delta)
+        gamma = {GammaSet.FULL: lambda: GammaSet.full_space(n),
+                 GammaSet.HALFLINE: lambda: GammaSet.half_line(direction),
+                 GammaSet.CONE: lambda: GammaSet.finite_cone(gens),
+                 GammaSet.BOX: lambda: GammaSet.box(*bounds)}[kind]()
+        unit = direction / np.linalg.norm(direction)
+        got = gamma.sample(np.random.default_rng(seed + 1), center, delta,
+                           count)
+        want = stored_direction_sample(
+            kind, n, unit, gens, bounds, np.random.default_rng(seed + 1),
+            center, delta, count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

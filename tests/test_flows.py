@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasidiff.core import BlowUpError, DimensionMismatchError, \
-    DomainEscapeError, NonFiniteValueError, evaluate_rows
+    DomainEscapeError, EstimatorFailedError, NonFiniteValueError, \
+    evaluate_rows
 from quasidiff.fields import abs_1d_field, abs_shear_field, constant_field, \
     linear_field, unit_x_field
 from quasidiff.flows import Box, FlowSolverConfig, VectorField, \
@@ -49,7 +50,8 @@ def flow_loop(f, q, t, cfg):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
             raise BlowUpError(f"non-finite state at step {i + 1}")
-        if not f.domain.contains(y, tol=1e-12):
+        if not ((y >= f.domain.lo - 1e-12).all()
+                and (y <= f.domain.hi + 1e-12).all()):
             raise DomainEscapeError("trajectory left the domain",
                                     point=y, time=(i + 1) * h)
     return y
@@ -409,6 +411,17 @@ class TestMollifiedMatchesRows:
 
 
 class TestPreconditions:
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_shrunk_quadrature_refused(self, n):
+        # at n = 5 the rule kept 158 of the 256 nodes asked for; at n = 20
+        # it fell back to the centre alone, and the mollified field gave
+        # f's own value
+        with pytest.raises(EstimatorFailedError, match="quadrature"):
+            _quadrature_rule(n, 256, 0)
+        f = VectorField(np.abs, Box(-np.ones(n), np.ones(n)))
+        with pytest.raises(EstimatorFailedError, match="quadrature"):
+            mollify(f, MollifierConfig(0.1))
+
     @pytest.mark.parametrize("kwargs", [
         {"step": -1e-3}, {"step": 0.0}, {"step": np.nan}, {"step": np.inf},
         {"max_steps": 0}])

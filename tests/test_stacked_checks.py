@@ -2,10 +2,11 @@
 
 ``verify_loop`` is the verifier as it was, one point at a time, with its
 continuity budget widened from the first 16 points of each delta to every
-point; ``curve_modulus_loop`` is the per-delta grid of ``curve_qdq`` as it
-was.  They are kept here as oracles only.  The stacked code evaluates each
-sample once and must give the same report, field for field and bit for
-bit, and the same modulus and budgets.
+point, and the report fields it stored; ``curve_modulus_loop`` is the
+per-delta grid of ``curve_qdq`` as it was, and ``modulus_loop`` the
+modulus object it built.  They are kept here as oracles only.  The
+stacked code evaluates each sample once and must give the same report,
+field for field and bit for bit, and the same modulus and budgets.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from quasidiff.core import (
     VERDICT_TOL,
     GammaSet,
     LinearMap,
-    Modulus,
     OperatorSet,
     _simplex_least_squares,
     distances_to_operator_set,
@@ -49,7 +49,8 @@ def dist_loop(L, lam):
 
 def verify_loop(F, cert, delta_grid, points_per_delta, seed=0,
                 membership=None):
-    """Oracle: the verifier one point and one inequality at a time."""
+    """Oracle: the verifier one point and one inequality at a time, as the
+    dict of every field its report stored."""
     deltas = sorted(float(d) for d in delta_grid)
     rho_vals = [cert.rho(d) for d in deltas]
     rho_monotone = all(b >= a - 1e-12 for a, b in zip(rho_vals, rho_vals[1:])) \
@@ -108,10 +109,10 @@ def verify_loop(F, cert, delta_grid, points_per_delta, seed=0,
                                     if isinstance(v["value"], float) else 0.0))
     sampled_enough = all(n >= points_per_delta for _, n in checks_per_delta)
     accepted = rho_monotone and sampled_enough and not violations
-    return c.VerificationReport(accepted, ranked[:20],
-                                sum(n for _, n in checks_per_delta),
-                                rho_monotone, violations,
-                                tuple(checks_per_delta))
+    return {"accepted": accepted, "worst_violations": ranked[:20],
+            "checks_run": sum(n for _, n in checks_per_delta),
+            "rho_monotone": rho_monotone, "violations": violations,
+            "checks_per_delta": tuple(checks_per_delta)}
 
 
 def curve_modulus_loop(data):
@@ -150,6 +151,19 @@ def curve_modulus_loop(data):
         acc = max(acc, r)
         samples.append((d, 1.3 * acc + 1e-9))
     return samples, budgets
+
+
+def modulus_loop(samples, delta):
+    """Oracle: the modulus that ``curve_qdq`` built from its samples, at
+    delta: linear below the grid, interpolated inside it and constant
+    above it."""
+    deltas = np.array([d for d, _ in samples])
+    values = np.array([v for _, v in samples])
+    if delta <= deltas[0]:
+        return float(values[0] * delta / deltas[0])
+    if delta >= deltas[-1]:
+        return float(values[-1])
+    return float(np.interp(delta, deltas, values))
 
 
 def bits(obj):
@@ -275,7 +289,9 @@ class TestVerifierMatchesLoop:
                                    membership=member)
         want = verify_loop(F, cert, grid, points, seed=seed,
                            membership=member)
-        assert bits(vars(got)) == bits(vars(want))
+        report = dict(vars(got), worst_violations=got.worst_violations,
+                      checks_run=got.checks_run)
+        assert bits(report) == bits(want)
 
     def test_every_case_reaches_its_checks(self):
         # the wrong cases report every kind of violation of a map with
@@ -300,8 +316,12 @@ class TestCurveModulusMatchesLoop:
         for name in ("abs", "corner", "sin", "space", "0", "0.5", "-3"):
             samples, budgets = curve_modulus_loop(curve(name))
             cert = curve_cert(name)
-            assert bits(cert.rho.samples) == \
-                bits(Modulus.from_samples(samples).samples)
+            # the grid, and below, between and above its points
+            grid = [d for d, _ in samples]
+            probes = grid + [grid[0] / 3.0, 0.3, 0.49, 0.5] + [
+                0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+            assert bits([cert.rho(d) for d in probes]) == \
+                bits([modulus_loop(samples, d) for d in probes])
             assert bits([cert.lipschitz_budget(d) for d in budgets]) == \
                 bits([2.0 * b for b in budgets.values()])
 
