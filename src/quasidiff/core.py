@@ -60,7 +60,8 @@ def evaluate_rows(F, points, name: str) -> np.ndarray:
     of a 1-D ``points`` are passed as floats.  Raises
     ``NonFiniteValueError`` at the first row whose value has a NaN or an
     infinite entry: such a value fails every comparison and so would pass
-    every check.  The test is on entries, so a huge finite value whose norm
+    every check.  The entries are tested once, and row by row only to name
+    that row.  The test is on entries, so a huge finite value whose norm
     overflows is left to the caller's bound.  Empty ``points`` call nothing
     and give a ``(0, 0)`` array.
     """
@@ -72,9 +73,8 @@ def evaluate_rows(F, points, name: str) -> np.ndarray:
         rows = pts.tolist() if pts.ndim == 1 else pts
         values = np.array([F(x) for x in rows], dtype=float)
     values = values.reshape(len(pts), -1)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values).all(axis=1)))
         x = pts[i].tolist() if pts.ndim == 1 else pts[i]
         raise NonFiniteValueError(f"{name} returned a non-finite value at "
                                   f"{np.asarray(x).tolist()}", point=x)
@@ -82,14 +82,15 @@ def evaluate_rows(F, points, name: str) -> np.ndarray:
 
 
 def _row_values(F, X: np.ndarray):
-    """``F.rows(X)`` as a float array with one row per row of the (k, n)
-    array ``X``, or None when F has no row evaluator or it raises
+    """``F.rows(X)`` read as a float array with one row per row of the
+    (k, n) array ``X``, without a copy when it already is one (no caller
+    writes into it), or None when F has no row evaluator or it raises
     ``DomainEscapeError``: the caller then calls F row by row."""
     rows = getattr(F, "rows", None)
     if rows is None:
         return None
     try:
-        return np.array(rows(X), dtype=float).reshape(len(X), -1)
+        return np.asarray(rows(X), dtype=float).reshape(len(X), -1)
     except DomainEscapeError:
         return None
 
@@ -420,24 +421,39 @@ def dedupe(points, tol: float) -> np.ndarray:
     """Rows of ``points`` without near-duplicates, in their original order.
 
     Greedy first occurrence: a row is kept unless an earlier kept row lies
-    within ``tol`` (Euclidean, ``norm <= tol``).  One k-d tree query
-    (Bentley, CACM 1975) first finds the rows with no other row within
-    ``tol * (1 + 1e-6)``; the margin covers the tree's own rounding.  Such
-    a row is kept and drops nothing, so only the crowded rows go through
-    the greedy passes, each of which keeps the first remaining row and
-    drops every later row within ``tol`` of it.  The cost is one tree
-    query plus O(crowded x kept) vectorised distances.  Input with a NaN
-    or an infinite entry, and a ``tol`` below 1e-100, whose square the
-    tree's squared distances cannot resolve, skip the tree: every row is
-    then crowded.
+    within ``tol`` (Euclidean, ``norm <= tol``).  An exact repeat of an
+    earlier row is never kept: its twin was kept, at distance 0, or was
+    dropped by a kept row that lies within ``tol`` of the repeat too.  So
+    when every entry is finite, one ``np.unique`` over the rows' bytes first
+    drops every exact repeat (0.0 and -0.0 differ in bytes, so such rows
+    stay for the passes below).  One k-d tree query (Bentley, CACM 1975)
+    then finds the rows with no other row within ``tol * (1 + 1e-6)``; the
+    margin covers the tree's own rounding.  Such a row is kept and drops
+    nothing, so only the crowded rows go through the greedy passes, each of
+    which keeps the first remaining row and drops every later row within
+    ``tol`` of it.  The cost is one sort, one tree query and O(crowded x
+    kept) vectorised distances.  Input with a NaN or an infinite entry,
+    whose rows the greedy rule may keep however often they repeat, skips
+    the sort and the tree, and so does a ``tol`` below 1e-100, whose square
+    the tree's squared distances cannot resolve: every row is then crowded.
+    A NaN or negative ``tol`` raises ``ValueError``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"dedupe tolerance must be a non-negative number, "
+                         f"got {tol}")
     pts = np.asarray(points, dtype=float)
-    crowded = np.ones(len(pts), dtype=bool)
-    if len(pts) > 1 and tol >= 1e-100 and np.isfinite(pts).all():
-        crowded = cKDTree(pts).query_ball_point(
-            pts, tol * (1.0 + 1e-6), return_length=True) > 1
-    keep = [np.flatnonzero(~crowded)]
-    rest = np.flatnonzero(crowded)
+    rows = np.arange(len(pts))
+    finite = np.isfinite(pts).all()
+    if len(pts) > 1 and finite:
+        flat = np.ascontiguousarray(pts.reshape(len(pts), -1))
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
+        rows = np.sort(np.unique(keys[:, 0], return_index=True)[1])
+    crowded = np.ones(len(rows), dtype=bool)
+    if len(rows) > 1 and tol >= 1e-100 and finite:
+        crowded = cKDTree(pts[rows]).query_ball_point(
+            pts[rows], tol * (1.0 + 1e-6), return_length=True) > 1
+    keep = [rows[~crowded]]
+    rest = rows[crowded]
     while rest.size:
         first, rest = rest[0], rest[1:]
         keep.append([first])

@@ -4,8 +4,9 @@ string labels from CLI configs.
 A field is an evaluator at one point of its box domain, plus ``rows``, its
 values at the rows of a (k, n) array with the evaluator's bits, row for
 row; a map is ``rows`` alone.  The row forms are elementwise (``np.abs``,
-``+``, ``np.tile``), ``linear_field`` takes one gemv per row, as ``a @ x``
-does, and ``square1d`` keeps Python's ``float ** 2``.
+``+``) or copies (a constant row repeated, ``|x1|`` written into zeros);
+``linear_field`` takes one gemv per row, as ``a @ x`` does, and
+``square1d`` keeps Python's ``float ** 2``.
 """
 from __future__ import annotations
 
@@ -24,10 +25,11 @@ def _box(n: int) -> Box:
 
 
 def constant_field(value) -> VectorField:
-    c = np.asarray(value, dtype=float)
+    c = np.array(value, dtype=float)
+    c.setflags(write=False)  # every call hands out this one array
+    row = c.reshape(1, -1)
     return VectorField(lambda x, c=c: c, _box(c.size),
-                       rows=lambda X, c=c: np.tile(c.reshape(1, -1),
-                                                   (len(X), 1)))
+                       rows=lambda X, row=row: row.repeat(len(X), axis=0))
 
 
 def linear_field(matrix) -> VectorField:
@@ -41,15 +43,19 @@ def linear_field(matrix) -> VectorField:
 
 def unit_x_field() -> VectorField:
     """f(x1, x2) = (1, 0)."""
-    return VectorField(lambda x: np.array([1.0, 0.0]), _box(2),
-                       rows=lambda X: np.tile([1.0, 0.0], (len(X), 1)))
+    return constant_field([1.0, 0.0])
+
+
+def _abs_shear_rows(X) -> np.ndarray:
+    out = np.zeros((len(X), 2))
+    out[:, 1] = np.abs(X[:, 0])
+    return out
 
 
 def abs_shear_field() -> VectorField:
     """g(x1, x2) = (0, |x1|)."""
     return VectorField(lambda x: np.array([0.0, abs(x[0])]), _box(2),
-                       rows=lambda X: np.column_stack(
-                           [np.zeros(len(X)), np.abs(X[:, 0])]))
+                       rows=_abs_shear_rows)
 
 
 def abs_1d_field() -> VectorField:

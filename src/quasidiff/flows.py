@@ -80,11 +80,18 @@ def flow(f: VectorField, q, t: float, cfg: FlowSolverConfig) -> np.ndarray:
     Once per flow: the step h, h/2 and h/6, the field's evaluator (called
     directly, not through ``VectorField.__call__``) and the step bounds,
     the domain widened by 1e-12 and clipped to the finite floats, as Python
-    floats.  Per step: four evaluator calls and one pass over the new
-    state's entries against those bounds, which a NaN or infinite entry
-    also misses; only a miss decides between ``BlowUpError`` (a non-finite
-    entry) and ``DomainEscapeError``.  A start point whose shape is not the
-    domain's raises ``DimensionMismatchError``.
+    floats.  The state and the four stage values of a step are lists of
+    Python floats, combined entry by entry with numpy's operations in
+    numpy's order, so every state has numpy's bits without a ufunc call on
+    a small array.  Each stage hands the evaluator a fresh array, so an
+    evaluator that writes into its argument leaves the state alone, and
+    reads the value as exactly n entries (a 0-d value for n = 1); a value
+    of another size raises ``DimensionMismatchError``.  Per step, one pass
+    over the new state's entries against the bounds, which a NaN or
+    infinite entry also misses; only a miss decides between
+    ``BlowUpError`` (a non-finite entry) and ``DomainEscapeError``.  A
+    start point whose shape is not the domain's raises
+    ``DimensionMismatchError``.
     """
     if not math.isfinite(t):
         raise ValueError(f"flow time t must be finite, got {t}")
@@ -104,23 +111,37 @@ def flow(f: VectorField, q, t: float, cfg: FlowSolverConfig) -> np.ndarray:
     h = t / n_steps
     # 0.5 * h * k parses as (0.5 * h) * k, so a hoisted h/2 gives its bits
     half, sixth = 0.5 * h, h / 6.0
-    ev = f.evaluator
+    ev, shape, n = f.evaluator, y.shape, y.size
     big = np.finfo(float).max
     lo = np.maximum(f.domain.lo - 1e-12, -big).tolist()
     hi = np.minimum(f.domain.hi + 1e-12, big).tolist()
+
+    def stage(x: list) -> list:
+        v = np.asarray(ev(np.array(x)), dtype=float)
+        if v.shape != shape:
+            if v.size != n:
+                raise DimensionMismatchError(
+                    f"field of dimension {n} returned a value of shape "
+                    f"{v.shape}")
+            v = v.reshape(n)
+        return v.tolist()
+
+    y = y.tolist()
     for i in range(n_steps):
-        k1 = np.asarray(ev(y), dtype=float)
-        k2 = np.asarray(ev(y + half * k1), dtype=float)
-        k3 = np.asarray(ev(y + half * k2), dtype=float)
-        k4 = np.asarray(ev(y + h * k3), dtype=float)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for v, a, b in zip(y.tolist(), lo, hi):
+        k1 = stage(y)
+        k2 = stage([a + half * b for a, b in zip(y, k1)])
+        k3 = stage([a + half * b for a, b in zip(y, k2)])
+        k4 = stage([a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        for v, a, b in zip(y, lo, hi):
             if not a <= v <= b:
+                y = np.array(y)
                 if not np.isfinite(y).all():
                     raise BlowUpError(f"non-finite state at step {i + 1}")
                 raise DomainEscapeError("trajectory left the domain",
                                         point=y, time=(i + 1) * h)
-    return y
+    return np.array(y)
 
 
 def multiflow_commutator(f: VectorField, g: VectorField, q, t: float,

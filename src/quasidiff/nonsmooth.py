@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import (
+    DimensionMismatchError,
     DomainEscapeError,
     EstimatorFailedError,
     NonFiniteValueError,
@@ -68,7 +68,8 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
     ``(len(rows), m, n)`` array of their Jacobians.  A row evaluator
     ``f.rows`` is called once per stencil side and column on the rows still
     kept; a column whose call raises ``DomainEscapeError``, and every
-    column of an f without one, calls f row by row.  Raises
+    column of an f without one, calls f row by row and stacks each side's
+    values once.  Raises
     ``NonFiniteValueError`` when a kept row has a non-finite quotient.
     """
     k, n = pts.shape
@@ -88,23 +89,26 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
         live = np.flatnonzero(ok)
         vp = _row_values(f, plus[live]) if live.size else None
         vm = _row_values(f, minus[live]) if vp is not None else None
-        if vm is not None:
-            if values is None:
-                values = np.zeros((len(stencils), 2, k, vp.shape[1]))
-            values[c, 0, live] = vp
-            values[c, 1, live] = vm
-            continue
-        for r in live:
-            try:
-                vp = np.asarray(f(plus[r]), dtype=float).ravel()
-                vm = np.asarray(f(minus[r]), dtype=float).ravel()
-            except DomainEscapeError:
-                ok[r] = False
+        if vm is None:
+            got, vp, vm = [], [], []
+            for r, xp, xm in zip(live.tolist(), plus[live], minus[live]):
+                try:
+                    a, b = f(xp), f(xm)
+                except DomainEscapeError:
+                    ok[r] = False
+                    continue
+                got.append(r)
+                vp.append(a)
+                vm.append(b)
+            if not got:
                 continue
-            if values is None:
-                values = np.zeros((len(stencils), 2, k, vp.size))
-            values[c, 0, r] = vp
-            values[c, 1, r] = vm
+            live = got
+            vp = np.array(vp, dtype=float).reshape(len(got), -1)
+            vm = np.array(vm, dtype=float).reshape(len(got), -1)
+        if values is None:
+            values = np.zeros((len(stencils), 2, k, vp.shape[1]))
+        values[c, 0, live] = vp
+        values[c, 1, live] = vm
     rows = np.flatnonzero(ok)
     if not rows.size:
         return rows, [np.zeros((0, 0, n)) for _ in steps]
@@ -162,6 +166,9 @@ def _quadrature_rule(n: int, count: int, seed: int):
     on, fewer than half of the Halton draws land in the ball, and
     ``EstimatorFailedError`` is raised rather than shrink the rule.
     """
+    # imported here, as scipy.stats is slow to import and only this needs it
+    from scipy.stats import qmc
+
     half = max(count // 2, 8)
     sampler = qmc.Halton(d=n, seed=seed)
     raw = 2.0 * sampler.random(4 * half) - 1.0
@@ -185,8 +192,10 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     test of its two extreme rows (exact, as rounding is monotone, so
     x + min <= x + o for every offset o), the row-wise test of the whole
     stencil only when that one misses, to report the first failing row, one
-    ``evaluate_rows`` call and the weighted sum.  From n = 5 on the
-    quadrature rule raises ``EstimatorFailedError``.
+    ``evaluate_rows`` call and the weighted sum.  Values that are not n wide
+    raise ``DimensionMismatchError``.  From n = 5 on the quadrature rule
+    raises ``EstimatorFailedError``; it is the one user of ``scipy.stats``,
+    which it imports on its first call.
     """
     pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
     offsets = cfg.eta * pts
@@ -194,7 +203,8 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     edges = list(zip(offsets.min(axis=0).tolist(), offsets.max(axis=0).tolist(),
                      f.domain.lo.tolist(), f.domain.hi.tolist()))
     column = weights[:, None]
-    zero = np.zeros((1, f.dimension))
+    n = f.dimension
+    zero = np.zeros((1, n))
 
     def evaluator(x):
         ys = x + offsets
@@ -207,11 +217,14 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
                 raise DomainEscapeError("mollification stencil leaves domain",
                                         point=ys[np.argmin(inside)])
         values = evaluate_rows(f, ys, "f")
+        if values.shape[1] != n:
+            raise DimensionMismatchError(f"field of dimension {n} returned "
+                                         f"rows of width {values.shape[1]}")
         # the weighted rows are added in quadrature order onto a zero start,
         # the same bits as a row loop of `acc += w * v` at well under half
         # its cost; np.sum would add a single column pairwise, which rounds
         # differently
-        return np.add.accumulate(np.vstack([zero, column * values]),
+        return np.add.accumulate(np.concatenate((zero, column * values)),
                                  axis=0)[-1]
 
     return VectorField(evaluator, f.domain)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 
+import quasidiff
 from quasidiff import certificates as cert_mod
 from quasidiff.cli import main, reference_config_path
 from quasidiff.core import OperatorSet
@@ -293,3 +297,14 @@ class TestReferenceGolden:
         for golden in GOLDEN_SEED3_REPORTS:
             assert (tmp_path / golden.name).read_bytes() == \
                 golden.read_bytes(), golden.name
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` takes about half a second to import and only the
+    mollifier's quadrature uses it, so importing the package leaves it out."""
+    src = Path(quasidiff.__file__).resolve().parent.parent
+    code = "import sys, quasidiff; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "False"

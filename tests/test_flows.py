@@ -11,6 +11,7 @@ state, every error message, point and time.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ def sweep(x, k):
     return down[:0:-1] + up
 
 
+def _writing(x):
+    value = np.array([0.5 - abs(x[0])])
+    x[0] = 7.0  # the stage point handed in, which must not be the state
+    return value
+
+
+# y' = 0.5 - |y| in value forms that a 1-D evaluator may return, and the
+# array form, which leaves its argument alone, for the loop
+VALUE_FORMS = {
+    "scalar": lambda x: 0.5 - abs(x[0]),
+    "list": lambda x: [0.5 - abs(float(x[0]))],
+    "writes into its argument": _writing,
+}
+
+
+def array_form(x):
+    return np.array([0.5 - abs(x[0])])
+
+
 class TestFlowMatchesLoop:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**16),
@@ -300,6 +320,17 @@ class TestFlowMatchesLoop:
         got = multiflow_commutator(f, g, q, t, cfg)
         want = multiflow_loop(f_old, g_old, q, t, cfg)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(form=st.sampled_from(sorted(VALUE_FORMS)), q=st.floats(-0.9, 0.9),
+           t=st.floats(-0.6, 0.6), steps=st.integers(1, 100))
+    def test_value_forms_and_argument_writes(self, form, q, t, steps):
+        box = Box([-1.0], [1.0])
+        cfg = FlowSolverConfig(step=max(abs(t), 1e-12) / steps)
+        got = outcome(lambda: flow(VectorField(VALUE_FORMS[form], box), [q],
+                                   t, cfg))
+        assert got == outcome(lambda: flow_loop(VectorField(array_form, box),
+                                                [q], t, cfg))
 
 
 class TestFlowErrorsMatchLoop:
@@ -359,6 +390,17 @@ class TestFlowErrorsMatchLoop:
                 assert self.assert_same(k, [side * big], 1.0,
                                         FlowSolverConfig(step=0.5)) \
                     == "BlowUpError"
+
+    @pytest.mark.parametrize("form", sorted(VALUE_FORMS))
+    def test_value_forms_escape_alike(self, form):
+        # from -0.9 the state runs down through the wall at -1
+        box = Box([-1.0], [1.0])
+        cfg = FlowSolverConfig(step=1e-2)
+        got = outcome(lambda: flow(VectorField(VALUE_FORMS[form], box),
+                                   [-0.9], 1.0, cfg))
+        assert got == outcome(lambda: flow_loop(VectorField(array_form, box),
+                                                [-0.9], 1.0, cfg))
+        assert got[0] == "DomainEscapeError"
 
     def test_backward_leg_escape(self):
         box = Box([-1.0], [1.0])
@@ -434,6 +476,29 @@ class TestPreconditions:
         # a one-entry start was broadcast by the first stage: (0.6, 0.5)
         with pytest.raises(DimensionMismatchError):
             flow(unit_x_field(), q, 0.1, FlowSolverConfig(step=0.05))
+
+    @pytest.mark.parametrize("value", [np.array([1.0]), np.array(1.0),
+                                       np.zeros(3), np.zeros((2, 2))])
+    def test_field_value_of_another_size_refused(self, value):
+        # a one-entry value was broadcast: (0, 0) flowed to (0.5, 0.5)
+        f = VectorField(lambda x: value, Box(-np.ones(2), np.ones(2)))
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"dimension 2 returned a value of "
+                                           f"shape {value.shape}")):
+            flow(f, [0.0, 0.0], 0.5, FlowSolverConfig(step=0.05))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_mollified_rows_of_another_width_refused(self, width):
+        # the weighted sum raised a bare ValueError from vstack
+        shear = abs_shear_field()
+        f = VectorField(shear.evaluator, shear.domain,
+                        rows=lambda X: np.abs(X[:, :1]).repeat(width, axis=1))
+        g = mollify(f, MollifierConfig(1e-2, 32, 0))
+        with pytest.raises(DimensionMismatchError,
+                           match=f"dimension 2 returned rows of width {width}"):
+            g.evaluator(np.array([0.5, 0.0]))
+        with pytest.raises(DimensionMismatchError):
+            flow(g, [0.5, 0.0], 0.1, FlowSolverConfig(step=0.05))
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_refused(self, t):

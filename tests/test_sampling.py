@@ -282,6 +282,22 @@ CATALOG = {
 }
 
 
+def refusing_map(x):
+    """The fold x1 + |x2|, refusing points with x1 > 2e-4 by raising."""
+    if x[0] > 2e-4:
+        raise DomainEscapeError("refused", point=x)
+    return np.array([x[0] + abs(x[1])])
+
+
+# pointwise maps without rows, by label: (map, centre of the sample ball)
+POINTWISE_ESTIMATES = {
+    "fold": (POINTWISE_MAPS["map:fold_sum"], [0.3, 0.0]),
+    "smooth 2-D": (smooth_2d, [0.4, -0.7]),
+    "refusing fold": (refusing_map, [0.0, 0.0]),
+    "scalar fold": (lambda x: x[0] + abs(x[1]), [-0.2, 0.0]),
+}
+
+
 # ---------------------------------------------------------------------------
 
 class TestDedupe:
@@ -333,6 +349,13 @@ class TestDedupe:
         assert dedupe(np.zeros((0, 3)), 1e-8).shape == (0, 3)
         assert np.array_equal(dedupe([[1.0, 2.0]], 1e-8), [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300])
+    def test_nan_or_negative_tolerance_refused(self, tol):
+        # such a tol kept all five equal rows
+        with pytest.raises(ValueError, match="tolerance"):
+            dedupe(np.ones((5, 2)), tol)
+        assert dedupe(np.ones((5, 2)), 0.0).shape == (1, 2)
+
 
 class TestDedupeAgainstTree:
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -358,6 +381,34 @@ class TestDedupeAgainstTree:
         got = dedupe(cloud, tol)
         assert got.tobytes() == dedupe_loop(cloud, tol).tobytes()
 
+    # inf - inf in a distance, alike in both
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-3]),
+           nonfinite=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_kink_clouds_of_exact_repeats_match_loop(self, seed, dim, tol,
+                                                     nonfinite):
+        # a few distinct rows, as at a kink, each repeated hundreds of
+        # times, with neighbours at tol * (1 +- 1e-6), rows of signed zeros
+        # and repeated non-finite rows, shuffled
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(3, dim))
+        u = rng.normal(size=(6, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        near = base[rng.integers(3, size=6)] \
+            + tol * rng.choice([1.0 - 1e-6, 1.0 + 1e-6], size=(6, 1)) * u
+        zeros = np.where(rng.uniform(size=(4, dim)) < 0.5, 0.0, -0.0)
+        pool = np.vstack([base, near, zeros])
+        cloud = pool[rng.integers(len(pool), size=2000)]
+        if nonfinite is not None:
+            bad = np.repeat(base[:1], 5, axis=0)
+            bad[:, -1] = nonfinite
+            cloud = np.vstack([cloud, bad])
+        cloud = cloud[rng.permutation(len(cloud))]
+        got = dedupe(cloud, tol)
+        assert got.tobytes() == dedupe_loop(cloud, tol).tobytes()
+
 
 class TestRowEvaluators:
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -369,6 +420,26 @@ class TestRowEvaluators:
         X = data.draw(entry_arrays(k, n))
         assert outcome(lambda: F.rows(X)) == \
             outcome(lambda: stacked_loop(POINTWISE_MAPS.get(label, F), X))
+
+    @pytest.mark.parametrize("label", sorted(CATALOG))
+    def test_empty_row_call(self, label):
+        make, n = CATALOG[label]
+        F = make()
+        width = np.asarray(F.rows(np.ones((1, n)))).shape[1]
+        got = F.rows(np.zeros((0, n)))
+        assert got.shape == (0, width) and got.dtype == float
+
+    def test_constant_field_keeps_its_copy(self):
+        # signed zeros survive; the caller's array stays its own, and the
+        # one value every call hands out cannot be written
+        value = np.array([-0.0, 0.0, -2.0])
+        f = constant_field(value)
+        value[:] = 5.0
+        want = np.array([-0.0, 0.0, -2.0]).tobytes()
+        assert f(np.zeros(3)).tobytes() == want
+        assert f.rows(np.zeros((4, 3))).tobytes() == want * 4
+        with pytest.raises(ValueError):
+            f(np.zeros(3))[0] = 1.0
 
     @pytest.mark.parametrize("label", sorted(
         label for label in CATALOG if label.startswith("map:")))
@@ -502,6 +573,28 @@ class TestEstimatorsMatchLoops:
         assert same_generators(
             set_lie_bracket_estimate(f, g, [0.0, 0.0], 1e-3, 300, 4),
             bracket_loop(f, g, [0.0, 0.0], 1e-3, 300, 4))
+
+    @pytest.mark.parametrize("label", sorted(POINTWISE_ESTIMATES))
+    def test_pointwise_maps_bit_identical(self, label):
+        # maps without rows, which the stencil pass calls point by point
+        f, x_bar = POINTWISE_ESTIMATES[label]
+        for seed in (0, 1):
+            got = clarke_jacobian_estimate(f, x_bar, 1e-3, 300, seed)
+            assert same_generators(got,
+                                   clarke_loop(f, x_bar, 1e-3, 300, seed))
+        pts = ball_samples(np.random.default_rng(3), np.asarray(x_bar),
+                           1e-3, 300)
+        rows, jac, score = _scored_jacobians(f, pts, 1e-5)
+        want = []
+        for i, x in enumerate(pts):
+            try:
+                want.append((i, score_loop(f, x, 1e-5)))
+            except DomainEscapeError:
+                continue
+        assert rows.tolist() == [i for i, _ in want]
+        assert score.tolist() == [s for _, s in want]
+        assert all(np.array_equal(j, fd_jacobian_loop(f, pts[i], 1e-5))
+                   for i, j in zip(rows, jac))
 
     def test_one_row_views(self):
         x = np.array([0.31, -0.2])
