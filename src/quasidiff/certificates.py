@@ -664,16 +664,6 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
         retraction_eta=eta_of)
 
 
-def _finite(value, name: str, x) -> np.ndarray:
-    """``value`` as a 1-D float array; ``NonFiniteValueError`` at ``x`` if
-    it has a NaN or an infinite entry."""
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.isfinite(value).all():
-        raise NonFiniteValueError(f"{name} returned a non-finite value at "
-                                  f"{np.asarray(x).tolist()}", point=x)
-    return value
-
-
 def abundant_membership(F, cert: QdqCertificate, theta_family,
                         delta_grid=DEFAULT_DELTA_GRID):
     """Membership oracle for the retraction union of a certificate made by
@@ -687,10 +677,10 @@ def abundant_membership(F, cert: QdqCertificate, theta_family,
     etas = sorted({float(cert.retraction_eta(d)) for d in delta_grid} - {0.0})
 
     def member(x, y):
-        base = _finite(F(x), "F", x)
+        base = evaluate_rows(F, [x], "F")[0]
         y = np.atleast_1d(np.asarray(y, dtype=float))
         for eta in etas:
-            img = _finite(theta_family(eta)(base), "the retraction", base)
+            img = evaluate_rows(theta_family(eta), [base], "the retraction")[0]
             if np.linalg.norm(y - img) <= VERDICT_TOL:
                 return True
         return False

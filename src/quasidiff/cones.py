@@ -1,14 +1,16 @@
 """Convex-cone algebra: conic hulls, polar cones, transversality and
 linear-separation verdicts for finitely generated cones.
 
-One witness search decides a cone pair.  By Gordan's alternative (Gordan
-1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly when A
-is rank-deficient or one LP is positive.  ``analyze_pairs`` runs that test
-once per pair and answers transversality and the separating functional
-from it.  The pairs are independent, so the witness LPs of all full-rank
-pairs are solved together as one block-diagonal LP: a batch costs at most
-one ``linprog`` call however many pairs it holds, and a batch LP that is
-not optimal is re-solved one block at a time.
+A cone is its (k, n) generator array, and its dimension is the array's
+width.  One witness search decides a cone pair.  By Gordan's alternative
+(Gordan 1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly
+when A is rank-deficient or one LP is positive.  ``analyze_pairs`` runs
+that test once per pair and records its verdict, with the separating
+functional when there is one; transversality is read off the verdict.
+The pairs are independent, so the witness LPs of all full-rank pairs are
+solved together as one block-diagonal LP: a batch costs at most one
+``linprog`` call however many pairs it holds, and a batch LP that is not
+optimal is re-solved one block at a time.
 
 The trichotomy of a transversal pair needs no further LP.  If
 K1 - K2 = R^n and x is in K1, write -x = k1 - k2; then k2 = k1 + x lies
@@ -40,22 +42,28 @@ WITNESS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class ConvexCone:
-    """A finitely generated convex cone in V-representation."""
+    """A finitely generated convex cone in V-representation: the rows of a
+    read-only (k, n) generator array, k = 0 for the trivial cone in R^n.
+    A 1-D input is one generator; an empty list has no width and raises
+    ``ValueError``."""
 
-    dimension: int
-    generators: np.ndarray  # k x n, possibly k = 0 for the trivial cone
+    generators: np.ndarray
 
     def __post_init__(self):
         gens = np.array(self.generators, dtype=float)
-        if gens.ndim == 1:  # an empty list, or one generator
-            gens = gens[None] if gens.size else gens.reshape(0, self.dimension)
-        if gens.ndim != 2 or gens.shape[1] != self.dimension:
-            raise DimensionMismatchError(f"generators of shape {gens.shape} "
-                                         f"in dimension {self.dimension}")
+        if gens.ndim == 1 and gens.size:
+            gens = gens[None]
+        if gens.ndim != 2:
+            raise ValueError(f"generators of shape {gens.shape} are not a "
+                             "(k, n) array; the trivial cone is (0, n)")
         if not np.all(np.isfinite(gens)):
             raise NonFiniteValueError("generators must be finite")
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
+
+    @property
+    def dimension(self) -> int:
+        return self.generators.shape[1]
 
     @property
     def is_trivial(self) -> bool:
@@ -95,18 +103,12 @@ class SeparationCertificate:
         return ok1 and ok2
 
 
-def conic_hull(vectors, dimension: int | None = None) -> ConvexCone:
-    """Conic hull of a finite vector list; zero vectors are dropped, a NaN
-    or an infinite entry raises ``NonFiniteValueError``, and vectors of
-    another size than a given ``dimension`` ``DimensionMismatchError``."""
-    vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vecs.size == 0:
-        if dimension is None:
-            raise ValueError("dimension required for an empty generator list")
-        return ConvexCone(dimension, np.zeros((0, dimension)))
-    # a NaN row is not within 1e-12 of 0, so it is kept and refused
-    keep = vecs[~(np.linalg.norm(vecs, axis=1) <= 1e-12)]
-    return ConvexCone(vecs.shape[1] if dimension is None else dimension, keep)
+def conic_hull(vectors) -> ConvexCone:
+    """Conic hull of a finite vector list, read as ``ConvexCone`` reads its
+    generators (a NaN or an infinite entry raises ``NonFiniteValueError``);
+    zero vectors are dropped."""
+    vecs = ConvexCone(vectors).generators
+    return ConvexCone(vecs[np.linalg.norm(vecs, axis=1) > 1e-12])
 
 
 def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
@@ -135,20 +137,15 @@ def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
     return dedupe(np.vstack([null_basis, -null_basis, normals @ span]), 1e-12)
 
 
-def polar_cone(vectors, dimension: int | None = None) -> ConvexCone:
-    """Polar cone {p : p.w <= 0 for all w} of a finite vector list; vectors
-    of another size than a given ``dimension`` raise
-    ``DimensionMismatchError``."""
-    vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vecs.size == 0:
-        if dimension is None:
-            raise ValueError("dimension required for an empty vector list")
-        vecs = vecs.reshape(0, dimension)
+def polar_cone(vectors) -> ConvexCone:
+    """Polar cone {p : p.w <= 0 for all w} of a finite vector list, read as
+    ``ConvexCone`` reads its generators (a NaN or an infinite entry raises
+    ``NonFiniteValueError``)."""
+    vecs = ConvexCone(vectors).generators
     rays = _extreme_rays(vecs, vecs.shape[1])
     # drop rays that only witness numerical noise
     good = np.all(vecs @ rays.T <= 1e-8, axis=0)
-    return ConvexCone(vecs.shape[1] if dimension is None else dimension,
-                      rays[good])
+    return ConvexCone(rays[good])
 
 
 def _block_lp(blocks) -> list:
@@ -229,12 +226,16 @@ LINEARLY_SEPARABLE = "LinearlySeparable"
 @dataclass(frozen=True)
 class PairAnalysis:
     """Everything the separation theorems ask of a cone pair, from one
-    witness search: whether K1 - K2 is the whole space, the separating
-    certificate when it is not, and the trichotomy verdict."""
+    witness search: the trichotomy verdict, and the separating certificate
+    when the verdict is ``LinearlySeparable``."""
 
-    transversal: bool
     certificate: SeparationCertificate | None
     verdict: str
+
+    @property
+    def transversal(self) -> bool:
+        """K1 - K2 is the whole space: every verdict but LinearlySeparable."""
+        return self.verdict != LINEARLY_SEPARABLE
 
 
 def _rank(generators: np.ndarray) -> int:
@@ -271,13 +272,13 @@ def analyze_pairs(pairs) -> list:
     results = []
     for (k1, k2), witness in zip(pairs, witnesses):
         if witness is not None:
-            results.append(PairAnalysis(
-                False, SeparationCertificate(-witness), LINEARLY_SEPARABLE))
+            results.append(PairAnalysis(SeparationCertificate(-witness),
+                                        LINEARLY_SEPARABLE))
         elif _rank(k1.generators) + _rank(k2.generators) <= k1.dimension \
                 and k1.is_subspace() and k2.is_subspace():
-            results.append(PairAnalysis(True, None, COMPLEMENTARY_SUBSPACES))
+            results.append(PairAnalysis(None, COMPLEMENTARY_SUBSPACES))
         else:
-            results.append(PairAnalysis(True, None, STRONGLY_TRANSVERSAL))
+            results.append(PairAnalysis(None, STRONGLY_TRANSVERSAL))
     return results
 
 
@@ -295,7 +296,7 @@ def image_cone(L, gamma: GammaSet) -> ConvexCone:
             f"map has {n} columns, gamma dimension is {gamma.dimension}")
     if gamma.kind == GammaSet.BOX:
         raise ValueError("image of a box is not a cone")
-    return conic_hull([L @ g for g in gamma.generators], m)
+    return conic_hull(np.reshape([L @ g for g in gamma.generators], (-1, m)))
 
 
 def is_full_space(cone: ConvexCone) -> bool:
@@ -304,10 +305,12 @@ def is_full_space(cone: ConvexCone) -> bool:
 
 
 def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
-    """V-representation of K1 intersected with K2 (via polar constraints)."""
-    p1 = polar_cone(k1.generators, k1.dimension).generators
-    p2 = polar_cone(k2.generators, k2.dimension).generators
-    rays = _extreme_rays(np.vstack([p1, p2]), k1.dimension)
-    good = [r for r in rays
-            if k1.contains(r, 1e-7) and k2.contains(r, 1e-7)]
-    return ConvexCone(k1.dimension, good)
+    """V-representation of K1 intersected with K2 (via polar constraints);
+    cones in different dimensions raise ``DimensionMismatchError``."""
+    if k1.dimension != k2.dimension:
+        raise DimensionMismatchError("cones live in different dimensions")
+    rays = _extreme_rays(np.vstack([polar_cone(k1.generators).generators,
+                                    polar_cone(k2.generators).generators]),
+                         k1.dimension)
+    good = [k1.contains(r, 1e-7) and k2.contains(r, 1e-7) for r in rays]
+    return ConvexCone(rays[np.array(good, dtype=bool)])

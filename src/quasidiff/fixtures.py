@@ -38,8 +38,8 @@ def _lines(*dirs) -> list:
     return out
 
 
-def _mc(gens, dim, z_ignoring=False) -> MultiCone:
-    return MultiCone((conic_hull(gens, dim),), z_ignoring=z_ignoring)
+def _mc(gens, z_ignoring=False) -> MultiCone:
+    return MultiCone((conic_hull(gens),), z_ignoring=z_ignoring)
 
 
 def _axis_grid(r: float, count: int) -> np.ndarray:
@@ -180,62 +180,62 @@ def builtin_fixtures() -> list:
     fixtures = [
         SeparationFixture(
             "axes", z2,
-            _mc(_lines([1, 0]), 2), _mc(_lines([0, 1]), 2),
+            _mc(_lines([1, 0])), _mc(_lines([0, 1])),
             _line_sampler([1, 0]), _line_sampler([0, 1]), 1.0,
             "two transversal lines; merely transversal, no verdict fires"),
         SeparationFixture(
             "half_plane_vs_ray", z2,
-            _mc([[1, 0], [-1, 0], [0, 1]], 2), _mc([[0, 1]], 2),
+            _mc([[1, 0], [-1, 0], [0, 1]]), _mc([[0, 1]]),
             _half_plane_sampler(+1.0), _ray_sampler([0, 1]), 1.0,
             "strongly transversal; common points on the positive y-axis"),
         SeparationFixture(
             "half_planes", z2,
-            _mc([[1, 0], [-1, 0], [0, 1]], 2),
-            _mc([[1, 0], [-1, 0], [0, -1]], 2),
+            _mc([[1, 0], [-1, 0], [0, 1]]),
+            _mc([[1, 0], [-1, 0], [0, -1]]),
             _half_plane_sampler(+1.0), _half_plane_sampler(-1.0), 1.0,
             "cones are linearly separable, so no verdict fires even though "
             "the sets share their boundary line (the theorem has no "
             "converse)"),
         SeparationFixture(
             "half_space_vs_line", z3,
-            _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])], 3),
-            _mc(_lines([0, 0, 1]), 3),
+            _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])]),
+            _mc(_lines([0, 0, 1])),
             _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
             "strongly transversal; common points on the positive z-axis"),
         SeparationFixture(
             "parabola_vs_axis", z2,
-            _mc(_lines([1, 0]), 2), _mc(_lines([1, 0]), 2),
+            _mc(_lines([1, 0])), _mc(_lines([1, 0])),
             _graph_sampler(lambda t: t * t), _line_sampler([1, 0]), 1.0,
             "tangential contact; cones coincide, nothing fires"),
         SeparationFixture(
             "opposite_rays", z2,
-            _mc([[1, 0]], 2), _mc([[-1, 0]], 2),
+            _mc([[1, 0]]), _mc([[-1, 0]]),
             _ray_sampler([1, 0]), _ray_sampler([-1, 0]), 1.0,
             "difference cone is a half-line; not transversal"),
         SeparationFixture(
             "accumulating_lines", z2,
-            _mc(_lines([1, 0]), 2, z_ignoring=True), _mc(_lines([0, 1]), 2),
+            _mc(_lines([1, 0]), z_ignoring=True), _mc(_lines([0, 1])),
             _accumulating_lines_sampler(), _y_axis_with_dyadics_sampler(), 1.0,
             "transversal with a base-point-avoiding generator; fires via "
             "the z-ignoring branch",
             z_ignoring_family=_accumulating_family),
         SeparationFixture(
             "cone_vs_vertical_line", z2,
-            _mc([[1, 1], [-1, 1]], 2), _mc(_lines([0, 1]), 2),
+            _mc([[1, 1], [-1, 1]]), _mc(_lines([0, 1])),
             _cone_region_sampler(), _line_sampler([0, 1]), 1.0,
             "strongly transversal; line enters the cone interior"),
         SeparationFixture(
             "abs_graph_vs_vertical_line", z2,
-            MultiCone((conic_hull(_lines([1, 1]), 2),
-                       conic_hull(_lines([1, -1]), 2))),
-            _mc(_lines([0, 1]), 2),
+            MultiCone((conic_hull(_lines([1, 1])),
+                       conic_hull(_lines([1, -1])))),
+            _mc(_lines([0, 1])),
             _graph_sampler(np.abs), _line_sampler([0, 1]), 1.0,
             "multi-cone of the two one-sided tangent lines; only merely "
             "transversal, no verdict"),
         SeparationFixture(
             "planes_3d", z3,
-            _mc(_lines([1, 0, 0], [0, 1, 0]), 3),
-            _mc(_lines([0, 1, 0], [0, 0, 1]), 3),
+            _mc(_lines([1, 0, 0], [0, 1, 0])),
+            _mc(_lines([0, 1, 0], [0, 0, 1])),
             _coordinate_plane_3d_sampler((0, 1)),
             _coordinate_plane_3d_sampler((1, 2)), 1.0,
             "strongly transversal planes sharing the y-axis"),

@@ -93,16 +93,16 @@ class ScenarioResult:
 def _positively_spans(k1, k2) -> bool:
     """K1 - K2 is the whole space iff it holds every +-e_i; each is
     checked by NNLS, independently of the LP behind the verdicts."""
-    diff = cone_mod.conic_hull(np.vstack([k1.generators, -k2.generators]),
-                               k1.dimension)
+    diff = cone_mod.conic_hull(np.vstack([k1.generators, -k2.generators]))
     return all(diff.contains(sign * e, cone_mod.WITNESS_TOL)
                for e in np.eye(k1.dimension) for sign in (1.0, -1.0))
 
 
-def _xor_failures(index, k1, k2, transversal, cert) -> list:
+def _xor_failures(index, k1, k2, pair) -> list:
     """Transversal XOR separable, with each side backed by its own check:
     a transversal verdict by the NNLS span oracle, a separable one by a
     certificate that validates."""
+    transversal, cert = pair.transversal, pair.certificate
     if transversal == (cert is not None):
         return [{"index": index, "k1": k1.to_jsonable(),
                  "k2": k2.to_jsonable(), "transversal": transversal}]
@@ -131,7 +131,7 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
             gens = np.vstack([basis, -basis])
         if rng.uniform() < 0.15:
             gens = np.vstack([gens, -gens])  # positively spanning-ish
-        return cone_mod.conic_hull(gens, n)
+        return cone_mod.conic_hull(gens)
 
     # drawing never depends on a verdict, so all pairs are drawn first and
     # the RNG stream is the one a pair-by-pair loop would read
@@ -145,15 +145,9 @@ def run_cone_duality(pairs: int = 1000, dims=(2, 3, 4, 5),
     for i, ((k1, k2), pair) in enumerate(
             zip(drawn, cone_mod.analyze_pairs(drawn))):
         n = k1.dimension
-        xor_failures += _xor_failures(i, k1, k2, pair.transversal,
-                                      pair.certificate)
+        xor_failures += _xor_failures(i, k1, k2, pair)
         verdict = pair.verdict
         counts[verdict] = counts.get(verdict, 0) + 1
-        consistent = (verdict == cone_mod.LINEARLY_SEPARABLE) \
-            == (not pair.transversal)
-        if not consistent:
-            trichotomy_failures.append({"index": i, "verdict": verdict,
-                                        "transversal": pair.transversal})
         if verdict == cone_mod.COMPLEMENTARY_SUBSPACES:
             # two subspaces meet only at 0 and span the space iff their
             # dimensions add up to the joint rank, and that rank is n

@@ -36,6 +36,10 @@ class MultiCone:
     cones: tuple
     z_ignoring: bool = False
 
+    def __post_init__(self):
+        if not self.cones:
+            raise ValueError("a multi-cone needs at least one cone")
+
     @property
     def dimension(self) -> int:
         return self.cones[0].dimension

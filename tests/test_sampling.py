@@ -711,11 +711,11 @@ class TestExtremeRays:
         quad = cones.conic_hull([[1.0, 0.0], [0.0, 1.0]])
         half = cones.conic_hull([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         line = cones.conic_hull([[1.0, 1.0], [-1.0, -1.0]])
-        cones.polar_cone(quad.generators, quad.dimension)
+        cones.polar_cone(quad.generators)
         cones.polar_cone([[1.0, 0.0]])
-        cones.polar_cone([], dimension=3)
-        polar = cones.polar_cone(line.generators, line.dimension)
-        cones.polar_cone(polar.generators, polar.dimension)
+        cones.polar_cone(np.zeros((0, 3)))
+        polar = cones.polar_cone(line.generators)
+        cones.polar_cone(polar.generators)
         cones.cone_intersection(quad, half)
         cones.cone_intersection(cones.conic_hull([[1.0, 0.0]]),
                                 cones.conic_hull([[-1.0, 0.0]]))

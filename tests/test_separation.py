@@ -116,6 +116,11 @@ class TestSeparationVerdict:
         for members in ((strong, right), (right, strong)):
             assert separation_verdict(MultiCone(members), up) == NO_CONCLUSION
 
+    def test_empty_multicone_refused(self):
+        # separation_verdict on it raised IndexError from its dimension
+        with pytest.raises(ValueError, match="at least one cone"):
+            MultiCone(())
+
 
 class TestOpenMappingProbe:
     def setup_method(self):
