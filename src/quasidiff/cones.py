@@ -70,7 +70,16 @@ class ConvexCone:
         return self.generators.shape[0] == 0
 
     def contains(self, x, tol: float = 1e-9) -> bool:
+        """True iff x is within tol * (1 + |x|) of the cone (within tol of 0
+        for the trivial cone).  A point of shape other than (dimension,)
+        raises ``DimensionMismatchError``, a NaN or an infinite entry
+        ``NonFiniteValueError``."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"point of shape {x.shape} vs a cone in R^{self.dimension}")
+        if not np.isfinite(x).all():
+            raise NonFiniteValueError("point must be finite")
         if self.is_trivial:
             return bool(np.linalg.norm(x) <= tol)
         return in_conic_hull(self.generators, x, tol)

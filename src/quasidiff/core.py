@@ -283,7 +283,15 @@ class GammaSet:
 
     def sample(self, rng: np.random.Generator, center: np.ndarray, delta: float,
                count: int) -> np.ndarray:
-        """Sample points of (center + B_delta) intersected with this set."""
+        """Sample points of (center + B_delta) intersected with this set.
+
+        A cone's sample weights its generators as given: each direction is
+        a uniform nonnegative combination of the generators, so near-
+        duplicate rays over-weight their direction.  Such rays occur: for
+        the polar of cone{[1, 0, 0], [0, 1, 0], [1, 1, 1e-9]},
+        ``cones._extreme_rays`` returns two rays about 1e-9 apart.  The
+        sampled directions still cover the cone; only their density
+        differs."""
         center = np.asarray(center, dtype=float)
         n = self.dimension
         if self.kind == GammaSet.FULL:
@@ -348,7 +356,10 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
     Exact minimum over the generators, or over their convex hull when the
     set carries the convex-closure flag, at every scale of the set (up to
     rounding of about 1e-16 (1 + |data|)); a distance of at most 1e-12 is
-    returned as 0.
+    returned as 0.  A hull costs one NNLS solve per distinct map (maps
+    compared by bytes), so a family that is piecewise constant near the
+    base point pays for its pieces, not its samples; a repeated map gets
+    the bits of its first occurrence's solve.
     """
     maps = np.asarray(maps, dtype=float)
     if maps.shape[1:] != lam.shape:
@@ -359,7 +370,9 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
     if not lam.convex_closure:
         d = np.min(np.linalg.norm(flats - targets[:, None], axis=2), axis=1)
     else:
-        d = np.array([_simplex_least_squares(flats.T, t)[1] for t in targets])
+        first, inverse = _distinct_rows(targets)
+        d = np.array([_simplex_least_squares(flats.T, targets[i])[1]
+                      for i in first])[inverse]
     return np.where(d <= 1e-12, 0.0, d)
 
 
@@ -417,6 +430,20 @@ def in_conic_hull(generators: np.ndarray, x, tol: float) -> bool:
                 <= tol * (1.0 + np.linalg.norm(x)))
 
 
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D array, compared by their bytes, as
+    ``(first, inverse)``: ``first`` holds the index of each distinct row's
+    first occurrence, ascending, and ``rows[first][inverse]`` is ``rows``.
+    0.0 and -0.0 differ in bytes, and a NaN row matches only its bytewise
+    copies."""
+    flat = np.ascontiguousarray(rows)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
+    _, index, inverse = np.unique(keys[:, 0], return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(index)
+    return index[order], np.argsort(order)[inverse]
+
+
 def dedupe(points, tol: float) -> np.ndarray:
     """Rows of ``points`` without near-duplicates, in their original order.
 
@@ -445,9 +472,7 @@ def dedupe(points, tol: float) -> np.ndarray:
     rows = np.arange(len(pts))
     finite = np.isfinite(pts).all()
     if len(pts) > 1 and finite:
-        flat = np.ascontiguousarray(pts.reshape(len(pts), -1))
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
-        rows = np.sort(np.unique(keys[:, 0], return_index=True)[1])
+        rows = _distinct_rows(pts.reshape(len(pts), -1))[0]
     crowded = np.ones(len(rows), dtype=bool)
     if len(rows) > 1 and tol >= 1e-100 and finite:
         crowded = cKDTree(pts[rows]).query_ball_point(

@@ -183,6 +183,21 @@ class TestConicHull:
         assert c.contains([0.0, 0.0])
         assert not c.contains([1.0, 0.0])
 
+    def test_point_of_another_shape_refused(self):
+        # the trivial cone tested only the norm, so it held [0, 0, 0, 0];
+        # a nontrivial cone raised scipy's bare ValueError from the NNLS
+        for cone in (conic_hull(np.zeros((0, 2))), conic_hull([[1.0, 0.0]])):
+            for x in ([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0],
+                      [[1.0, 0.0]]):
+                with pytest.raises(DimensionMismatchError):
+                    cone.contains(x)
+
+    def test_non_finite_point_refused(self):
+        for cone in (conic_hull(np.zeros((0, 2))), conic_hull([[1.0, 0.0]])):
+            for x in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+                with pytest.raises(NonFiniteValueError):
+                    cone.contains(x)
+
     def test_nan_generator_refused(self):
         # a NaN row fails the norm test against 0, so it was dropped and
         # the pair verdict read off the rest

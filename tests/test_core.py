@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasidiff import core
 from quasidiff.core import (
     DimensionMismatchError,
     GammaSet,
@@ -22,6 +23,7 @@ from quasidiff.core import (
     _directed_hausdorff,
     as_matrix,
     ball_samples,
+    distances_to_operator_set,
     evaluate_rows,
     hausdorff_distance,
     hull_membership_residual,
@@ -378,6 +380,69 @@ class TestDistanceProperty:
         got = dist_to_operator_set(LinearMap(target.reshape(1, n)), s)
         assert got == pytest.approx(zoom_grid_hull_distance(verts, target),
                                     abs=1e-6 * scale)
+
+
+def per_map_distances(maps, lam):
+    """Oracle: the hull distance with one NNLS solve per map, in stack
+    order, and the 1e-12 snap."""
+    flats = lam.flat_generators()
+    d = np.array([core._simplex_least_squares(flats.T, t)[1]
+                  for t in maps.reshape(len(maps), -1)])
+    return np.where(d <= 1e-12, 0.0, d)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def with_zeros_negated(rows):
+    """The rows with each 0.0 entry made -0.0 and each -0.0 made 0.0: the
+    same maps, in other bytes."""
+    return np.where(rows == 0.0, -rows, rows)
+
+
+class TestDistinctMapSolves:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), shape=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+           k=st.integers(1, 5), scale=SCALES)
+    def test_matches_one_solve_per_map_bitwise(self, data, shape, k, scale):
+        size = shape[0] * shape[1]
+        entry = st.sampled_from([0.0, -0.0, 0.5, -1.0]) \
+            | st.floats(-2.0, 2.0, allow_nan=False)
+        rows = lambda lo, hi: np.array(data.draw(st.lists(
+            st.lists(entry, min_size=size, max_size=size),
+            min_size=lo, max_size=hi)))
+        lam = OperatorSet(scale * rows(k, k).reshape(k, *shape),
+                          convex_closure=True)
+        pool = rows(1, 4)
+        pool = scale * np.vstack([pool, with_zeros_negated(pool)])
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=1, max_size=12))
+        maps = pool[picks].reshape(-1, *shape)
+        want = per_map_distances(maps, lam)
+        assert hexes(distances_to_operator_set(maps, lam)) == hexes(want)
+        perm = data.draw(st.permutations(range(len(maps))))
+        assert hexes(distances_to_operator_set(maps[perm], lam)) \
+            == hexes(want[perm])
+
+    @pytest.mark.parametrize("k, j", [(1, 1), (7, 1), (20, 4), (9, 9)])
+    def test_one_solve_per_distinct_map(self, monkeypatch, k, j):
+        rng = np.random.default_rng(k + j)
+        distinct = rng.normal(size=(j, 2, 2))
+        if j > 1:
+            # equal to map 0 as a number, not in its bytes
+            distinct[0, 0, 0] = -0.0
+            distinct[1] = with_zeros_negated(distinct[0])
+        picks = np.concatenate([np.arange(j), rng.integers(0, j, k - j)])
+        maps = distinct[rng.permutation(picks)]
+        lam = OperatorSet(rng.normal(size=(3, 2, 2)), convex_closure=True)
+        solve, calls = core._simplex_least_squares, []
+        monkeypatch.setattr(core, "_simplex_least_squares",
+                            lambda *a: calls.append(1) or solve(*a))
+        got = distances_to_operator_set(maps, lam)
+        assert len(calls) == j
+        monkeypatch.undo()
+        assert hexes(got) == hexes(per_map_distances(maps, lam))
 
 
 class TestConvexHullPoints:
