@@ -45,6 +45,7 @@ from .core import (
     LinearMap,
     NonFiniteValueError,
     OperatorSet,
+    RowMap,
     convex_hull_points,
     dist_to_operator_set,
     hausdorff_distance,

@@ -5,10 +5,16 @@ compact operator set Lambda, a modulus rho, and a family
 delta -> (L_delta, h_delta) of continuous evaluators.  The verifier is a
 sampled falsifier: acceptance means no violation was found at the stated
 resolution, not a proof.
+
+An evaluator is a callable at one point.  The built-in families are
+``core.RowMap``s, defined by their values at the rows of a sample, so the
+verifier calls each of them once per delta-sample; a plain callable, such
+as a user's lambda, is called once per point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,7 +26,9 @@ from .core import (
     GammaSet,
     NonFiniteValueError,
     OperatorSet,
+    RowMap,
     VERDICT_TOL,
+    _unchecked_rows,
     as_matrix,
     ball_samples,
     distances_to_operator_set,
@@ -106,23 +114,37 @@ class VerificationReport:
         }
 
 
+def _map_rows(L_fn):
+    """A reader of ``L_fn`` at the rows of a (k, n) array, stacked
+    (k, m, n) and left unchecked: one ``L_fn.rows`` call when it has one,
+    else one call per row, each map read as a 2-D float array; maps of
+    several shapes raise ``DimensionMismatchError``."""
+    rows = getattr(L_fn, "rows", None)
+    if rows is not None:
+        return lambda X: np.asarray(rows(X), dtype=float)
+
+    def loop(X):
+        maps = [np.atleast_2d(np.asarray(L_fn(x), dtype=float)) for x in X]
+        if len({m.shape for m in maps}) > 1:
+            raise DimensionMismatchError(
+                "L_fn returned maps of several shapes")
+        return np.array(maps)
+    return loop
+
+
 def _family_at(cert: QdqCertificate, delta: float):
-    """``cert.family(delta)`` with its map read as a 2-D float array, left
-    unchecked for ``_map_stack``, and its remainder as a 1-D array."""
+    """``cert.family(delta)`` as its two row readers, maps and remainders,
+    left unchecked: a non-finite value is refused by the verifier's own
+    check, which names the outer point."""
     L_fn, h_fn = cert.family(delta)
-    return (lambda x: np.atleast_2d(np.asarray(L_fn(x), dtype=float)),
-            lambda x: np.atleast_1d(h_fn(x)))
+    return _map_rows(L_fn), partial(_unchecked_rows, h_fn)
 
 
 def _map_stack(L_fn, xs) -> np.ndarray:
-    """``L_fn`` at every row of ``xs``, one call each, read as by
-    ``_family_at`` and stacked (k, m, n); maps of several shapes raise
-    ``DimensionMismatchError``, and a NaN or an infinity
-    ``NonFiniteValueError`` at the first row whose map has one."""
-    maps = [np.atleast_2d(np.asarray(L_fn(x), dtype=float)) for x in xs]
-    if len({m.shape for m in maps}) > 1:
-        raise DimensionMismatchError("L_fn returned maps of several shapes")
-    stack = np.array(maps)
+    """``L_fn`` at every row of ``xs``, read by ``_map_rows``; a NaN or an
+    infinity raises ``NonFiniteValueError`` at the first row whose map has
+    one."""
+    stack = _map_rows(L_fn)(xs)
     bad = ~np.isfinite(stack.reshape(len(xs), -1)).all(axis=1)
     if bad.any():
         x = xs[bad.argmax()]
@@ -145,8 +167,9 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
     """Sampled falsification of the three certificate inequalities.
 
     ``F`` is a single-valued callable unless ``membership(x, y) -> bool``
-    is supplied for a set-valued target.  Raises on an empty ``delta_grid``
-    and on delta values at or above ``cert.delta_star``.  A delta whose
+    is supplied for a set-valued target; a membership ``RowMap`` gives the
+    mask of a whole delta-sample in one call.  Raises on an empty
+    ``delta_grid`` and on delta values at or above ``cert.delta_star``.  A delta whose
     sample holds fewer than ``points_per_delta`` points (a box direction
     set that misses most of the ball) blocks acceptance, so the verifier
     never passes vacuously.  Each sampled point is evaluated once; the
@@ -185,8 +208,12 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
                   ("remainder_size", hns, d * rho_d,
                    hns > d * rho_d + VERDICT_TOL)]
         if membership is not None:
-            member = np.array([bool(membership(x, v))
-                               for x, v in zip(xs, values)])
+            rows = getattr(membership, "rows", None)
+            if rows is not None:
+                member = np.asarray(rows(xs, values), dtype=bool)
+            else:
+                member = np.array([bool(membership(x, v))
+                                   for x, v in zip(xs, values)])
             checks.append(("membership", values, None, ~member))
         else:
             resids = row_norms(values - evaluate_rows(F, xs, "F"))
@@ -226,21 +253,21 @@ def absvalue_certificate(delta: float):
         raise ValueError("delta must lie in (0, 1)")
     d2 = delta * delta
 
-    def L_fn(x):
-        t = float(np.atleast_1d(x)[0])
-        if abs(t) <= d2:
-            slope = t / d2
-        else:
-            slope = 1.0 if t > 0 else -1.0
-        return np.array([[slope]])
+    def slopes(X):
+        t = X[:, 0]
+        out = np.where(t > 0, 1.0, -1.0)
+        inner = np.abs(t) <= d2
+        out[inner] = t[inner] / d2
+        return out[:, None, None]
 
-    def h_fn(x):
-        t = float(np.atleast_1d(x)[0])
-        if abs(t) <= d2:
-            return np.array([abs(t) - t * t / d2])
-        return np.array([0.0])
+    def remainders(X):
+        t = X[:, 0]
+        out = np.zeros(len(t))
+        inner = np.abs(t) <= d2
+        out[inner] = np.abs(t[inner]) - t[inner] * t[inner] / d2
+        return out[:, None]
 
-    return L_fn, h_fn
+    return RowMap(slopes), RowMap(remainders)
 
 
 def absvalue_qdq(lam: OperatorSet | None = None) -> QdqCertificate:
@@ -342,26 +369,35 @@ def curve_certificate(data: CurveData, delta: float):
     t_bar = data.t_bar
     f0 = np.atleast_1d(np.asarray(data.f(t_bar), dtype=float))
 
-    def phi(s: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(data.f(t_bar + s), dtype=float)) - f0
+    def phi(s) -> np.ndarray:
+        """f(t_bar + s) - f(t_bar), one f call and one row per offset."""
+        return np.array([np.atleast_1d(np.asarray(data.f(t), dtype=float))
+                         for t in (t_bar + s).tolist()]).reshape(
+                             len(s), f0.size) - f0
 
-    def L_fn(x):
-        s = float(np.atleast_1d(x)[0]) - t_bar
-        if abs(s) <= d2 / 2.0:
-            return data.arc_points(2.0 * s / d2).reshape(-1, 1)
-        if abs(s) < d2:
-            side = 1.0 if s > 0 else -1.0
-            w = (side * s - d2 / 2.0) / (d2 / 2.0)
-            end = phi(side * d2) / (side * d2)
-            start = data.arc_points(side)
-            return ((1.0 - w) * start + w * end).reshape(-1, 1)
-        return (phi(s) / s).reshape(-1, 1)
+    def maps(s, ph=None) -> np.ndarray:
+        """The (k, m, 1) maps at the offsets s; ``ph`` is phi(s) when the
+        caller has it."""
+        out = np.empty((len(s), f0.size))
+        arc = np.abs(s) <= d2 / 2.0
+        link = ~arc & (np.abs(s) < d2)
+        out[arc] = data.arc_points(2.0 * s[arc] / d2)
+        for side, on in ((1.0, link & (s > 0)), (-1.0, link & ~(s > 0))):
+            if on.any():
+                w = ((side * s[on] - d2 / 2.0) / (d2 / 2.0))[:, None]
+                end = phi(np.array([side * d2]))[0] / (side * d2)
+                out[on] = (1.0 - w) * data.arc_points(side) + w * end
+        outer = ~(arc | link)
+        out[outer] = (phi(s[outer]) if ph is None else ph[outer]) \
+            / s[outer, None]
+        return out[:, :, None]
 
-    def h_fn(x):
-        s = float(np.atleast_1d(x)[0]) - t_bar
-        return phi(s) - L_fn(x) @ np.array([s])
+    def remainders(X):
+        s = X[:, 0] - t_bar
+        ph = phi(s)
+        return ph - np.matmul(maps(s, ph), s[:, None, None])[:, :, 0]
 
-    return L_fn, h_fn
+    return RowMap(lambda X: maps(X[:, 0] - t_bar)), RowMap(remainders)
 
 
 def curve_qdq(data: CurveData) -> QdqCertificate:
@@ -519,8 +555,8 @@ def combine_certificates(kind: str, certF: QdqCertificate,
         def family(d):
             LF, hF = _family_at(certF, d)
             LG, hG = _family_at(certG, d)
-            return (lambda x: alpha * LF(x) + beta * LG(x),
-                    lambda x: alpha * hF(x) + beta * hG(x))
+            return (RowMap(lambda X: alpha * LF(X) + beta * LG(X)),
+                    RowMap(lambda X: alpha * hF(X) + beta * hG(X)))
 
     elif kind == "set_product":
         lam = _pair_set(lambda f, g: np.concatenate([f, g], axis=2),
@@ -531,8 +567,8 @@ def combine_certificates(kind: str, certF: QdqCertificate,
         def family(d):
             LF, hF = _family_at(certF, d)
             LG, hG = _family_at(certG, d)
-            return (lambda x: np.vstack([LF(x), LG(x)]),
-                    lambda x: np.concatenate([hF(x), hG(x)]))
+            return (RowMap(lambda X: np.concatenate([LF(X), LG(X)], axis=1)),
+                    RowMap(lambda X: np.concatenate([hF(X), hG(X)], axis=1)))
 
     elif kind == "scalar_product":
         if certF.codomain_dim != 1 or certG.codomain_dim != 1:
@@ -551,12 +587,14 @@ def combine_certificates(kind: str, certF: QdqCertificate,
             LF, hF = _family_at(certF, d)
             LG, hG = _family_at(certG, d)
 
-            def h(x):
-                dx = np.atleast_1d(x) - certF.x_bar
-                aF = LF(x) @ dx + hF(x)
-                aG = LG(x) @ dx + hG(x)
-                return yF * hG(x) + yG * hF(x) + aF * aG
-            return (lambda x: yF * LG(x) + yG * LF(x)), h
+            def remainders(X):
+                dX = (X - certF.x_bar)[:, :, None]
+                hf, hg = hF(X), hG(X)
+                aF = np.matmul(LF(X), dX)[:, :, 0] + hf
+                aG = np.matmul(LG(X), dX)[:, :, 0] + hg
+                return yF * hg + yG * hf + aF * aG
+            return RowMap(lambda X: yF * LG(X) + yG * LF(X)), \
+                RowMap(remainders)
 
     else:
         raise ValueError(f"unknown combinator kind {kind!r}")
@@ -579,14 +617,21 @@ def compose_certificates(certF: QdqCertificate,
         LF, hF = _family_at(certF, d)
         LG, hG = _family_at(certG, 3.0 * M * d)
 
-        def xi(x):
-            return certF.y_bar \
-                + LF(x) @ (np.atleast_1d(x) - certF.x_bar) + hF(x)
+        def inner(X):
+            """The inner maps and remainders at the rows of X, and the
+            points xi(x) = y_bar + L(x) (x - x_bar) + h(x) they give."""
+            Ls, hs = LF(X), hF(X)
+            return Ls, hs, certF.y_bar \
+                + np.matmul(Ls, (X - certF.x_bar)[:, :, None])[:, :, 0] + hs
 
-        def h(x):
-            y = xi(x)
-            return LG(y) @ hF(x) + hG(y)
-        return (lambda x: LG(xi(x)) @ LF(x)), h
+        def maps(X):
+            Ls, _, Y = inner(X)
+            return np.matmul(LG(Y), Ls)
+
+        def remainders(X):
+            _, hs, Y = inner(X)
+            return np.matmul(LG(Y), hs[:, :, None])[:, :, 0] + hG(Y)
+        return RowMap(maps), RowMap(remainders)
 
     return QdqCertificate(
         certF.x_bar, certG.y_bar, certF.gamma, lam, delta_star,
@@ -645,18 +690,16 @@ def abundant_transfer(F, cert: QdqCertificate, theta_family,
     eta_of = lambda d: d * float(cert.rho(d))
 
     def family(d):
-        L_fn, h_fn = _family_at(cert, d)
+        L_fn, h_fn = cert.family(d)
         eta = eta_of(d)
+        theta = theta_family(eta) if eta > 0 else None
 
-        def h(x):
-            y = np.atleast_1d(np.asarray(F(x), dtype=float))
-            if eta > 0:
-                shift = np.atleast_1d(
-                    np.asarray(theta_family(eta)(y), dtype=float)) - y
-            else:
-                shift = np.zeros_like(y)
-            return shift + h_fn(x)
-        return L_fn, h
+        def remainders(X):
+            ys = _unchecked_rows(F, X)
+            shifts = np.zeros_like(ys) if theta is None \
+                else _unchecked_rows(theta, ys) - ys
+            return shifts + _unchecked_rows(h_fn, X)
+        return L_fn, RowMap(remainders)
 
     return QdqCertificate(
         cert.x_bar, cert.y_bar, cert.gamma, cert.lam, cert.delta_star,
@@ -668,21 +711,38 @@ def abundant_membership(F, cert: QdqCertificate, theta_family,
                         delta_grid=DEFAULT_DELTA_GRID):
     """Membership oracle for the retraction union of a certificate made by
     ``abundant_transfer`` (another raises ``ValueError``), for use as the
-    ``membership`` argument of the verifier.  A NaN or an infinity from F
-    or the retraction raises ``NonFiniteValueError``: it would compare as
+    ``membership`` argument of the verifier: a ``RowMap`` whose rows
+    ``(xs, ys)`` give the mask of the rows ys[i] in the union at xs[i].
+    Each width eta is tried, in ascending order, only on the rows that no
+    earlier one matched, as a point-by-point loop would.  A NaN or an
+    infinity from F or the retraction raises ``NonFiniteValueError`` at the
+    first row, in that loop's order, that meets one: it would compare as
     no image at all and so read as a non-member."""
     if cert.retraction_eta is None:
         raise ValueError("the certificate has no retraction schedule: "
                          "make it with abundant_transfer")
     etas = sorted({float(cert.retraction_eta(d)) for d in delta_grid} - {0.0})
+    thetas = [theta_family(eta) for eta in etas]
 
-    def member(x, y):
-        base = evaluate_rows(F, [x], "F")[0]
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        for eta in etas:
-            img = evaluate_rows(theta_family(eta), [base], "the retraction")[0]
-            if np.linalg.norm(y - img) <= VERDICT_TOL:
-                return True
-        return False
+    def member_rows(X, Y):
+        base = _unchecked_rows(F, X)
+        hit = np.zeros(len(X), dtype=bool)
+        # the rows whose values so far are all finite
+        live = np.isfinite(base).all(axis=1)
+        for theta in thetas:
+            todo = np.flatnonzero(live & ~hit)
+            if not todo.size:
+                break
+            imgs = _unchecked_rows(theta, base[todo])
+            ok = np.isfinite(imgs).all(axis=1)
+            live[todo[~ok]] = False
+            hit[todo[ok]] = row_norms(Y[todo[ok]] - imgs[ok]) <= VERDICT_TOL
+        if not live.all():
+            # the checked reads of the first such row raise its error
+            i = int(np.argmin(live))
+            base = evaluate_rows(F, X[i:i + 1], "F")
+            for theta in thetas:
+                evaluate_rows(theta, base, "the retraction")
+        return hit
 
-    return member
+    return RowMap(member_rows)

@@ -8,7 +8,7 @@ so everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -50,6 +50,22 @@ class NonFiniteValueError(ValueError):
         self.point = point
 
 
+@dataclass(frozen=True, slots=True)
+class RowMap:
+    """A map defined by ``rows``, its values at the rows of (k, n) arrays,
+    one array per argument, stacked along a first axis of length k; a call
+    at one point is ``rows`` of that point as a one-row array.  The catalog
+    maps, the certificate families and the abundant membership oracle are
+    row maps.  Slotted, so a ``functools.wraps`` wrapper copies no ``rows``
+    and stays a pointwise map."""
+
+    rows: Callable
+
+    def __call__(self, *args):
+        return self.rows(*(np.asarray(a, dtype=float).reshape(1, -1)
+                           for a in args))[0]
+
+
 def evaluate_rows(F, points, name: str) -> np.ndarray:
     """F at every row of ``points``, stacked into a ``(k, m)`` array.
 
@@ -66,19 +82,25 @@ def evaluate_rows(F, points, name: str) -> np.ndarray:
     and give a ``(0, 0)`` array.
     """
     pts = np.asarray(points, dtype=float)
-    if not len(pts):
-        return np.zeros((0, 0))
-    values = _row_values(F, pts.reshape(len(pts), -1))
-    if values is None:
-        rows = pts.tolist() if pts.ndim == 1 else pts
-        values = np.array([F(x) for x in rows], dtype=float)
-    values = values.reshape(len(pts), -1)
+    values = _unchecked_rows(F, pts)
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values).all(axis=1)))
         x = pts[i].tolist() if pts.ndim == 1 else pts[i]
         raise NonFiniteValueError(f"{name} returned a non-finite value at "
                                   f"{np.asarray(x).tolist()}", point=x)
     return values
+
+
+def _unchecked_rows(F, points) -> np.ndarray:
+    """The values of ``evaluate_rows``, without its finiteness test."""
+    pts = np.asarray(points, dtype=float)
+    if not len(pts):
+        return np.zeros((0, 0))
+    values = _row_values(F, pts.reshape(len(pts), -1))
+    if values is None:
+        rows = pts.tolist() if pts.ndim == 1 else pts
+        values = np.array([F(x) for x in rows], dtype=float)
+    return values.reshape(len(pts), -1)
 
 
 def _row_values(F, X: np.ndarray):
@@ -366,7 +388,8 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
         raise DimensionMismatchError(
             f"map shape {maps.shape[1:]} vs set shape {lam.shape}")
     flats = lam.flat_generators()
-    targets = maps.reshape(len(maps), -1)
+    # the width is the set's, so an empty stack gives an empty array
+    targets = maps.reshape(len(maps), flats.shape[1])
     if not lam.convex_closure:
         d = np.min(np.linalg.norm(flats - targets[:, None], axis=2), axis=1)
     else:

@@ -3,18 +3,16 @@ string labels from CLI configs.
 
 A field is an evaluator at one point of its box domain, plus ``rows``, its
 values at the rows of a (k, n) array with the evaluator's bits, row for
-row; a map is ``rows`` alone.  The row forms are elementwise (``np.abs``,
-``+``) or copies (a constant row repeated, ``|x1|`` written into zeros);
-``linear_field`` takes one gemv per row, as ``a @ x`` does, and
-``square1d`` keeps Python's ``float ** 2``.
+row; a map is a ``core.RowMap``, defined by ``rows`` alone.  The row forms
+are elementwise (``np.abs``, ``+``) or copies (a constant row repeated,
+``|x1|`` written into zeros); ``linear_field`` takes one gemv per row, as
+``a @ x`` does, and ``square1d`` keeps Python's ``float ** 2``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
+from .core import RowMap
 from .flows import Box, VectorField
 
 _HALF_WIDTH = 10.0
@@ -81,34 +79,22 @@ def make_field(label: str, params: dict | None = None) -> VectorField:
 
 # scalar/vector test maps for the open-mapping probe and certificate checks
 
-@dataclass(frozen=True, slots=True)
-class CatalogMap:
-    """A catalog map, defined by ``rows``; a call at one point is a one-row
-    call.  Slotted, so a ``functools.wraps`` wrapper copies no ``rows`` and
-    stays a pointwise map."""
-
-    rows: Callable
-
-    def __call__(self, x):
-        return self.rows(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-
 def _squares(X) -> np.ndarray:
     # float ** 2 is libm's pow, which is not x * x in about one value in
     # a thousand, so the row form keeps the pointwise operation
     return np.array([v ** 2 for v in X[:, 0].tolist()]).reshape(-1, 1)
 
 
-def make_map(label: str, params: dict | None = None) -> CatalogMap:
+def make_map(label: str, params: dict | None = None) -> RowMap:
     params = params or {}
     if label == "fold_sum":
         # F(x1, x2) = x1 + |x2|
-        return CatalogMap(lambda X: (X[:, 0] + np.abs(X[:, 1]))[:, None])
+        return RowMap(lambda X: (X[:, 0] + np.abs(X[:, 1]))[:, None])
     if label == "identity":
         n = int(params.get("dimension", 1))
-        return CatalogMap(lambda X: np.array(X, float).reshape(len(X), n))
+        return RowMap(lambda X: np.array(X, float).reshape(len(X), n))
     if label == "abs1d":
-        return CatalogMap(lambda X: np.abs(X[:, :1]))
+        return RowMap(lambda X: np.abs(X[:, :1]))
     if label == "square1d":
-        return CatalogMap(_squares)
+        return RowMap(_squares)
     raise KeyError(f"unknown map label {label!r}")

@@ -174,77 +174,78 @@ def _accumulating_family(delta):
     return g
 
 
+# each fixture's builder by its name, in the order of builtin_fixtures
+_BUILDERS = {
+    "axes": lambda: SeparationFixture(
+        "axes", np.zeros(2),
+        _mc(_lines([1, 0])), _mc(_lines([0, 1])),
+        _line_sampler([1, 0]), _line_sampler([0, 1]), 1.0,
+        "two transversal lines; merely transversal, no verdict fires"),
+    "half_plane_vs_ray": lambda: SeparationFixture(
+        "half_plane_vs_ray", np.zeros(2),
+        _mc([[1, 0], [-1, 0], [0, 1]]), _mc([[0, 1]]),
+        _half_plane_sampler(+1.0), _ray_sampler([0, 1]), 1.0,
+        "strongly transversal; common points on the positive y-axis"),
+    "half_planes": lambda: SeparationFixture(
+        "half_planes", np.zeros(2),
+        _mc([[1, 0], [-1, 0], [0, 1]]),
+        _mc([[1, 0], [-1, 0], [0, -1]]),
+        _half_plane_sampler(+1.0), _half_plane_sampler(-1.0), 1.0,
+        "cones are linearly separable, so no verdict fires even though "
+        "the sets share their boundary line (the theorem has no "
+        "converse)"),
+    "half_space_vs_line": lambda: SeparationFixture(
+        "half_space_vs_line", np.zeros(3),
+        _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])]),
+        _mc(_lines([0, 0, 1])),
+        _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
+        "strongly transversal; common points on the positive z-axis"),
+    "parabola_vs_axis": lambda: SeparationFixture(
+        "parabola_vs_axis", np.zeros(2),
+        _mc(_lines([1, 0])), _mc(_lines([1, 0])),
+        _graph_sampler(lambda t: t * t), _line_sampler([1, 0]), 1.0,
+        "tangential contact; cones coincide, nothing fires"),
+    "opposite_rays": lambda: SeparationFixture(
+        "opposite_rays", np.zeros(2),
+        _mc([[1, 0]]), _mc([[-1, 0]]),
+        _ray_sampler([1, 0]), _ray_sampler([-1, 0]), 1.0,
+        "difference cone is a half-line; not transversal"),
+    "accumulating_lines": lambda: SeparationFixture(
+        "accumulating_lines", np.zeros(2),
+        _mc(_lines([1, 0]), z_ignoring=True), _mc(_lines([0, 1])),
+        _accumulating_lines_sampler(), _y_axis_with_dyadics_sampler(), 1.0,
+        "transversal with a base-point-avoiding generator; fires via "
+        "the z-ignoring branch",
+        z_ignoring_family=_accumulating_family),
+    "cone_vs_vertical_line": lambda: SeparationFixture(
+        "cone_vs_vertical_line", np.zeros(2),
+        _mc([[1, 1], [-1, 1]]), _mc(_lines([0, 1])),
+        _cone_region_sampler(), _line_sampler([0, 1]), 1.0,
+        "strongly transversal; line enters the cone interior"),
+    "abs_graph_vs_vertical_line": lambda: SeparationFixture(
+        "abs_graph_vs_vertical_line", np.zeros(2),
+        MultiCone((conic_hull(_lines([1, 1])),
+                   conic_hull(_lines([1, -1])))),
+        _mc(_lines([0, 1])),
+        _graph_sampler(np.abs), _line_sampler([0, 1]), 1.0,
+        "multi-cone of the two one-sided tangent lines; only merely "
+        "transversal, no verdict"),
+    "planes_3d": lambda: SeparationFixture(
+        "planes_3d", np.zeros(3),
+        _mc(_lines([1, 0, 0], [0, 1, 0])),
+        _mc(_lines([0, 1, 0], [0, 0, 1])),
+        _coordinate_plane_3d_sampler((0, 1)),
+        _coordinate_plane_3d_sampler((1, 2)), 1.0,
+        "strongly transversal planes sharing the y-axis"),
+}
+
+
 def builtin_fixtures() -> list:
-    z2 = np.zeros(2)
-    z3 = np.zeros(3)
-    fixtures = [
-        SeparationFixture(
-            "axes", z2,
-            _mc(_lines([1, 0])), _mc(_lines([0, 1])),
-            _line_sampler([1, 0]), _line_sampler([0, 1]), 1.0,
-            "two transversal lines; merely transversal, no verdict fires"),
-        SeparationFixture(
-            "half_plane_vs_ray", z2,
-            _mc([[1, 0], [-1, 0], [0, 1]]), _mc([[0, 1]]),
-            _half_plane_sampler(+1.0), _ray_sampler([0, 1]), 1.0,
-            "strongly transversal; common points on the positive y-axis"),
-        SeparationFixture(
-            "half_planes", z2,
-            _mc([[1, 0], [-1, 0], [0, 1]]),
-            _mc([[1, 0], [-1, 0], [0, -1]]),
-            _half_plane_sampler(+1.0), _half_plane_sampler(-1.0), 1.0,
-            "cones are linearly separable, so no verdict fires even though "
-            "the sets share their boundary line (the theorem has no "
-            "converse)"),
-        SeparationFixture(
-            "half_space_vs_line", z3,
-            _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])]),
-            _mc(_lines([0, 0, 1])),
-            _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
-            "strongly transversal; common points on the positive z-axis"),
-        SeparationFixture(
-            "parabola_vs_axis", z2,
-            _mc(_lines([1, 0])), _mc(_lines([1, 0])),
-            _graph_sampler(lambda t: t * t), _line_sampler([1, 0]), 1.0,
-            "tangential contact; cones coincide, nothing fires"),
-        SeparationFixture(
-            "opposite_rays", z2,
-            _mc([[1, 0]]), _mc([[-1, 0]]),
-            _ray_sampler([1, 0]), _ray_sampler([-1, 0]), 1.0,
-            "difference cone is a half-line; not transversal"),
-        SeparationFixture(
-            "accumulating_lines", z2,
-            _mc(_lines([1, 0]), z_ignoring=True), _mc(_lines([0, 1])),
-            _accumulating_lines_sampler(), _y_axis_with_dyadics_sampler(), 1.0,
-            "transversal with a base-point-avoiding generator; fires via "
-            "the z-ignoring branch",
-            z_ignoring_family=_accumulating_family),
-        SeparationFixture(
-            "cone_vs_vertical_line", z2,
-            _mc([[1, 1], [-1, 1]]), _mc(_lines([0, 1])),
-            _cone_region_sampler(), _line_sampler([0, 1]), 1.0,
-            "strongly transversal; line enters the cone interior"),
-        SeparationFixture(
-            "abs_graph_vs_vertical_line", z2,
-            MultiCone((conic_hull(_lines([1, 1])),
-                       conic_hull(_lines([1, -1])))),
-            _mc(_lines([0, 1])),
-            _graph_sampler(np.abs), _line_sampler([0, 1]), 1.0,
-            "multi-cone of the two one-sided tangent lines; only merely "
-            "transversal, no verdict"),
-        SeparationFixture(
-            "planes_3d", z3,
-            _mc(_lines([1, 0, 0], [0, 1, 0])),
-            _mc(_lines([0, 1, 0], [0, 0, 1])),
-            _coordinate_plane_3d_sampler((0, 1)),
-            _coordinate_plane_3d_sampler((1, 2)), 1.0,
-            "strongly transversal planes sharing the y-axis"),
-    ]
-    return fixtures
+    return [build() for build in _BUILDERS.values()]
 
 
 def fixture_by_name(name: str) -> SeparationFixture:
-    for f in builtin_fixtures():
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown separation fixture {name!r}")
+    """The named fixture, built alone."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown separation fixture {name!r}")
+    return _BUILDERS[name]()

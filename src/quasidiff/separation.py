@@ -146,8 +146,12 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     The surjectivity hypothesis (every map of Lambda maps the direction
     set onto the codomain) is checked first and raises SurjectivityError —
     that signal means the hypotheses fail, not that the probe failed.  A
-    hull is checked whole only for m = 1 and Gamma = R^n (it fails exactly
-    when it holds 0), else at its vertices.  A NaN or an infinity from F
+    hull is checked whole only for m = 1, else at its vertices.  For m = 1
+    a functional maps Gamma onto R exactly when it takes both signs on it,
+    so a hull fails when it meets the dual cone Gamma* or -Gamma*: for
+    Gamma = R^n, where Gamma* = {0}, when it holds 0, and for a half-line
+    or a cone Gamma when one of two feasibility systems, solved in the
+    vertices' witness batch, has a nonzero point.  A NaN or an infinity from F
     raises ``NonFiniteValueError``, an empty domain sample ``ValueError``.
     """
     if a <= 0 or beta <= 0:
@@ -155,15 +159,26 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
     images = [image_cone(g, gamma) for g in lam.generators]
-    witnesses = _nonzero_points([(k.generators, k.dimension) for k in images])
+    systems = [(k.generators, k.dimension) for k in images]
+    scalar_hull = lam.convex_closure and lam.shape[0] == 1
+    if scalar_hull and gamma.kind != GammaSet.FULL:
+        # weights w >= 0, w != 0 with +-(w @ values) >= 0, where values[i, j]
+        # is generator i at direction j: the hull meets Gamma* or -Gamma*
+        values = lam.flat_generators() @ gamma.generators.T
+        eye = np.eye(len(values))
+        systems += [(np.vstack([-eye, -values.T]), len(values)),
+                    (np.vstack([-eye, values.T]), len(values))]
+    witnesses = _nonzero_points(systems)
     for idx, (g, p) in enumerate(zip(lam.generators, witnesses)):
         if p is not None:
             raise SurjectivityError(
                 f"generator {idx} with matrix {g.tolist()} is not "
                 "surjective on the direction set")
+    if any(p is not None for p in witnesses[len(images):]):
+        raise SurjectivityError("the hull of Lambda holds a functional of "
+                                "one sign on the direction set")
     zero = np.zeros((1,) + lam.shape)
-    if lam.convex_closure and lam.shape[0] == 1 \
-            and gamma.kind == GammaSet.FULL \
+    if scalar_hull and gamma.kind == GammaSet.FULL \
             and distances_to_operator_set(zero, lam)[0] == 0.0:
         raise SurjectivityError("the hull of Lambda holds the zero map")
     targets = _target_lattice(y_bar, a, target_grid)
@@ -196,7 +211,10 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
     p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
     distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
-    dists, idx = cKDTree(p2).query(p1, k=1)
+    # the bound prunes the search; a point with no neighbour inside it gets
+    # an infinite distance, and a match's nearest neighbour is unchanged
+    dists, idx = cKDTree(p2).query(p1, k=1,
+                                   distance_upper_bound=2.0 * MATCH_TOL)
     near = np.flatnonzero(dists <= MATCH_TOL)
     mids = 0.5 * (p1[near] + p2[idx[near]])
     dz = np.linalg.norm(mids - z, axis=1)

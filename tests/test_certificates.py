@@ -219,6 +219,69 @@ class TestContinuityBudget:
         assert len(calls) == 2 * 606
 
 
+class TestOneCallPerDelta:
+    """A row-defined family is read once per delta-sample: its maps once,
+    and once more at the moved points under a continuity budget, its
+    remainders once, and a row membership oracle once."""
+
+    @staticmethod
+    def counted(calls, key, fn):
+        return core.RowMap(lambda *a: calls.append(key) or fn.rows(*a))
+
+    def test_family_and_membership_calls(self):
+        grid = [1e-1, 1e-2, 1e-3]
+        theta = lambda eta: (lambda y: y + 0.5 * eta * np.cos(y))
+        t = c.abundant_transfer(abs_map, c.absvalue_qdq(), theta, seed=7)
+        calls = []
+
+        def family(d):
+            L_fn, h_fn = t.family(d)
+            return (self.counted(calls, "L", L_fn),
+                    self.counted(calls, "h", h_fn))
+
+        member = self.counted(calls, "member", c.abundant_membership(
+            abs_map, t, theta, grid))
+        rep = c.verify_certificate(abs_map, replace(t, family=family), grid,
+                                   200, seed=0, membership=member)
+        assert rep.accepted and rep.checks_run == 606
+        assert calls == ["h", "L", "member", "L"] * 3
+
+    def test_no_budget_no_second_read(self):
+        doubler = c.QdqCertificate(
+            x_bar=[0.0], y_bar=[0.0], gamma=GammaSet.full_space(1),
+            lam=OperatorSet.from_matrices([[[2.0]]]), delta_star=1.0,
+            rho=lambda d: 0.0,
+            family=lambda d: (lambda x: LinearMap([[2.0]]),
+                              lambda x: np.array([0.0])))
+        comp = c.compose_certificates(c.absvalue_qdq(), doubler)
+        calls = []
+
+        def family(d):
+            L_fn, h_fn = comp.family(d)
+            return (self.counted(calls, "L", L_fn),
+                    self.counted(calls, "h", h_fn))
+
+        rep = c.verify_certificate(lambda x: 2.0 * abs_map(x),
+                                   replace(comp, family=family),
+                                   [1e-2, 1e-3], 100, seed=0)
+        assert rep.accepted
+        assert calls == ["h", "L"] * 2
+
+    def test_builtin_families_are_row_maps(self):
+        a = c.absvalue_qdq()
+        curve = c.CurveData.from_function(lambda t: abs(t), 0.0)
+        theta = lambda eta: (lambda y: y + 0.5 * eta * np.cos(y))
+        families = [c.absvalue_certificate(0.1),
+                    c.curve_certificate(curve, 0.1),
+                    c.compose_certificates(a, a).family(0.1),
+                    c.abundant_transfer(abs_map, a, theta).family(0.1)]
+        families += [c.combine_certificates(kind, a, a).family(0.1)
+                     for kind in ("linear", "set_product", "scalar_product")]
+        for L_fn, h_fn in families:
+            assert isinstance(L_fn, core.RowMap)
+            assert isinstance(h_fn, core.RowMap)
+
+
 class TestModulusMonotone:
     def test_decreasing_rho_refused(self):
         # every inequality holds under the generous rho, but a modulus must

@@ -444,6 +444,16 @@ class TestDistinctMapSolves:
         monkeypatch.undo()
         assert hexes(got) == hexes(per_map_distances(maps, lam))
 
+    @pytest.mark.parametrize("hull", [False, True])
+    def test_empty_stack_gives_no_distance(self, hull):
+        # the stack was reshaped to (0, -1), which numpy cannot infer
+        lam = OperatorSet.from_matrices([[[1.0]], [[-2.0]]],
+                                        convex_closure=hull)
+        got = distances_to_operator_set(np.zeros((0, 1, 1)), lam)
+        assert got.dtype == float and got.shape == (0,)
+        with pytest.raises(DimensionMismatchError):
+            distances_to_operator_set(np.zeros((0, 1, 2)), lam)
+
 
 class TestConvexHullPoints:
     def test_matches_orientation_oracle_2d(self):

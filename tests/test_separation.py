@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from quasidiff import fixtures
 
 from quasidiff.cones import conic_hull
 from quasidiff.separation import MultiCone
@@ -51,6 +56,24 @@ def probe_loop(sampler1, sampler2, z, radius, samples, seed):
         if distinct_tol < dz <= radius + MATCH_TOL and d[i] < best_d:
             best, best_d = mid, d[i]
     return best
+
+
+def probe_unbounded(sampler1, sampler2, z, radius, samples, seed):
+    """Oracle: the separation probe with an unbounded nearest-neighbour
+    query, as it was."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    rng = np.random.default_rng(seed)
+    p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
+    p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
+    distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
+    dists, idx = cKDTree(p2).query(p1, k=1)
+    near = np.flatnonzero(dists <= MATCH_TOL)
+    mids = 0.5 * (p1[near] + p2[idx[near]])
+    dz = np.linalg.norm(mids - z, axis=1)
+    ok = (dz > distinct_tol) & (dz <= radius + MATCH_TOL)
+    if ok.any():
+        return mids[ok][np.argmin(dists[near][ok])]
+    return None
 
 
 class TestBuildMulticone:
@@ -164,6 +187,38 @@ class TestOpenMappingProbe:
                                  20000, seed=0)
         assert rep.covered_fraction < 1.0
 
+    @pytest.mark.parametrize("gamma", [
+        GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]]),
+        GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])])
+    def test_cone_hull_of_one_sign_precondition_error(self, gamma):
+        # both generators take both signs on the quadrant, but their
+        # midpoint 0 lies in the dual cone; the probe read covered 0.524
+        F = lambda x: np.array([abs(x[0] - x[1])])
+        lam = OperatorSet.from_matrices([[[1.0, -1.0]], [[-1.0, 1.0]]],
+                                        convex_closure=True)
+        with pytest.raises(SurjectivityError, match="one sign"):
+            open_mapping_probe(F, [0.0, 0.0], [0.0], gamma, lam, 0.1, 2.0,
+                               10, 2000, seed=0)
+        # a hull that meets -Gamma* but not Gamma*: co{(1, -1), (-2, 1)}
+        # holds (-1/2, 0)
+        lam = OperatorSet.from_matrices([[[1.0, -1.0]], [[-2.0, 1.0]]],
+                                        convex_closure=True)
+        with pytest.raises(SurjectivityError, match="one sign"):
+            open_mapping_probe(F, [0.0, 0.0], [0.0], gamma, lam, 0.1, 2.0,
+                               10, 2000, seed=0)
+
+    def test_cone_hull_of_both_signs_probed(self):
+        # every map of co{(1, -1), (1, -2)} takes both signs on the
+        # quadrant, so the probe runs, and x1 - 1.5 x2 covers
+        F = lambda x: np.array([x[0] - 1.5 * x[1]])
+        lam = OperatorSet.from_matrices([[[1.0, -1.0]], [[1.0, -2.0]]],
+                                        convex_closure=True)
+        rep = open_mapping_probe(F, [0.0, 0.0], [0.0],
+                                 GammaSet.finite_cone([[1.0, 0.0],
+                                                       [0.0, 1.0]]),
+                                 lam, 0.1, 2.0, 10, 20000, seed=0)
+        assert rep.passed
+
     def test_identity_is_open(self):
         F = make_map("identity", {"dimension": 1})
         lam = OperatorSet.from_matrices([[[1.0]]])
@@ -220,6 +275,40 @@ class TestLocalSeparationProbe:
             if want is not None:
                 assert got["common_point"].tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 20))
+    def test_bounded_query_matches_unbounded(self, seed, k):
+        # anchors on the y-axis, whose x offsets are exact distances: at
+        # MATCH_TOL, one ulp either side, inside and outside; pairs of
+        # points of p2 equally far from a point of p1, and repeated rows
+        rng = np.random.default_rng(seed)
+        tol, half = MATCH_TOL, 2.0 ** -21
+        anchors = np.column_stack([np.zeros(k),
+                                   rng.integers(1, 8, size=k) / 8.0])
+        offsets = np.array([0.0, half, tol, np.nextafter(tol, 0.0),
+                            np.nextafter(tol, 1.0), 2.0 * tol,
+                            np.nextafter(2.0 * tol, 0.0), 3.0 * tol, 0.25])
+        moved = anchors + np.column_stack([
+            rng.choice(offsets, size=k), np.zeros(k)])
+        ties = anchors + [2.0 * half, 0.0]
+        fill = rng.integers(-8, 9, size=(k, 2)) / 8.0
+        p2 = np.vstack([anchors, ties, fill, anchors[:2]])
+        p1 = np.vstack([moved, anchors + [half, 0.0], fill[::2]])
+        rng.shuffle(p1)
+        tree = cKDTree(p2)
+        want_d, want_i = tree.query(p1, k=1)
+        got_d, got_i = tree.query(p1, k=1, distance_upper_bound=2.0 * tol)
+        near = want_d <= tol
+        assert np.array_equal(got_d <= tol, near)
+        assert got_d[near].tobytes() == want_d[near].tobytes()
+        assert np.array_equal(got_i[near], want_i[near])
+        z = np.zeros(2)
+        got = local_separation_probe(lambda *a: p1, lambda *a: p2, z, 1.0,
+                                     k, seed)["common_point"]
+        want = probe_unbounded(lambda *a: p1, lambda *a: p2, z, 1.0, k, seed)
+        assert (got is None) == (want is None)
+        assert want is None or got.tobytes() == want.tobytes()
+
     def test_parabola_vs_axis_tangential(self):
         f = fixture_by_name("parabola_vs_axis")
         out = local_separation_probe(f.sampler1, f.sampler2, f.z, 1.0, 2000,
@@ -229,7 +318,36 @@ class TestLocalSeparationProbe:
 
 class TestFixtureSuite:
     def test_ten_fixtures(self):
-        assert len(builtin_fixtures()) == 10
+        assert [f.name for f in builtin_fixtures()] == [
+            "axes", "half_plane_vs_ray", "half_planes", "half_space_vs_line",
+            "parabola_vs_axis", "opposite_rays", "accumulating_lines",
+            "cone_vs_vertical_line", "abs_graph_vs_vertical_line",
+            "planes_3d"]
+
+    def test_named_fixture_equals_its_builtin(self):
+        for f in builtin_fixtures():
+            g = fixture_by_name(f.name)
+            assert (g.z.tobytes(), g.radius, g.note) == \
+                (f.z.tobytes(), f.radius, f.note)
+            for a, b in ((f.k1, g.k1), (f.k2, g.k2)):
+                assert a.z_ignoring == b.z_ignoring
+                assert [c.generators.tobytes() for c in a.cones] == \
+                    [c.generators.tobytes() for c in b.cones]
+            for a, b in ((f.sampler1, g.sampler1), (f.sampler2, g.sampler2)):
+                assert a(np.random.default_rng(1), f.z, 0.5, 40).tobytes() \
+                    == b(np.random.default_rng(1), g.z, 0.5, 40).tobytes()
+            assert (f.z_ignoring_family is None) == \
+                (g.z_ignoring_family is None)
+        with pytest.raises(KeyError, match="unknown separation fixture"):
+            fixture_by_name("no_such_fixture")
+
+    def test_named_fixture_built_alone(self, monkeypatch):
+        # building all ten took 19 conic hulls for one fixture
+        hull, calls = fixtures.conic_hull, []
+        monkeypatch.setattr(fixtures, "conic_hull",
+                            lambda g: calls.append(1) or hull(g))
+        fixture_by_name("opposite_rays")
+        assert len(calls) == 2
 
     def test_fired_verdicts_corroborated(self):
         for f in builtin_fixtures():
