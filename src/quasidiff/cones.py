@@ -35,7 +35,8 @@ from scipy.sparse import coo_array
 from scipy.spatial import ConvexHull
 
 from .core import DimensionMismatchError, GammaSet, \
-    NonFiniteValueError, _svd_rank, as_matrix, dedupe, in_conic_hull
+    NonFiniteValueError, _svd_rank, as_matrix, dedupe, in_conic_hull, \
+    row_norms
 
 WITNESS_TOL = 1e-7
 
@@ -69,27 +70,38 @@ class ConvexCone:
     def is_trivial(self) -> bool:
         return self.generators.shape[0] == 0
 
+    def contains_rows(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Row-wise ``contains`` of a (k, n) array, as a length-k mask, in
+        one ``in_conic_hull`` call.  An array of another shape raises
+        ``DimensionMismatchError``, a NaN or an infinite entry
+        ``NonFiniteValueError``."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise DimensionMismatchError(
+                f"points of shape {pts.shape} vs a cone in R^{self.dimension}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteValueError("point must be finite")
+        if self.is_trivial:
+            return row_norms(pts) <= tol
+        return in_conic_hull(self.generators, pts, tol)
+
     def contains(self, x, tol: float = 1e-9) -> bool:
         """True iff x is within tol * (1 + |x|) of the cone (within tol of 0
-        for the trivial cone).  A point of shape other than (dimension,)
-        raises ``DimensionMismatchError``, a NaN or an infinite entry
+        for the trivial cone): the one-row view of ``contains_rows``.  A
+        point of shape other than (dimension,) raises
+        ``DimensionMismatchError``, a NaN or an infinite entry
         ``NonFiniteValueError``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"point of shape {x.shape} vs a cone in R^{self.dimension}")
-        if not np.isfinite(x).all():
-            raise NonFiniteValueError("point must be finite")
-        if self.is_trivial:
-            return bool(np.linalg.norm(x) <= tol)
-        return in_conic_hull(self.generators, x, tol)
+        return bool(self.contains_rows(x[None], tol)[0])
 
     def is_subspace(self) -> bool:
         """A cone closed under negation of each generator is a linear span;
-        each negation is tested by ``contains`` at its default tolerance."""
-        if self.is_trivial:
-            return True
-        return all(self.contains(-g) for g in self.generators)
+        the negations are tested in one ``contains_rows`` call at its
+        default tolerance."""
+        return bool(self.contains_rows(-self.generators).all())
 
     def to_jsonable(self) -> dict:
         return {"dimension": self.dimension, "generators": self.generators.tolist()}
@@ -321,5 +333,5 @@ def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
     rays = _extreme_rays(np.vstack([polar_cone(k1.generators).generators,
                                     polar_cone(k2.generators).generators]),
                          k1.dimension)
-    good = [k1.contains(r, 1e-7) and k2.contains(r, 1e-7) for r in rays]
-    return ConvexCone(rays[np.array(good, dtype=bool)])
+    return ConvexCone(rays[k1.contains_rows(rays, 1e-7)
+                           & k2.contains_rows(rays, 1e-7)])

@@ -443,14 +443,24 @@ def _svd_rank(s: np.ndarray) -> int:
     return int(np.sum(s > 1e-10 * max(1.0, float(s[0]) if s.size else 1.0)))
 
 
-def in_conic_hull(generators: np.ndarray, x, tol: float) -> bool:
-    """True iff x is within tol * (1 + |x|) of the cone of the (one or more)
-    rows of ``generators``.  NNLS's own residual is not used: on +- pairs of
-    orthonormal vectors it can read 0 for coefficients that miss x by O(1)."""
-    x = np.asarray(x, dtype=float)
-    coeffs, _ = nnls(generators.T, x)
-    return bool(np.linalg.norm(coeffs @ generators - x)
-                <= tol * (1.0 + np.linalg.norm(x)))
+def in_conic_hull(generators: np.ndarray, points, tol: float) -> np.ndarray:
+    """Row-wise membership of the (k, n) array ``points`` in the cone of the
+    (one or more) rows of ``generators``, as a length-k mask: True where
+    the row x is within tol * (1 + |x|) of the cone.
+
+    One NNLS solve per row, all on one C-ordered copy of the generators'
+    transpose (scipy's ``nnls`` would copy an F-ordered matrix at every
+    call); the residuals come from one stacked gemv, and their norms and
+    the rows' from ``row_norms``, with the bits of ``coeffs @ generators``
+    and ``np.linalg.norm`` per row.  NNLS's own residual is not used: on
+    +- pairs of orthonormal vectors it can read 0 for coefficients that
+    miss x by O(1)."""
+    gens = np.asarray(generators, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, gens.shape[1])
+    a = np.ascontiguousarray(gens.T)
+    coeffs = np.array([nnls(a, x)[0] for x in pts]).reshape(-1, len(gens))
+    residuals = np.matmul(coeffs[:, None, :], gens)[:, 0, :] - pts
+    return row_norms(residuals) <= tol * (1.0 + row_norms(pts))
 
 
 def _distinct_rows(rows: np.ndarray):

@@ -4,7 +4,8 @@ the commutator-flow direction quotient.
 
 The estimators score a whole sample cloud in one pass
 (``_central_differences``): samples whose finite-difference stencil leaves
-the field's box domain are masked by one vectorised test, the central
+the field's box domain are masked by one vectorised test (none when the
+cloud, widened by the largest step, lies in the box), the central
 differences at steps h and h/2 are formed one stencil column at a time over
 all remaining samples, and the step-h Jacobians come back with their
 two-scale differentiability scores.  ``fd_jacobian`` and
@@ -81,7 +82,13 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
             stencils.append((pts + e, pts - e, 2.0 * h))
     ok = np.ones(k, dtype=bool)
     domain = getattr(f, "domain", None)
-    if domain is not None:
+    # rounding is monotone, so every stencil entry lies between a column's
+    # least entry less the largest step and its greatest plus that step:
+    # when those bounds are in the box, so is every stencil
+    reach = max(abs(h) for h in steps)
+    if domain is not None and k and not (
+            np.all(domain.lo <= pts.min(axis=0) - reach)
+            and np.all(pts.max(axis=0) + reach <= domain.hi)):
         for plus, minus, _ in stencils:
             ok &= domain.contains_rows(plus) & domain.contains_rows(minus)
     values = None  # (stencil, +/-, row, output), sized at the first value
@@ -230,12 +237,22 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     return VectorField(evaluator, f.domain)
 
 
+def _brackets(jf: np.ndarray, jg: np.ndarray, fx: np.ndarray,
+              gx: np.ndarray) -> np.ndarray:
+    """The brackets Dg(x) f(x) - Df(x) g(x) of k points, from their (k, n, n)
+    Jacobian stacks and (k, n) field values, as a (k, n) array.  Each
+    product is one gemv per row, as ``J @ v`` is (``X @ J.T`` and
+    ``einsum`` round differently)."""
+    return (np.matmul(jg, fx[:, :, None])[:, :, 0]
+            - np.matmul(jf, gx[:, :, None])[:, :, 0])
+
+
 def lie_bracket_pointwise(f: VectorField, g: VectorField, x, h: float) -> np.ndarray:
     """[f, g](x) = Dg(x) f(x) - Df(x) g(x) via central differences."""
     x = np.asarray(x, dtype=float)
     jf = fd_jacobian(f, x, h)
     jg = fd_jacobian(g, x, h)
-    return jg @ f(x) - jf @ g(x)
+    return _brackets(jf[None], jg[None], f(x)[None], g(x)[None])[0]
 
 
 def _vertex_reduce(flats: np.ndarray) -> np.ndarray:
@@ -280,27 +297,32 @@ def set_lie_bracket_estimate(f: VectorField, g: VectorField, q, radius: float,
     rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
     pts, jf = pts[rows_f][rows_g], jf[rows_g]
     keep = np.maximum(score_f[rows_g], score_g) <= DIFFERENTIABILITY_THRESHOLD
-    # the same J @ v product as lie_bracket_pointwise
-    pts = pts[keep]
-    kept = [b @ fx - a @ gx for fx, gx, a, b in zip(
-        evaluate_rows(f, pts, "f"), evaluate_rows(g, pts, "g"),
-        jf[keep], jg[keep])]
-    if not kept:
+    if not keep.any():
         raise EstimatorFailedError("every sample failed the differentiability "
                                    "score; try a smaller fd step")
-    verts = _vertex_reduce(np.array(kept))
+    pts = pts[keep]
+    kept = _brackets(jf[keep], jg[keep], evaluate_rows(f, pts, "f"),
+                     evaluate_rows(g, pts, "g"))
+    verts = _vertex_reduce(kept)
     return OperatorSet.from_vectors(verts, convex_closure=True).canonicalized()
 
 
 def bracket_flow_direction(f: VectorField, g: VectorField, q,
-                           eps: float) -> np.ndarray:
+                           eps) -> np.ndarray:
     """(Psi_sqrt(eps)(q) - q) / eps, the measurable direction quotient of
-    the commutator flow, in 200 RK4 steps per leg (``default_config``)."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    t = float(np.sqrt(eps))
+    the commutator flow, in exactly 200 RK4 steps per leg
+    (``default_config``).  A 1-D sequence of eps (an eps-ladder) gives a
+    (k, n) array, row r the quotient at eps[r], from one stacked
+    commutator flow; each row has the bits of a one-eps call."""
+    ladder = list(eps) if np.ndim(eps) else [eps]
+    for e in ladder:
+        if not (math.isfinite(e) and e > 0):
+            raise ValueError(f"eps must be positive and finite, got {e}")
+    ts = [float(np.sqrt(e)) for e in ladder]
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return (multiflow_commutator(f, g, q, t, default_config(t)) - q) / eps
+    ends = multiflow_commutator(f, g, q, ts, [default_config(t) for t in ts])
+    quotients = (ends - q) / np.array(ladder, dtype=float).reshape(-1, 1)
+    return quotients if np.ndim(eps) else quotients[0]
 
 
 def mollified_commutator_flow(f: VectorField, g: VectorField, q, eps: float,

@@ -91,11 +91,13 @@ class ScenarioResult:
 # runners
 
 def _positively_spans(k1, k2) -> bool:
-    """K1 - K2 is the whole space iff it holds every +-e_i; each is
-    checked by NNLS, independently of the LP behind the verdicts."""
+    """K1 - K2 is the whole space iff it holds every +-e_i; they are
+    checked by NNLS in one ``contains_rows`` call, independently of the LP
+    behind the verdicts."""
     diff = cone_mod.conic_hull(np.vstack([k1.generators, -k2.generators]))
-    return all(diff.contains(sign * e, cone_mod.WITNESS_TOL)
-               for e in np.eye(k1.dimension) for sign in (1.0, -1.0))
+    axes = np.eye(k1.dimension)
+    signed = np.stack([axes, -axes], axis=1).reshape(-1, k1.dimension)
+    return bool(diff.contains_rows(signed, cone_mod.WITNESS_TOL).all())
 
 
 def _xor_failures(index, k1, k2, pair) -> list:
@@ -219,10 +221,8 @@ def _run_smooth_bracket(seed, *, A, B, q, t_values=(1e-1, 5e-2, 2.5e-2),
     f = make_field("linear", {"matrix": A})
     g = make_field("linear", {"matrix": B})
     target = (B @ A - A @ B) @ q
-    errors = []
-    for t in t_values:
-        d = bracket_flow_direction(f, g, q, t * t)
-        errors.append(float(np.linalg.norm(d - target)))
+    directions = bracket_flow_direction(f, g, q, [t * t for t in t_values])
+    errors = [float(np.linalg.norm(d - target)) for d in directions]
     ratios = [a / b for a, b in zip(errors, errors[1:]) if b > 0]
     lo, hi = ratio_range
     ok = bool(ratios) and all(lo <= r <= hi for r in ratios)

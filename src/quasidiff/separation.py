@@ -134,6 +134,30 @@ def _target_lattice(y_bar: np.ndarray, a: float, target_grid: int) -> np.ndarray
     return y_bar + pts
 
 
+def _check_full_rank_hull(gens: np.ndarray, gamma: GammaSet) -> None:
+    """Refuse a hull of m x n maps, m > 1, unless every map in it has full
+    row rank m, which for Gamma = R^n is surjectivity.  Deciding that is
+    NP-hard (Poljak & Rohn 1993), so a sufficient test is used: by Weyl's
+    inequality every L in the hull has sigma_m(L) >= sigma_m(L0) - max_i
+    |L_i - L0|_2, so it has full rank when that is positive for some
+    centre L0, tried at the centroid and at each generator.  A half-line
+    or a cone Gamma is refused, as no such test is made for it."""
+    m = gens.shape[1]
+    if gamma.kind != GammaSet.FULL:
+        raise SurjectivityError(
+            f"the surjectivity of a hull of maps into R^{m} is tested only "
+            f"on the full space, not on a {gamma.kind} direction set")
+    for centre in (gens.mean(axis=0), *gens):
+        s = np.linalg.svd(centre, compute_uv=False)
+        least = s[m - 1] if s.size >= m else 0.0
+        if least > np.linalg.norm(gens - centre, ord=2, axis=(1, 2)).max():
+            return
+    raise SurjectivityError(
+        "the hull of Lambda may hold a map of rank below "
+        f"{m}: no centre (the centroid or a generator) has its least "
+        "singular value above its distance to every generator")
+
+
 def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
                        a: float, beta: float, target_grid: int = 10,
                        domain_samples: int = 20000,
@@ -145,14 +169,16 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
 
     The surjectivity hypothesis (every map of Lambda maps the direction
     set onto the codomain) is checked first and raises SurjectivityError —
-    that signal means the hypotheses fail, not that the probe failed.  A
-    hull is checked whole only for m = 1, else at its vertices.  For m = 1
-    a functional maps Gamma onto R exactly when it takes both signs on it,
-    so a hull fails when it meets the dual cone Gamma* or -Gamma*: for
-    Gamma = R^n, where Gamma* = {0}, when it holds 0, and for a half-line
-    or a cone Gamma when one of two feasibility systems, solved in the
-    vertices' witness batch, has a nonzero point.  A NaN or an infinity from F
-    raises ``NonFiniteValueError``, an empty domain sample ``ValueError``.
+    that signal means the hypotheses fail, not that the probe failed.  For
+    m = 1 a functional maps Gamma onto R exactly when it takes both signs
+    on it, so a hull fails when it meets the dual cone Gamma* or -Gamma*:
+    for Gamma = R^n, where Gamma* = {0}, when it holds 0, and for a
+    half-line or a cone Gamma when one of two feasibility systems, solved
+    in the vertices' witness batch, has a nonzero point.  For m > 1 a hull
+    of two or more maps is accepted only on Gamma = R^n and when a centre
+    L0 has its least singular value above its distance to every generator
+    (``_check_full_rank_hull``).  A NaN or an infinity from F raises
+    ``NonFiniteValueError``, an empty domain sample ``ValueError``.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
@@ -181,6 +207,8 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     if scalar_hull and gamma.kind == GammaSet.FULL \
             and distances_to_operator_set(zero, lam)[0] == 0.0:
         raise SurjectivityError("the hull of Lambda holds the zero map")
+    if lam.convex_closure and lam.shape[0] > 1 and len(lam.generators) > 1:
+        _check_full_rank_hull(lam.generators, gamma)
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
     xs = gamma.sample(rng, x_bar, a * beta, domain_samples)

@@ -167,6 +167,17 @@ def cone_pairs():
         lambda pair: not (pair[0].is_trivial and pair[1].is_trivial))
 
 
+def contains_loop(cone, x, tol=1e-9):
+    """Oracle: one point's membership as ``ConvexCone.contains`` tested it
+    alone, NNLS on the transposed generators and the residual by ``@``."""
+    x = np.asarray(x, dtype=float)
+    if cone.is_trivial:
+        return bool(np.linalg.norm(x) <= tol)
+    coeffs, _ = nnls(cone.generators.T, x)
+    return bool(np.linalg.norm(coeffs @ cone.generators - x)
+                <= tol * (1.0 + np.linalg.norm(x)))
+
+
 class TestConicHull:
     def test_drops_zero_vectors(self):
         c = conic_hull([[0.0, 0.0], [1.0, 0.0]])
@@ -238,8 +249,71 @@ class TestConicHull:
         cone = ConvexCone(gens)
         assert not cone.contains(q[2])
         assert not cone.is_subspace()
-        assert not in_conic_hull(gens, q[2], 1e-9)
+        assert in_conic_hull(gens, q[2][None], 1e-9).tolist() == [False]
         assert cone.contains(-q[2]) and cone.contains(q[0] - q[2])
+
+
+class TestMembershipRows:
+    """``contains_rows`` and its one-call users against ``contains_loop``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=cone_pairs(), seed=st.integers(0, 2**16))
+    def test_mask_matches_the_point_loop(self, pair, seed):
+        # generators, their negations, sums and differences, and random
+        # points, at the default and the corpus tolerance
+        k1, k2 = pair
+        n = k1.dimension
+        rng = np.random.default_rng(seed)
+        gens = np.vstack([k1.generators, k2.generators, np.zeros((1, n))])
+        pts = np.vstack([gens, -gens, gens + gens[::-1], gens - gens[::-1],
+                         rng.normal(size=(8, n)), np.eye(n), -np.eye(n)])
+        for cone in (k1, k2):
+            for tol in (1e-9, WITNESS_TOL):
+                got = cone.contains_rows(pts, tol)
+                assert got.dtype == bool and got.shape == (len(pts),)
+                assert got.tolist() == [contains_loop(cone, x, tol)
+                                        for x in pts]
+                assert got.tolist() == [cone.contains(x, tol) for x in pts]
+            assert cone.is_subspace() == all(contains_loop(cone, -g)
+                                             for g in cone.generators)
+        rays = cones._extreme_rays(
+            np.vstack([polar_cone(k1.generators).generators,
+                       polar_cone(k2.generators).generators]), n)
+        good = [contains_loop(k1, r, 1e-7) and contains_loop(k2, r, 1e-7)
+                for r in rays]
+        assert cone_intersection(k1, k2).generators.tobytes() == \
+            rays[np.array(good, dtype=bool)].tobytes()
+        diff = conic_hull(np.vstack([k1.generators, -k2.generators]))
+        assert scenarios._positively_spans(k1, k2) == all(
+            contains_loop(diff, sign * e, WITNESS_TOL)
+            for e in np.eye(n) for sign in (1.0, -1.0))
+
+    def test_empty_stack(self):
+        for cone in (conic_hull(np.zeros((0, 2))), conic_hull([[1.0, 0.0]])):
+            assert cone.contains_rows(np.zeros((0, 2))).shape == (0,)
+
+    def test_stack_of_another_shape_refused(self):
+        for cone in (conic_hull(np.zeros((0, 2))), conic_hull([[1.0, 0.0]])):
+            for pts in ([1.0, 0.0], np.zeros((2, 3)), np.zeros((1, 2, 2))):
+                with pytest.raises(DimensionMismatchError):
+                    cone.contains_rows(pts)
+            with pytest.raises(NonFiniteValueError):
+                cone.contains_rows([[0.0, 0.0], [np.nan, 0.0]])
+
+    def test_nnls_gets_one_c_ordered_matrix(self, monkeypatch):
+        # scipy's nnls copies an F-ordered matrix at every call
+        seen = []
+
+        def spy(a, b):
+            seen.append(a)
+            return nnls(a, b)
+
+        monkeypatch.setattr("quasidiff.core.nnls", spy)
+        gens = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+        mask = in_conic_hull(gens, np.eye(3), 1e-9)
+        assert mask.tolist() == [False, False, False]
+        assert len(seen) == 3 and all(a is seen[0] for a in seen)
+        assert seen[0].flags.c_contiguous
 
 
 class TestPolar:

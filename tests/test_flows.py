@@ -31,10 +31,18 @@ from quasidiff.nonsmooth import MollifierConfig, _quadrature_rule, \
 
 def flow_loop(f, q, t, cfg):
     """Oracle: RK4 through ``VectorField.__call__``, with h / 2 and h / 6
-    and the widened box recomputed at every step."""
+    and the widened box recomputed at every step.  An error carries the
+    step it was raised at (0 for the start point).  A sequence of times
+    (with one config, or one per time) is ``stacked_loop`` over q."""
+    if np.ndim(t):
+        cfgs = cfg if isinstance(cfg, list) else [cfg] * len(t)
+        return stacked_loop(f, [q] * len(t), list(t), cfgs)
     y = np.asarray(q, dtype=float).copy()
     if not f.domain.contains(y):
-        raise DomainEscapeError("initial point outside domain", point=y, time=0.0)
+        err = DomainEscapeError("initial point outside domain", point=y,
+                                time=0.0)
+        err.step = 0
+        raise err
     if t == 0.0:
         return y
     n_steps = max(1, int(math.ceil(abs(t) / cfg.step)))
@@ -49,21 +57,55 @@ def flow_loop(f, q, t, cfg):
         k3 = f(y + 0.5 * h * k2)
         k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        err = None
         if not np.isfinite(y).all():
-            raise BlowUpError(f"non-finite state at step {i + 1}")
-        if not ((y >= f.domain.lo - 1e-12).all()
-                and (y <= f.domain.hi + 1e-12).all()):
-            raise DomainEscapeError("trajectory left the domain",
+            err = BlowUpError(f"non-finite state at step {i + 1}")
+        elif not ((y >= f.domain.lo - 1e-12).all()
+                  and (y <= f.domain.hi + 1e-12).all()):
+            err = DomainEscapeError("trajectory left the domain",
                                     point=y, time=(i + 1) * h)
+        if err is not None:
+            err.step = i + 1
+            raise err
     return y
 
 
+def stacked_loop(f, starts, ts, cfgs):
+    """Oracle: one stacked flow as a ``flow_loop`` per row.  Of the rows
+    that fail, the one failing at the lowest step, and the lowest-index
+    one among those, raises its error, which names the row when there is
+    more than one."""
+    ends, failures = [], []
+    for r, (y, t, cfg) in enumerate(zip(starts, ts, cfgs)):
+        try:
+            ends.append(flow_loop(f, y, t, cfg))
+        except (BlowUpError, DomainEscapeError) as err:
+            failures.append((err.step, r, err))
+    if failures:
+        _, r, err = min(failures, key=lambda fail: fail[:2])
+        if len(starts) > 1:
+            if isinstance(err, DomainEscapeError):
+                raise DomainEscapeError(f"{err} in row {r}", point=err.point,
+                                        time=err.time)
+            raise BlowUpError(f"{err} in row {r}")
+        raise err
+    return np.array(ends).reshape(len(starts), -1)
+
+
 def multiflow_loop(f, g, q, t, cfg):
-    """Oracle: the four legs through ``flow_loop``."""
-    y = flow_loop(f, q, t, cfg)
-    y = flow_loop(g, y, t, cfg)
-    y = flow_loop(f, y, -t, cfg)
-    return flow_loop(g, y, -t, cfg)
+    """Oracle: the four legs through ``flow_loop``; several times run
+    each leg as one ``stacked_loop``."""
+    if not np.ndim(t):
+        y = flow_loop(f, q, t, cfg)
+        y = flow_loop(g, y, t, cfg)
+        y = flow_loop(f, y, -t, cfg)
+        return flow_loop(g, y, -t, cfg)
+    cfgs = cfg if isinstance(cfg, list) else [cfg] * len(t)
+    back = [-v for v in t]
+    y = stacked_loop(f, [q] * len(t), list(t), cfgs)
+    y = stacked_loop(g, y, list(t), cfgs)
+    y = stacked_loop(f, y, back, cfgs)
+    return stacked_loop(g, y, back, cfgs)
 
 
 def mollified_rows(f, cfg):
@@ -410,6 +452,201 @@ class TestFlowErrorsMatchLoop:
         got = outcome(lambda: multiflow_commutator(f, g, [-0.95], 0.1, cfg))
         assert got == outcome(lambda: multiflow_loop(f, g, [-0.95], 0.1, cfg))
         assert got[0] == "DomainEscapeError" and got[3] < 0.0
+
+
+# a stack of rows: (time, steps) per row, a step count of 0 meaning t = 0
+STACKS = st.lists(st.tuples(st.floats(-0.3, 0.3), st.integers(0, 60)),
+                  min_size=1, max_size=4)
+
+
+def ladder(rows):
+    """The times and per-row configs of a stack drawn from ``STACKS``."""
+    ts = [t if steps else 0.0 for t, steps in rows]
+    return ts, [FlowSolverConfig(step=max(abs(t), 1e-12) / max(steps, 1))
+                for t, steps in rows]
+
+
+def bounded(f, lo, hi, rows=True):
+    """f's evaluator (and row evaluator) on the box [lo, hi]."""
+    return VectorField(f.evaluator, Box(lo, hi),
+                       rows=f.rows if rows else None)
+
+
+class TestStackedFlowsMatchLoop:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**16),
+           rows=STACKS, shared=st.booleans())
+    def test_flow_stack_bytes(self, name, seed, rows, shared):
+        make, n = FIELDS[name]
+        f, f_old = make(seed)
+        q = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        ts, cfgs = ladder(rows)
+        # a shared step gives the rows different step counts
+        cfg = FlowSolverConfig(step=0.3 / max(rows[0][1], 1)) if shared \
+            else cfgs
+        got = outcome(lambda: flow(f, q, ts, cfg))
+        assert got == outcome(lambda: flow_loop(f_old, q, ts, cfg))
+        if got[0] == "value":
+            ends = flow(f, q, ts, cfg)
+            assert ends.shape == (len(ts), n)
+            for r, t in enumerate(ts):
+                one = flow(f, q, t, cfg if shared else cfgs[r])
+                assert ends[r].tobytes() == one.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pair=st.sampled_from(sorted(PAIRS) + ["mollified"]),
+           seed=st.integers(0, 2**16), rows=STACKS)
+    def test_multiflow_stack_bytes(self, pair, seed, rows):
+        if pair == "mollified":
+            (f, f_old), (g, g_old), n = mollified_pair(unit_x_field(), seed), \
+                mollified_pair(abs_shear_field(), seed + 1), 2
+        else:
+            make_f, make_g, n = PAIRS[pair]
+            f = f_old = make_f()
+            g = g_old = make_g()
+        q = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        ts, cfgs = ladder(rows)
+        got = outcome(lambda: multiflow_commutator(f, g, q, ts, cfgs))
+        assert got == outcome(lambda: multiflow_loop(f_old, g_old, q, ts,
+                                                     cfgs))
+        assert got[0] == "value"
+        ends = multiflow_commutator(f, g, q, ts, cfgs)
+        for r, (t, cfg) in enumerate(zip(ts, cfgs)):
+            assert ends[r].tobytes() == \
+                multiflow_commutator(f, g, q, t, cfg).tobytes()
+
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "row loop"])
+    def test_one_row_escapes(self, rows):
+        # from 0.5 at unit speed, only the row over 0.7 reaches the wall
+        f = bounded(constant_field([1.0]), [-1.0], [1.0], rows)
+        cfg = FlowSolverConfig(step=1e-2)
+        got = outcome(lambda: flow(f, [0.5], [0.1, 0.7, 0.2], cfg))
+        assert got == outcome(lambda: flow_loop(f, [0.5], [0.1, 0.7, 0.2],
+                                                cfg))
+        kind, message, point, time = got
+        assert kind == "DomainEscapeError"
+        assert message == "trajectory left the domain in row 1"
+        assert np.frombuffer(point)[0] > 1.0 and time == pytest.approx(0.51)
+
+    def test_first_failing_step_wins_over_a_lower_row(self):
+        # row 0 reaches the wall at its step 51, row 2 at its step 26; of
+        # two rows failing at one step, the lower one is named
+        f = bounded(constant_field([1.0]), [-1.0], [1.0])
+        ts = [0.7, 0.2, 0.9]
+        cfgs = [FlowSolverConfig(step=s) for s in (1e-2, 1e-2, 2e-2)]
+        got = outcome(lambda: flow(f, [0.5], ts, cfgs))
+        assert got == outcome(lambda: flow_loop(f, [0.5], ts, cfgs))
+        assert got[1].endswith("in row 2")
+        assert got[3] == pytest.approx(0.52)
+        cfgs[2] = FlowSolverConfig(step=1e-2)
+        got = outcome(lambda: flow(f, [0.5], ts, cfgs))
+        assert got == outcome(lambda: flow_loop(f, [0.5], ts, cfgs))
+        assert got[1].endswith("in row 0")
+
+    def test_blow_up_in_one_row(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = VectorField(lambda x: x * 1e300, Box([-np.inf], [np.inf]),
+                            rows=lambda X: X * 1e300)
+            ts, cfg = [0.0, 1.0, 0.5], FlowSolverConfig(step=0.5)
+            got = outcome(lambda: flow(f, [1e10], ts, cfg))
+            assert got == outcome(lambda: flow_loop(f, [1e10], ts, cfg))
+        assert got[:2] == ("BlowUpError",
+                           "non-finite state at step 1 in row 1")
+
+    def test_backward_leg_escape(self):
+        # the row over 0.1 leaves the box on the backward f leg, as in the
+        # one-row test; the row over 0.01 stays inside
+        box = Box([-1.0], [1.0])
+        f = VectorField(constant_field([1.0]).evaluator, box)
+        g = VectorField(constant_field([-1.0]).evaluator, box)
+        ts, cfg = [0.01, 0.1], FlowSolverConfig(step=1e-2)
+        got = outcome(lambda: multiflow_commutator(f, g, [-0.95], ts, cfg))
+        assert got == outcome(lambda: multiflow_loop(f, g, [-0.95], ts, cfg))
+        assert got[0] == "DomainEscapeError" and got[3] < 0.0
+        assert got[1].endswith("in row 1")
+
+    def test_start_outside_the_box_names_the_row(self):
+        # the f leg ends at 1 + 5e-13, inside the widened box; the g leg
+        # starts there, outside its own box
+        f = bounded(constant_field([1.0]), [-1.0], [1.0 + 1e-12])
+        g = bounded(constant_field([0.0]), [-1.0], [1.0])
+        ts = [0.25, 0.5 + 5e-13]
+        cfg = FlowSolverConfig(step=0.5)
+        got = outcome(lambda: multiflow_commutator(f, g, [0.5], ts, cfg))
+        assert got == outcome(lambda: multiflow_loop(f, g, [0.5], ts, cfg))
+        assert got[:2] == ("DomainEscapeError",
+                           "initial point outside domain in row 1")
+
+    def test_empty_stack(self):
+        f = unit_x_field()
+        assert flow(f, [0.0, 0.0], [], FlowSolverConfig()).shape == (0, 2)
+        assert multiflow_commutator(f, abs_shear_field(), [0.0, 0.0], [],
+                                    FlowSolverConfig()).shape == (0, 2)
+
+    def test_rows_of_another_shape_refused(self):
+        f = VectorField(lambda x: np.ones(2), Box(-np.ones(2), np.ones(2)),
+                        rows=lambda X: np.ones((len(X), 3)))
+        with pytest.raises(DimensionMismatchError, match="rows of shape"):
+            flow(f, [0.0, 0.0], [0.1, 0.2], FlowSolverConfig(step=0.05))
+
+    def test_bad_ladders_refused(self):
+        f = unit_x_field()
+        with pytest.raises(ValueError, match="configs for 2 times"):
+            flow(f, [0.0, 0.0], [0.1, 0.2], [FlowSolverConfig()])
+        with pytest.raises(ValueError, match="1-D"):
+            flow(f, [0.0, 0.0], [[0.1, 0.2]], FlowSolverConfig())
+        with pytest.raises(ValueError, match=r"\bt\b"):
+            multiflow_commutator(f, f, [0.0, 0.0], [0.1, np.nan],
+                                 FlowSolverConfig())
+
+
+class TestDefaultConfig:
+    def test_exact_step_count(self):
+        # |t| / 200 rounded down, and ceil(|t| / step) read 201
+        t = 0.0010543678423453528
+        assert math.ceil(t / default_config(t).step) == 200
+        calls = []
+        f = VectorField(lambda x: calls.append(1) or np.ones(1),
+                        Box([-1.0], [1.0]))
+        flow(f, [0.0], t, default_config(t))
+        assert len(calls) == 4 * 200
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_t=st.floats(-9.0, 3.0), legs=st.integers(1, 1000),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_every_horizon_takes_its_legs(self, log_t, legs, sign):
+        t = sign * 10.0 ** log_t
+        step = default_config(t, legs).step
+        assert math.ceil(abs(t) / step) == legs
+        assert step >= abs(t) / legs
+
+    @pytest.mark.parametrize("t, legs", [(0.1, 200), (0.05, 200),
+                                         (0.025, 200), (0.01, 200),
+                                         (0.1, 50)])
+    def test_reference_horizons_keep_their_step(self, t, legs):
+        assert default_config(t, legs).step == t / legs
+
+
+class TestBracketLadder:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(pair=st.sampled_from(["linear/linear", "unit_x/abs_shear",
+                                 "constant/linear"]),
+           seed=st.integers(0, 2**16),
+           eps=st.lists(st.floats(1e-6, 1e-2), min_size=1, max_size=4))
+    def test_rows_match_one_eps_calls(self, pair, seed, eps):
+        make_f, make_g, n = PAIRS[pair]
+        f, g = make_f(), make_g()
+        q = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
+        got = bracket_flow_direction(f, g, q, eps)
+        assert got.shape == (len(eps), n)
+        for row, e in zip(got, eps):
+            assert row.tobytes() == bracket_flow_direction(f, g, q,
+                                                           e).tobytes()
+
+    def test_bad_eps_in_a_ladder_refused(self):
+        with pytest.raises(ValueError, match="got 0.0"):
+            bracket_flow_direction(unit_x_field(), abs_shear_field(),
+                                   [0.0, 0.0], [1e-4, 0.0])
 
 
 class TestMollifiedMatchesRows:

@@ -30,6 +30,7 @@ from quasidiff.core import (
     ball_samples,
     convex_hull_points,
     dedupe,
+    evaluate_rows,
     in_conic_hull,
 )
 from quasidiff.fields import abs_1d_field, abs_shear_field, \
@@ -38,11 +39,14 @@ from quasidiff.flows import Box, VectorField
 from quasidiff.nonsmooth import (
     DIFFERENTIABILITY_THRESHOLD,
     MollifierConfig,
+    _brackets,
     _quadrature_rule,
     _scored_jacobians,
+    _vertex_reduce,
     clarke_jacobian_estimate,
     differentiability_score,
     fd_jacobian,
+    lie_bracket_pointwise,
     mollify,
     set_lie_bracket_estimate,
 )
@@ -136,6 +140,27 @@ def bracket_loop(f, g, q, radius, samples, seed, fd_step=None):
     if not kept:
         raise EstimatorFailedError("no sample kept")
     verts = vertex_reduce_loop(np.array(kept))
+    return OperatorSet.from_vectors(verts, convex_closure=True).canonicalized()
+
+
+def bracket_rows_loop(f, g, q, radius, samples, seed, fd_step=None):
+    """Oracle: ``set_lie_bracket_estimate`` with its brackets formed one
+    kept sample at a time, ``Dg(x) @ f(x) - Df(x) @ g(x)``, in a list."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    h = fd_step if fd_step is not None else max(radius * 1e-3, 1e-12)
+    pts = ball_samples(np.random.default_rng(seed), q, radius, samples)
+    rows_f, jf, score_f = _scored_jacobians(f, pts, h)
+    rows_g, jg, score_g = _scored_jacobians(g, pts[rows_f], h)
+    pts, jf = pts[rows_f][rows_g], jf[rows_g]
+    keep = np.maximum(score_f[rows_g], score_g) <= DIFFERENTIABILITY_THRESHOLD
+    pts = pts[keep]
+    kept = [b @ fx - a @ gx for fx, gx, a, b in zip(
+        evaluate_rows(f, pts, "f"), evaluate_rows(g, pts, "g"),
+        jf[keep], jg[keep])]
+    if not kept:
+        raise EstimatorFailedError("every sample failed the differentiability "
+                                   "score; try a smaller fd step")
+    verts = _vertex_reduce(np.array(kept))
     return OperatorSet.from_vectors(verts, convex_closure=True).canonicalized()
 
 
@@ -602,6 +627,87 @@ class TestEstimatorsMatchLoops:
                               fd_jacobian_loop(smooth_2d, x, 1e-5))
         assert differentiability_score(smooth_2d, x, 1e-5) == \
             score_loop(smooth_2d, x, 1e-5)
+
+
+def estimate_outcome(run):
+    """The generators' bytes of an estimate, or its error's type and
+    message."""
+    try:
+        return run().flat_generators().tobytes()
+    except EstimatorFailedError as err:
+        return type(err).__name__, str(err)
+
+
+def rotation_field():
+    """A linear field with distinct Jacobian entries, and a row evaluator."""
+    return linear_field([[0.3, -1.2], [0.7, 0.1]])
+
+
+# bracket pairs by label, each field with or without rows; a field without
+# rows is called point by point
+BRACKET_PAIRS = {
+    "unit_x/abs_shear": (unit_x_field, abs_shear_field),
+    "linear/linear": (rotation_field,
+                      lambda: linear_field([[0.0, 0.0], [1.0, -0.5]])),
+    "linear/abs_shear": (rotation_field, abs_shear_field),
+    "pointwise": (lambda: replace(rotation_field(), rows=None),
+                  lambda: replace(abs_shear_field(), rows=None)),
+}
+
+
+class TestStackedBrackets:
+    """The stacked bracket product against the per-sample list it
+    replaced, by bytes, errors included."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pair=st.sampled_from(sorted(BRACKET_PAIRS)),
+           seed=st.integers(0, 2**31 - 1), x1=st.floats(-1.0, 1.0),
+           x2=st.floats(-1.0, 1.0), on_kink=st.booleans())
+    def test_estimate_bytes(self, pair, seed, x1, x2, on_kink):
+        make_f, make_g = BRACKET_PAIRS[pair]
+        f, g = make_f(), make_g()
+        q = [0.0 if on_kink else x1, x2]
+        assert estimate_outcome(lambda: set_lie_bracket_estimate(
+            f, g, q, 1e-3, 120, seed)) == estimate_outcome(
+            lambda: bracket_rows_loop(f, g, q, 1e-3, 120, seed))
+
+    @pytest.mark.parametrize("g", [
+        # central differences of x1^3 at 1e-1 and 5e-2 differ by 7.5e3,
+        # so every sample fails the score
+        VectorField(lambda x: np.array([0.0, 1e6 * x[0] ** 3]),
+                    Box(-np.ones(2), np.ones(2))),
+        # every stencil leaves the box, so no sample is scored
+        cut_field(lambda x: np.array([0.0, abs(x[0])]), [0.5, 0.5],
+                  [1.0, 1.0])], ids=["score", "domain"])
+    def test_every_sample_refused(self, g):
+        f = unit_x_field()
+        got = estimate_outcome(lambda: set_lie_bracket_estimate(
+            f, g, [0.0, 0.0], 1e-3, 50, 0, fd_step=1e-1))
+        assert got == estimate_outcome(lambda: bracket_rows_loop(
+            f, g, [0.0, 0.0], 1e-3, 50, 0, fd_step=1e-1))
+        assert got == ("EstimatorFailedError", "every sample failed the "
+                       "differentiability score; try a smaller fd step")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), k=st.integers(0, 40),
+           seed=st.integers(0, 2**16))
+    def test_product_matches_per_row_matmul(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        jf, jg = rng.normal(size=(2, k, n, n)) * 10.0 ** rng.integers(
+            -8, 8, size=(2, k, 1, 1))
+        fx, gx = rng.normal(size=(2, k, n))
+        got = _brackets(jf, jg, fx, gx)
+        want = np.array([b @ u - a @ v for a, b, u, v in zip(jf, jg, fx, gx)])
+        assert got.shape == (k, n)
+        assert got.tobytes() == want.reshape(k, n).tobytes()
+
+    def test_pointwise_bracket_is_the_one_row_view(self):
+        f, g = rotation_field(), abs_shear_field()
+        for x in ([0.31, -0.2], [-0.5, 0.25]):
+            jf, jg = fd_jacobian(f, x, 1e-5), fd_jacobian(g, x, 1e-5)
+            want = jg @ f(np.array(x)) - jf @ g(np.array(x))
+            assert lie_bracket_pointwise(f, g, x, 1e-5).tobytes() == \
+                want.tobytes()
 
 
 class TestNonFiniteValues:

@@ -219,6 +219,55 @@ class TestOpenMappingProbe:
                                  lam, 0.1, 2.0, 10, 20000, seed=0)
         assert rep.passed
 
+    def test_hull_of_maps_through_a_singular_one_refused(self):
+        # co{I, diag(1, -1)} holds diag(1, 0), which maps onto a line; the
+        # probe read covered 0.533 in every seed instead of refusing
+        F = lambda x: np.array([x[0], abs(x[1])])
+        lam = OperatorSet.from_matrices([np.eye(2), np.diag([1.0, -1.0])],
+                                        convex_closure=True)
+        for seed in (0, 1, 2):
+            with pytest.raises(SurjectivityError, match="rank below 2"):
+                open_mapping_probe(F, [0.0, 0.0], [0.0, 0.0], self.gamma,
+                                   lam, 0.1, 2.0, 10, 20000, seed=seed)
+        # its two vertices alone are surjective, so the finite set is probed
+        rep = open_mapping_probe(F, [0.0, 0.0], [0.0, 0.0], self.gamma,
+                                 OperatorSet(lam.generators), 0.1, 2.0, 10,
+                                 2000, seed=0)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("gens", [
+        [np.eye(2), 2.0 * np.eye(2)],
+        [np.eye(2), [[1.0, 0.4], [-0.3, 1.2]], [[0.9, -0.2], [0.1, 1.0]]],
+        [[[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], [[1.0, 0.2, 0.0],
+                                              [0.0, 1.0, 0.3]]]])
+    def test_hull_of_full_rank_maps_probed(self, gens):
+        # a centre's least singular value exceeds its distance to every
+        # generator (Weyl), so every map of the hull is onto
+        lam = OperatorSet.from_matrices(gens, convex_closure=True)
+        m, n = lam.shape
+        F = make_map("identity", {"dimension": n})
+        rep = open_mapping_probe(lambda x: F(x)[:m] if m < n else F(x),
+                                 np.zeros(n), np.zeros(m),
+                                 GammaSet.full_space(n), lam, 0.05, 2.0, 5,
+                                 20000, seed=1)
+        assert rep.passed
+
+    def test_hull_of_maps_into_the_plane_on_a_cone_refused(self):
+        # each generator maps the positively spanning cone onto R^2, but
+        # no full-rank test is made for a hull on a cone
+        gamma = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        lam = OperatorSet.from_matrices([np.eye(2), 2.0 * np.eye(2)],
+                                        convex_closure=True)
+        with pytest.raises(SurjectivityError, match="cone direction set"):
+            open_mapping_probe(lambda x: np.asarray(x), [0.0, 0.0],
+                               [0.0, 0.0], gamma, lam, 0.1, 2.0, 5, 2000,
+                               seed=0)
+        rep = open_mapping_probe(lambda x: np.asarray(x), [0.0, 0.0],
+                                 [0.0, 0.0], gamma, OperatorSet(
+                                     lam.generators), 0.1, 2.0, 5, 2000,
+                                 seed=0)
+        assert rep.samples_used > 0
+
     def test_identity_is_open(self):
         F = make_map("identity", {"dimension": 1})
         lam = OperatorSet.from_matrices([[[1.0]]])
