@@ -81,6 +81,11 @@ class QdqCertificate:
         for name in ("x_bar", "y_bar"):
             object.__setattr__(self, name, np.atleast_1d(
                 np.asarray(getattr(self, name), dtype=float)))
+        m, n = self.lam.shape
+        sizes = (self.y_bar.size, self.x_bar.size, self.gamma.dimension)
+        if sizes != (m, n, n):
+            raise DimensionMismatchError(f"y_bar, x_bar and Gamma of sizes "
+                                         f"{sizes} vs {m} x {n} maps")
 
     @property
     def codomain_dim(self) -> int:
@@ -197,6 +202,9 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         if not len(xs):
             continue
         hs = evaluate_rows(h_fn, xs, "h_fn")
+        if hs.shape[1] != cert.codomain_dim:
+            raise DimensionMismatchError(f"h_fn values of width {hs.shape[1]}"
+                                         f" vs R^{cert.codomain_dim}")
         Ls = _map_stack(L_fn, xs)
         dists = distances_to_operator_set(Ls, cert.lam)
         hns = row_norms(hs)

@@ -39,19 +39,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        config = args.config
-        if config == "reference":
-            config = reference_config_path()
-        out = args.out or os.environ.get(DEFAULT_OUT_ENV, "quasidiff-out")
-        try:
-            return run_scenarios(config, out, parallel=args.parallel,
-                                 seed_override=args.seed_override,
-                                 name_filter=args.name_filter)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    return 2
+    config = args.config
+    if config == "reference":
+        config = reference_config_path()
+    out = args.out or os.environ.get(DEFAULT_OUT_ENV, "quasidiff-out")
+    try:
+        return run_scenarios(config, out, parallel=args.parallel,
+                             seed_override=args.seed_override,
+                             name_filter=args.name_filter)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

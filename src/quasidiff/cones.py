@@ -132,12 +132,12 @@ def conic_hull(vectors) -> ConvexCone:
     return ConvexCone(vecs[np.linalg.norm(vecs, axis=1) > 1e-12])
 
 
-def _extreme_rays(constraints: np.ndarray, n: int) -> np.ndarray:
-    """Minimal generators of ``{p : constraints @ p <= 0}``: a +-basis of
-    its lineality space and the facet normals of C = cone(rows), from one
-    Qhull call (module docstring).  If span(C) is a line, C is a ray, whose
-    polar in the span is the opposite ray, or the line, whose polar is 0."""
-    a = np.asarray(constraints, dtype=float).reshape(-1, n)
+def _extreme_rays(a: np.ndarray) -> np.ndarray:
+    """Minimal generators of ``{p : a @ p <= 0}`` for a (k, n) float
+    matrix: a +-basis of its lineality space and the facet normals of
+    C = cone(rows), from one Qhull call (module docstring).  If span(C) is
+    a line, C is a ray, whose polar in the span is the opposite ray, or the
+    line, whose polar is 0."""
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     rank = _svd_rank(s)
     span, null_basis = vt[:rank], vt[rank:]
@@ -163,7 +163,7 @@ def polar_cone(vectors) -> ConvexCone:
     ``ConvexCone`` reads its generators (a NaN or an infinite entry raises
     ``NonFiniteValueError``)."""
     vecs = ConvexCone(vectors).generators
-    rays = _extreme_rays(vecs, vecs.shape[1])
+    rays = _extreme_rays(vecs)
     # drop rays that only witness numerical noise
     good = np.all(vecs @ rays.T <= 1e-8, axis=0)
     return ConvexCone(rays[good])
@@ -208,7 +208,7 @@ def _block_lp(blocks) -> list:
 
 
 def _nonzero_points(systems) -> list:
-    """For each ``(A, n)``, a nonzero point of {p : A p <= 0} with
+    """For each (k, n) matrix A, a nonzero point of {p : A p <= 0} with
     |p|_inf <= 1, or None.
 
     Gordan's alternative (Gordan 1873; Stiemke 1915): such a point exists
@@ -221,12 +221,11 @@ def _nonzero_points(systems) -> list:
     """
     points = [None] * len(systems)
     blocks, where = [], []
-    for i, (constraints, n) in enumerate(systems):
-        a = np.asarray(constraints, dtype=float).reshape(-1, n)
+    for i, a in enumerate(systems):
         norms = np.linalg.norm(a, axis=1)
         unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
         _, s, vt = np.linalg.svd(unit, full_matrices=True)
-        if _svd_rank(s) < n:
+        if _svd_rank(s) < a.shape[1]:
             points[i] = vt[-1] / np.max(np.abs(vt[-1]))
         else:
             blocks.append((unit.sum(axis=0), a))
@@ -288,8 +287,7 @@ def analyze_pairs(pairs) -> list:
     if any(k1.dimension != k2.dimension for k1, k2 in pairs):
         raise DimensionMismatchError("cones live in different dimensions")
     witnesses = _nonzero_points(
-        [(np.vstack([k1.generators, -k2.generators]), k1.dimension)
-         for k1, k2 in pairs])
+        [np.vstack([k1.generators, -k2.generators]) for k1, k2 in pairs])
     results = []
     for (k1, k2), witness in zip(pairs, witnesses):
         if witness is not None:
@@ -322,7 +320,7 @@ def image_cone(L, gamma: GammaSet) -> ConvexCone:
 
 def is_full_space(cone: ConvexCone) -> bool:
     """True iff the cone positively spans the whole space."""
-    return _nonzero_points([(cone.generators, cone.dimension)])[0] is None
+    return _nonzero_points([cone.generators])[0] is None
 
 
 def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
@@ -331,7 +329,6 @@ def cone_intersection(k1: ConvexCone, k2: ConvexCone) -> ConvexCone:
     if k1.dimension != k2.dimension:
         raise DimensionMismatchError("cones live in different dimensions")
     rays = _extreme_rays(np.vstack([polar_cone(k1.generators).generators,
-                                    polar_cone(k2.generators).generators]),
-                         k1.dimension)
+                                    polar_cone(k2.generators).generators]))
     return ConvexCone(rays[k1.contains_rows(rays, 1e-7)
                            & k2.contains_rows(rays, 1e-7)])

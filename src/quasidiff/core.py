@@ -313,9 +313,13 @@ class GammaSet:
         the polar of cone{[1, 0, 0], [0, 1, 0], [1, 1, 1e-9]},
         ``cones._extreme_rays`` returns two rays about 1e-9 apart.  The
         sampled directions still cover the cone; only their density
-        differs."""
+        differs.  A center whose shape is not (dimension,) raises
+        ``DimensionMismatchError``."""
         center = np.asarray(center, dtype=float)
         n = self.dimension
+        if center.shape != (n,):
+            raise DimensionMismatchError(
+                f"center of shape {center.shape} vs a set in R^{n}")
         if self.kind == GammaSet.FULL:
             out = ball_samples(rng, center, delta, count)
             if n == 1:

@@ -31,11 +31,8 @@ class SeparationFixture:
 
 
 def _lines(*dirs) -> list:
-    out = []
-    for d in dirs:
-        out.append(np.asarray(d, dtype=float))
-        out.append(-np.asarray(d, dtype=float))
-    return out
+    """Each direction and its negative, in that order."""
+    return [s * np.asarray(d, dtype=float) for d in dirs for s in (1.0, -1.0)]
 
 
 def _mc(gens, z_ignoring=False) -> MultiCone:
@@ -90,42 +87,34 @@ def _graph_sampler(g):
     return sampler
 
 
-def _accumulating_lines_sampler():
+def _accumulating_lines_sampler(rng, z, radius, count):
     """x-axis plus the horizontal lines y = 2^-k, k = 3 ... 20."""
-
-    def sampler(rng, z, radius, count):
-        xs = _axis_grid(radius, count)
-        rows = [z + np.column_stack([xs, np.zeros_like(xs)])]
-        for k in range(3, 21):
-            y = 2.0 ** (-k)
-            if y <= radius:
-                rows.append(z + np.column_stack([xs, np.full_like(xs, y)]))
-        return np.vstack(rows)
-    return sampler
+    xs = _axis_grid(radius, count)
+    rows = [z + np.column_stack([xs, np.zeros_like(xs)])]
+    for k in range(3, 21):
+        y = 2.0 ** (-k)
+        if y <= radius:
+            rows.append(z + np.column_stack([xs, np.full_like(xs, y)]))
+    return np.vstack(rows)
 
 
-def _y_axis_with_dyadics_sampler():
+def _y_axis_with_dyadics_sampler(rng, z, radius, count):
     """y-axis grid plus the points (0, 2^-k), k = 3 ... 20."""
-    def sampler(rng, z, radius, count):
-        ys = _axis_grid(radius, count)
-        pts = [np.column_stack([np.zeros_like(ys), ys])]
-        dy = np.array([2.0 ** (-k) for k in range(3, 21)])
-        dy = dy[dy <= radius]
-        pts.append(np.column_stack([np.zeros_like(dy), dy]))
-        return z + np.vstack(pts)
-    return sampler
+    ys = _axis_grid(radius, count)
+    pts = [np.column_stack([np.zeros_like(ys), ys])]
+    dy = np.array([2.0 ** (-k) for k in range(3, 21)])
+    dy = dy[dy <= radius]
+    pts.append(np.column_stack([np.zeros_like(dy), dy]))
+    return z + np.vstack(pts)
 
 
-def _half_space_3d_sampler():
+def _half_space_3d_sampler(rng, z, radius, count):
     """Closed half-space x3 >= 0 in R^3 with the +z-axis grid included."""
-
-    def sampler(rng, z, radius, count):
-        ts = np.linspace(0.0, radius, max(count // 2, 2))
-        axis = z + np.column_stack([np.zeros_like(ts), np.zeros_like(ts), ts])
-        interior = rng.uniform(-radius, radius, size=(count, 3))
-        interior[:, 2] = np.abs(interior[:, 2])
-        return np.vstack([axis, z + interior])
-    return sampler
+    ts = np.linspace(0.0, radius, max(count // 2, 2))
+    axis = z + np.column_stack([np.zeros_like(ts), np.zeros_like(ts), ts])
+    interior = rng.uniform(-radius, radius, size=(count, 3))
+    interior[:, 2] = np.abs(interior[:, 2])
+    return np.vstack([axis, z + interior])
 
 
 def _coordinate_plane_3d_sampler(axes: tuple):
@@ -147,19 +136,15 @@ def _coordinate_plane_3d_sampler(axes: tuple):
     return sampler
 
 
-def _cone_region_sampler():
+def _cone_region_sampler(rng, z, radius, count):
     """The region y >= |x| in R^2, including its edges and the +y-axis."""
-
-    def sampler(rng, z, radius, count):
-        ts = np.linspace(0.0, radius, max(count // 2, 2))
-        axis = z + np.column_stack([np.zeros_like(ts), ts])
-        edge_r = z + np.column_stack([ts / np.sqrt(2.0), ts / np.sqrt(2.0)])
-        edge_l = z + np.column_stack([-ts / np.sqrt(2.0), ts / np.sqrt(2.0)])
-        interior = rng.uniform(-radius, radius, size=(count, 2))
-        interior[:, 1] = np.abs(interior[:, 0]) \
-            + np.abs(interior[:, 1]) * 0.5
-        return np.vstack([axis, edge_r, edge_l, z + interior])
-    return sampler
+    ts = np.linspace(0.0, radius, max(count // 2, 2))
+    axis = z + np.column_stack([np.zeros_like(ts), ts])
+    edge_r = z + np.column_stack([ts / np.sqrt(2.0), ts / np.sqrt(2.0)])
+    edge_l = z + np.column_stack([-ts / np.sqrt(2.0), ts / np.sqrt(2.0)])
+    interior = rng.uniform(-radius, radius, size=(count, 2))
+    interior[:, 1] = np.abs(interior[:, 0]) + np.abs(interior[:, 1]) * 0.5
+    return np.vstack([axis, edge_r, edge_l, z + interior])
 
 
 def _accumulating_family(delta):
@@ -198,7 +183,7 @@ _BUILDERS = {
         "half_space_vs_line", np.zeros(3),
         _mc(_lines([1, 0, 0], [0, 1, 0]) + [np.array([0.0, 0.0, 1.0])]),
         _mc(_lines([0, 0, 1])),
-        _half_space_3d_sampler(), _line_sampler([0, 0, 1]), 1.0,
+        _half_space_3d_sampler, _line_sampler([0, 0, 1]), 1.0,
         "strongly transversal; common points on the positive z-axis"),
     "parabola_vs_axis": lambda: SeparationFixture(
         "parabola_vs_axis", np.zeros(2),
@@ -213,14 +198,14 @@ _BUILDERS = {
     "accumulating_lines": lambda: SeparationFixture(
         "accumulating_lines", np.zeros(2),
         _mc(_lines([1, 0]), z_ignoring=True), _mc(_lines([0, 1])),
-        _accumulating_lines_sampler(), _y_axis_with_dyadics_sampler(), 1.0,
+        _accumulating_lines_sampler, _y_axis_with_dyadics_sampler, 1.0,
         "transversal with a base-point-avoiding generator; fires via "
         "the z-ignoring branch",
         z_ignoring_family=_accumulating_family),
     "cone_vs_vertical_line": lambda: SeparationFixture(
         "cone_vs_vertical_line", np.zeros(2),
         _mc([[1, 1], [-1, 1]]), _mc(_lines([0, 1])),
-        _cone_region_sampler(), _line_sampler([0, 1]), 1.0,
+        _cone_region_sampler, _line_sampler([0, 1]), 1.0,
         "strongly transversal; line enters the cone interior"),
     "abs_graph_vs_vertical_line": lambda: SeparationFixture(
         "abs_graph_vs_vertical_line", np.zeros(2),

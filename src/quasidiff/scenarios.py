@@ -260,13 +260,13 @@ def _run_nonsmooth_bracket(seed, *, f, g, f_params=None, g_params=None,
 
 def _run_open_mapping(seed, *, lambda_generators, a, beta, map="fold_sum",
                       map_params=None, x_bar=(0.0, 0.0), y_bar=(0.0,),
-                      domain_dimension=2, target_grid=10,
-                      domain_samples=20000, expect="pass") -> tuple:
+                      target_grid=10, domain_samples=20000,
+                      expect="pass") -> tuple:
     if expect not in ("pass", "precondition_error"):
         raise ConfigError(f"expect must be 'pass' or 'precondition_error', "
                           f"got {expect!r}")
     lam = OperatorSet.from_matrices(lambda_generators, convex_closure=True)
-    gamma = GammaSet.full_space(int(domain_dimension))
+    gamma = GammaSet.full_space(np.size(x_bar))
     try:
         report = open_mapping_probe(
             make_map(map, map_params), x_bar, y_bar, gamma, lam, float(a),

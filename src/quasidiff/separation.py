@@ -134,15 +134,47 @@ def _target_lattice(y_bar: np.ndarray, a: float, target_grid: int) -> np.ndarray
     return y_bar + pts
 
 
-def _check_full_rank_hull(gens: np.ndarray, gamma: GammaSet) -> None:
-    """Refuse a hull of m x n maps, m > 1, unless every map in it has full
-    row rank m, which for Gamma = R^n is surjectivity.  Deciding that is
+def _check_surjective(lam: OperatorSet, gamma: GammaSet) -> None:
+    """Raise ``SurjectivityError`` unless every map of Lambda maps Gamma
+    onto R^m, refusing in this order: (1) a generator whose image cone is
+    not R^m; for m = 1, where a functional maps Gamma onto R exactly when
+    it takes both signs on it, a hull that meets Gamma* or -Gamma*, that
+    is (2) for a half-line or a cone Gamma, one of two feasibility systems
+    with a nonzero point, solved in the generators' witness batch, or (3)
+    for Gamma = R^n, where Gamma* = {0}, a hull that holds the zero map;
+    (4) for m > 1, a hull of two or more maps not shown to have full row
+    rank m, which for Gamma = R^n is surjectivity.  Deciding that is
     NP-hard (Poljak & Rohn 1993), so a sufficient test is used: by Weyl's
     inequality every L in the hull has sigma_m(L) >= sigma_m(L0) - max_i
     |L_i - L0|_2, so it has full rank when that is positive for some
-    centre L0, tried at the centroid and at each generator.  A half-line
-    or a cone Gamma is refused, as no such test is made for it."""
-    m = gens.shape[1]
+    centre L0, tried at the centroid and at each generator; a half-line
+    or a cone Gamma is refused, as no such test is made for it.  A finite
+    set (no hull) is checked at its generators alone."""
+    m = lam.shape[0]
+    systems = [k.generators for k in build_multicone(lam, gamma).cones]
+    scalar_hull = lam.convex_closure and m == 1
+    if scalar_hull and gamma.kind != GammaSet.FULL:
+        # weights w >= 0, w != 0 with +-(w @ values) >= 0, where values[i, j]
+        # is generator i at direction j: the hull meets Gamma* or -Gamma*
+        values = lam.flat_generators() @ gamma.generators.T
+        eye = np.eye(len(values))
+        systems += [np.vstack([-eye, -values.T]), np.vstack([-eye, values.T])]
+    witnesses = _nonzero_points(systems)
+    for idx, (g, p) in enumerate(zip(lam.generators, witnesses)):
+        if p is not None:
+            raise SurjectivityError(
+                f"generator {idx} with matrix {g.tolist()} is not "
+                "surjective on the direction set")
+    if any(p is not None for p in witnesses[len(lam.generators):]):
+        raise SurjectivityError("the hull of Lambda holds a functional of "
+                                "one sign on the direction set")
+    zero = np.zeros((1,) + lam.shape)
+    if scalar_hull and gamma.kind == GammaSet.FULL \
+            and distances_to_operator_set(zero, lam)[0] == 0.0:
+        raise SurjectivityError("the hull of Lambda holds the zero map")
+    gens = lam.generators
+    if not lam.convex_closure or m == 1 or len(gens) == 1:
+        return
     if gamma.kind != GammaSet.FULL:
         raise SurjectivityError(
             f"the surjectivity of a hull of maps into R^{m} is tested only "
@@ -168,47 +200,21 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     a / (2 * target_grid).
 
     The surjectivity hypothesis (every map of Lambda maps the direction
-    set onto the codomain) is checked first and raises SurjectivityError —
-    that signal means the hypotheses fail, not that the probe failed.  For
-    m = 1 a functional maps Gamma onto R exactly when it takes both signs
-    on it, so a hull fails when it meets the dual cone Gamma* or -Gamma*:
-    for Gamma = R^n, where Gamma* = {0}, when it holds 0, and for a
-    half-line or a cone Gamma when one of two feasibility systems, solved
-    in the vertices' witness batch, has a nonzero point.  For m > 1 a hull
-    of two or more maps is accepted only on Gamma = R^n and when a centre
-    L0 has its least singular value above its distance to every generator
-    (``_check_full_rank_hull``).  A NaN or an infinity from F raises
+    set onto the codomain) is checked first by ``_check_surjective`` and
+    raises SurjectivityError — that signal means the hypotheses fail, not
+    that the probe failed.  A y_bar whose size is not Lambda's row count,
+    or an x_bar whose shape is not (gamma.dimension,), raises
+    ``DimensionMismatchError``.  A NaN or an infinity from F raises
     ``NonFiniteValueError``, an empty domain sample ``ValueError``.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
-    images = [image_cone(g, gamma) for g in lam.generators]
-    systems = [(k.generators, k.dimension) for k in images]
-    scalar_hull = lam.convex_closure and lam.shape[0] == 1
-    if scalar_hull and gamma.kind != GammaSet.FULL:
-        # weights w >= 0, w != 0 with +-(w @ values) >= 0, where values[i, j]
-        # is generator i at direction j: the hull meets Gamma* or -Gamma*
-        values = lam.flat_generators() @ gamma.generators.T
-        eye = np.eye(len(values))
-        systems += [(np.vstack([-eye, -values.T]), len(values)),
-                    (np.vstack([-eye, values.T]), len(values))]
-    witnesses = _nonzero_points(systems)
-    for idx, (g, p) in enumerate(zip(lam.generators, witnesses)):
-        if p is not None:
-            raise SurjectivityError(
-                f"generator {idx} with matrix {g.tolist()} is not "
-                "surjective on the direction set")
-    if any(p is not None for p in witnesses[len(images):]):
-        raise SurjectivityError("the hull of Lambda holds a functional of "
-                                "one sign on the direction set")
-    zero = np.zeros((1,) + lam.shape)
-    if scalar_hull and gamma.kind == GammaSet.FULL \
-            and distances_to_operator_set(zero, lam)[0] == 0.0:
-        raise SurjectivityError("the hull of Lambda holds the zero map")
-    if lam.convex_closure and lam.shape[0] > 1 and len(lam.generators) > 1:
-        _check_full_rank_hull(lam.generators, gamma)
+    if y_bar.size != lam.shape[0]:
+        raise DimensionMismatchError(f"y_bar in R^{y_bar.size} vs maps "
+                                     f"into R^{lam.shape[0]}")
+    _check_surjective(lam, gamma)
     targets = _target_lattice(y_bar, a, target_grid)
     rng = np.random.default_rng(seed)
     xs = gamma.sample(rng, x_bar, a * beta, domain_samples)
@@ -216,8 +222,7 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
         raise ValueError(f"the domain sample is empty ({domain_samples} "
                          "points requested)")
     values = evaluate_rows(F, xs, "F")
-    tree = cKDTree(values)
-    dists, _ = tree.query(targets, k=1)
+    dists, _ = cKDTree(values).query(targets, k=1)
     covered = dists <= a / (2.0 * target_grid)
     misses = tuple(t for t, ok in zip(targets, covered) if not ok)
     return ProbeReport(a, beta, float(np.mean(covered)), misses,

@@ -18,6 +18,45 @@ def abs_map(x):
     return np.array([abs(np.atleast_1d(x)[0])])
 
 
+class TestDimensions:
+    def two_row_cert(self, **parts):
+        """A certificate of 2 x 1 maps at x_bar = 0, y_bar = 0 in R^2, with
+        rho = 0.6 and a constant map and remainder."""
+        lam = OperatorSet.from_matrices([[[1.0], [0.0]]])
+        return c.QdqCertificate(**{
+            "x_bar": [0.0], "y_bar": [0.0, 0.0],
+            "gamma": GammaSet.full_space(1), "lam": lam, "delta_star": 1.0,
+            "rho": lambda d: 0.6,
+            "family": lambda d: (lambda x: [[1.0], [0.0]],
+                                 lambda x: [0.5, 0.5]), **parts})
+
+    def test_full_width_remainder_measured(self):
+        rep = c.verify_certificate(lambda x: np.array([x[0] + 0.5, 0.5]),
+                                   self.two_row_cert(), [0.9], 20, seed=0)
+        assert not rep.accepted
+        assert {(v["check"], v["value"]) for v in rep.violations} == {
+            ("remainder_size", float(np.hypot(0.5, 0.5)))}
+
+    @pytest.mark.parametrize("parts", [
+        # y_bar was broadcast over the two rows, and the certificate held
+        {"y_bar": [0.0]},
+        {"x_bar": [0.0, 0.0]},
+        {"gamma": GammaSet.full_space(2)},
+    ], ids=["y_bar", "x_bar", "gamma"])
+    def test_parts_that_disagree_refused(self, parts):
+        with pytest.raises(core.DimensionMismatchError):
+            self.two_row_cert(**parts)
+
+    def test_remainder_narrower_than_the_codomain_refused(self):
+        # h = 0.5 was broadcast: |h| = 0.5 <= 0.9 * 0.6 = 0.54 passed, but
+        # the remainder the identity adds is (0.5, 0.5), of norm 0.707
+        cert = self.two_row_cert(family=lambda d: (lambda x: [[1.0], [0.0]],
+                                                   lambda x: [0.5]))
+        with pytest.raises(core.DimensionMismatchError, match="h_fn"):
+            c.verify_certificate(lambda x: np.array([x[0] + 0.5, 0.5]), cert,
+                                 [0.9], 20, seed=0)
+
+
 class TestAbsvalueFamily:
     def test_identity_holds_exactly(self):
         # y_bar + L(x) x + h(x) must equal |x| pointwise
@@ -416,9 +455,9 @@ class TestNonFiniteValues:
         # remainder violation, not a non-finite value
         cert = replace(c.absvalue_qdq(),
                        family=lambda d: (c.absvalue_certificate(d)[0],
-                                         lambda x: np.array([1e300, 1e300])))
+                                         lambda x: np.array([1e300])))
         rep = c.verify_certificate(
-            lambda x: np.array([1e300, 1e300]), cert, [1e-1], 5, seed=0,
+            lambda x: np.array([1e300]), cert, [1e-1], 5, seed=0,
             membership=lambda x, y: True)
         assert not rep.accepted
         assert any(v["check"] == "remainder_size" for v in rep.violations)

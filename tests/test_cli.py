@@ -101,6 +101,10 @@ class TestConfig:
         ("BracketConvergence",
          {"A": [[0.0]], "B": [[0.0]], "q": [0.0], "eps": 1e-4}, "eps"),
         ("ConeDuality", {"pairs": 40, "seed": 3}, "seed"),
+        # the domain is R^len(x_bar), so a second source could disagree
+        ("OpenMappingProbe",
+         dict(SMALL_SUITE[2]["params"], domain_dimension=2),
+         "domain_dimension"),
     ])
     def test_params_bound_before_any_run(self, tmp_path, kind, params, key):
         cfg = tmp_path / "c.json"
@@ -158,6 +162,14 @@ class TestRunScenarios:
         report = json.loads((tmp_path / "out" / "boom.json").read_text())
         assert report["verdict"] == "FAILED"
         assert "error" in report["report"]
+
+    def test_probe_domain_read_off_x_bar(self):
+        params = dict(SMALL_SUITE[2]["params"], x_bar=[0.0, 0.0, 0.0],
+                      lambda_generators=[[[1.0, -1.0, 0.0]],
+                                         [[1.0, 1.0, 0.0]]])
+        result = run_scenario(Scenario("probe", "OpenMappingProbe", params))
+        assert result.verdict == "PASS"
+        assert result.metric_value == 1.0
 
     def test_empty_domain_sample_named(self):
         params = dict(SMALL_SUITE[2]["params"], domain_samples=0)

@@ -278,7 +278,7 @@ class TestMembershipRows:
                                              for g in cone.generators)
         rays = cones._extreme_rays(
             np.vstack([polar_cone(k1.generators).generators,
-                       polar_cone(k2.generators).generators]), n)
+                       polar_cone(k2.generators).generators]))
         good = [contains_loop(k1, r, 1e-7) and contains_loop(k2, r, 1e-7)
                 for r in rays]
         assert cone_intersection(k1, k2).generators.tobytes() == \

@@ -534,6 +534,19 @@ class TestGammaSet:
             np.random.default_rng(0), np.zeros(1), 0.1, 10)
         assert pts.shape == (10, 1) and np.all(np.abs(pts) <= 0.1)
 
+    @pytest.mark.parametrize("gamma", [
+        GammaSet.full_space(2), GammaSet.half_line([1.0, 1.0]),
+        GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]]),
+        GammaSet.box([-1.0, -1.0], [1.0, 1.0])],
+        ids=["full", "halfline", "cone", "box"])
+    @pytest.mark.parametrize("center", [np.zeros(3), np.zeros(1),
+                                        np.zeros((1, 2)), 0.0],
+                             ids=["R3", "R1", "row", "scalar"])
+    def test_center_of_another_shape_refused(self, gamma, center):
+        # a 3-entry center on R^2 gave 3-D points for the full space
+        with pytest.raises(DimensionMismatchError, match="center"):
+            gamma.sample(np.random.default_rng(0), center, 0.1, 10)
+
     def test_box_bounds_of_different_sizes_refused(self):
         # hi was broadcast: the set sampled the square [0, 1]^2
         with pytest.raises(DimensionMismatchError):

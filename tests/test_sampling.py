@@ -790,9 +790,9 @@ def in_cone(rays, x, tol=1e-7):
 
 
 def assert_minimal_polar(got, a, n):
-    """``_extreme_rays(a, n)`` output against the active-set scan: every ray
-    meets the constraints, both outputs span the same cone, and no output
-    ray lies in the cone of the others."""
+    """``_extreme_rays(a)`` output, a of width n, against the active-set
+    scan: every ray meets the constraints, both outputs span the same cone,
+    and no output ray lies in the cone of the others."""
     want = extreme_rays_loop(a, n)
     assert got.shape[1] == n
     assert np.all(np.asarray(a).reshape(-1, n) @ got.T <= 1e-9)
@@ -807,8 +807,9 @@ class TestExtremeRays:
         calls = []
         original = cones._extreme_rays
 
-        def checked(constraints, n):
-            got = original(constraints, n)
+        def checked(constraints):
+            got = original(constraints)
+            n = constraints.shape[1]
             assert_minimal_polar(got, constraints, n)
             calls.append(n)
             return got
@@ -835,7 +836,7 @@ class TestExtremeRays:
         a = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * k,
                                         max_size=n * k)),
                      dtype=float).reshape(k, n)
-        assert_minimal_polar(cones._extreme_rays(a, n), a, n)
+        assert_minimal_polar(cones._extreme_rays(a), a, n)
 
     def test_close_facet_normals_both_kept(self):
         # the normals of two facets of cone(rows) are 1.4e-9 apart; merging
@@ -843,7 +844,7 @@ class TestExtremeRays:
         # Minimality is not checked: at NNLS tolerance each of the two
         # rays lies in the cone of the other
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-9]])
-        got = cones._extreme_rays(a, 3)
+        got = cones._extreme_rays(a)
         assert len(got) == 3 and np.all(a @ got.T <= 1e-9)
         assert all(in_cone(got, r) for r in extreme_rays_loop(a, 3))
 

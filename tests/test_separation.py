@@ -12,8 +12,8 @@ from quasidiff import fixtures
 
 from quasidiff.cones import conic_hull
 from quasidiff.separation import MultiCone
-from quasidiff.core import GammaSet, LinearMap, NonFiniteValueError, \
-    OperatorSet
+from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap, \
+    NonFiniteValueError, OperatorSet
 from quasidiff.fields import make_map
 from quasidiff.fixtures import builtin_fixtures, fixture_by_name
 from quasidiff.separation import (
@@ -282,6 +282,19 @@ class TestOpenMappingProbe:
             open_mapping_probe(F, [0.0, 0.0], [0.0], self.gamma, self.lam,
                                0.1, 2.0, 5, 2000, seed=5)
         assert err.value.point[0] > 0.1
+
+    def test_x_bar_off_the_domain_refused(self):
+        # a 3-D x_bar on Gamma = R^2 used to be sampled in R^3 and read
+        # covered 1.0
+        with pytest.raises(DimensionMismatchError, match="center"):
+            open_mapping_probe(self.F, [0.0, 0.0, 0.0], [0.0], self.gamma,
+                               self.lam, 0.1, 2.0, 10, 2000, 0)
+
+    def test_y_bar_off_the_codomain_refused(self):
+        # scipy's k-d tree used to refuse the 2-D targets without a name
+        with pytest.raises(DimensionMismatchError, match="y_bar"):
+            open_mapping_probe(self.F, [0.0, 0.0], [0.0, 0.0], self.gamma,
+                               self.lam, 0.1, 2.0, 10, 2000, 0)
 
     def test_monotone_in_a(self):
         for a in (0.1, 0.05, 0.02):
