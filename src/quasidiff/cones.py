@@ -2,17 +2,22 @@
 linear-separation verdicts for finitely generated cones.
 
 A cone is its (k, n) generator array, and its dimension is the array's
-width.  One witness search decides a cone pair.  By Gordan's alternative
-(Gordan 1873; Stiemke 1915), {p : A p <= 0} holds a nonzero point exactly
-when A is rank-deficient or one LP is positive.  ``analyze_pairs`` runs
-that test once per pair and records its verdict, with the separating
-functional when there is one; transversality is read off the verdict.
-The pairs are independent, so the witness LPs of all full-rank pairs are
-solved together as one block-diagonal LP: a batch costs at most one
-``linprog`` call however many pairs it holds, and a batch LP that is not
-optimal is re-solved one block at a time.
+width.  One witness search decides a cone pair: a nonzero point of
+{p : A p <= 0}, or none.  The search reads only A's unit rows U, so no
+verdict depends on the generators' scale.  A rank-deficient U has a null
+vector.  A full-rank U has such a point exactly when no y > 0 has
+U^T y = 0 (Stiemke's alternative, 1915, a refinement of Gordan's of 1873).
+One Lawson-Hanson NNLS solve (Solving Least Squares Problems, 1974)
+decides that and returns the point: z = argmin_{z >= 0} |U^T (1 + z)|_2,
+and r = U^T (1 + z) satisfies U r >= 0, so -r is a witness unless r is 0.
+The linear program this replaces, min |U^T y|_1 over y >= 1, has a value
+between |r|_2 and sqrt(n) |r|_2, so the two tests can disagree only on a
+system whose |r|_2 lies within a factor sqrt(n) of ``WITNESS_TOL``.
+``analyze_pairs`` runs that search once per pair and records its verdict,
+with the separating functional when there is one; transversality is read
+off the verdict.
 
-The trichotomy of a transversal pair needs no further LP.  If
+The trichotomy of a transversal pair needs no further search.  If
 K1 - K2 = R^n and x is in K1, write -x = k1 - k2; then k2 = k1 + x lies
 in K1 and K2.  So if the cones meet only at 0, -x = k1 is in K1: K1 is a
 subspace, and likewise K2.  Two subspaces with K1 + K2 = R^n meet only at
@@ -29,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# nnls is not called here: bench/tracer.py wraps cones.nnls by name
+# linprog is not called here: bench/tracer.py wraps cones.linprog by name
 from scipy.optimize import linprog, nnls  # noqa: F401
-from scipy.sparse import coo_array
 from scipy.spatial import ConvexHull
 
 from .core import DimensionMismatchError, GammaSet, \
@@ -115,12 +119,15 @@ class SeparationCertificate:
 
     def validate(self, k1: "ConvexCone", k2: "ConvexCone") -> bool:
         """True iff the functional is nonzero and has the two signs, each
-        up to ``WITNESS_TOL``."""
+        up to ``WITNESS_TOL`` times the generator's norm, so that the check
+        does not depend on the generators' scale."""
         lam = self.functional
         if np.linalg.norm(lam) <= WITNESS_TOL:
             return False
-        ok1 = all(lam @ g >= -WITNESS_TOL for g in k1.generators)
-        ok2 = all(lam @ g <= WITNESS_TOL for g in k2.generators)
+        ok1 = all(lam @ g >= -WITNESS_TOL * np.linalg.norm(g)
+                  for g in k1.generators)
+        ok2 = all(lam @ g <= WITNESS_TOL * np.linalg.norm(g)
+                  for g in k2.generators)
         return ok1 and ok2
 
 
@@ -132,6 +139,13 @@ def conic_hull(vectors) -> ConvexCone:
     return ConvexCone(vecs[np.linalg.norm(vecs, axis=1) > 1e-12])
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """The nonzero rows of a (k, n) array, each scaled to unit length: the
+    generators of the same cone, whatever their scale."""
+    norms = np.linalg.norm(a, axis=1)
+    return a[norms > 0.0] / norms[norms > 0.0, None]
+
+
 def _extreme_rays(a: np.ndarray) -> np.ndarray:
     """Minimal generators of ``{p : a @ p <= 0}`` for a (k, n) float
     matrix: a +-basis of its lineality space and the facet normals of
@@ -141,8 +155,7 @@ def _extreme_rays(a: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     rank = _svd_rank(s)
     span, null_basis = vt[:rank], vt[rank:]
-    norms = np.linalg.norm(a, axis=1)
-    coords = (a[norms > 0.0] / norms[norms > 0.0, None]) @ span.T
+    coords = _unit_rows(a) @ span.T
     if rank > 1:
         # "Q12": dupridges, which joined facets of a degenerate C can give,
         # are not errors; "QJ" would move 0 off the facets through it
@@ -169,72 +182,29 @@ def polar_cone(vectors) -> ConvexCone:
     return ConvexCone(rays[good])
 
 
-def _block_lp(blocks) -> list:
-    """Solve independent LPs as one block-diagonal LP.
-
-    Each block ``(c, M)`` is ``min c . x`` over ``M x <= 0``, every variable
-    within [-1, 1].  The blocks share no variable or row, so the batch is
-    optimal exactly when every block is, and each block's slice of the
-    solution is optimal for that block.  Returns one slice per block, or
-    None where a block has no optimum: a batch that is not optimal is
-    re-solved one block at a time.  The matrix is assembled as one sparse
-    array, so memory grows with the blocks' entries, not with the square
-    of the batch.
-    """
-    if not blocks:
-        return []
-    cs, mats = zip(*blocks)
-    shapes = np.array([m.shape for m in mats])
-    row_start = np.concatenate([[0], np.cumsum(shapes[:, 0])])
-    col_start = np.concatenate([[0], np.cumsum(shapes[:, 1])])
-    sizes = shapes[:, 0] * shapes[:, 1]
-    data = np.concatenate([m.ravel() for m in mats])
-    owner = np.repeat(np.arange(len(mats)), sizes)
-    local = np.arange(data.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = shapes[owner, 1]
-    nonzero = data != 0.0
-    matrix = coo_array(
-        (data[nonzero], ((row_start[owner] + local // width)[nonzero],
-                         (col_start[owner] + local % width)[nonzero])),
-        shape=(row_start[-1], col_start[-1])).tocsr()
-    res = linprog(np.concatenate(cs), A_ub=matrix,
-                  b_ub=np.zeros(row_start[-1]), bounds=(-1.0, 1.0),
-                  method="highs")
-    if res.status == 0:
-        return [res.x[lo:hi] for lo, hi in zip(col_start[:-1], col_start[1:])]
-    if len(blocks) == 1:
-        return [None]
-    return [x for block in blocks for x in _block_lp([block])]
-
-
 def _nonzero_points(systems) -> list:
     """For each (k, n) matrix A, a nonzero point of {p : A p <= 0} with
-    |p|_inf <= 1, or None.
+    |p|_inf = 1, or None; the decision depends on A's unit rows U alone.
 
-    Gordan's alternative (Gordan 1873; Stiemke 1915): such a point exists
-    exactly when A has rank < n, or when the linear program
-    max sum(-A p) over {A p <= 0, |p|_inf <= 1} is positive.  A
-    rank-deficient A yields a null vector scaled to |p|_inf = 1, with no
-    LP; the LPs of all full-rank systems are solved as one block-diagonal
-    LP.  The objective weighs each row by its inverse norm, so the decision
-    does not depend on the generators' scale.
-    """
-    points = [None] * len(systems)
-    blocks, where = [], []
-    for i, a in enumerate(systems):
-        norms = np.linalg.norm(a, axis=1)
-        unit = a / np.where(norms > 0.0, norms, 1.0)[:, None]
+    A rank-deficient U yields a null vector.  A full-rank U has such a
+    point exactly when no y > 0 has U^T y = 0 (Stiemke's alternative,
+    module docstring), decided by one NNLS solve: z = argmin_{z >= 0}
+    |U^T (1 + z)|_2, and r = U^T (1 + z), recomputed from z because NNLS's
+    own residual can be wrong (see ``in_conic_hull``).  The NNLS
+    optimality condition gives U r >= 0, so -r / |r|_inf is a witness when
+    |r|_2 > ``WITNESS_TOL``; otherwise y = 1 + z > 0 is (numerically) the
+    positive combination that rules one out."""
+    points = []
+    for a in systems:
+        unit = _unit_rows(a)
         _, s, vt = np.linalg.svd(unit, full_matrices=True)
         if _svd_rank(s) < a.shape[1]:
-            points[i] = vt[-1] / np.max(np.abs(vt[-1]))
-        else:
-            blocks.append((unit.sum(axis=0), a))
-            where.append(i)
-    solutions = _block_lp(blocks)
-    for i, (c, _), x in zip(where, blocks, solutions):
-        if x is not None and -(c @ x) > WITNESS_TOL \
-                and np.max(np.abs(x)) > WITNESS_TOL:
-            points[i] = x
+            points.append(vt[-1] / np.max(np.abs(vt[-1])))
+            continue
+        ut = np.ascontiguousarray(unit.T)
+        r = ut @ (1.0 + nnls(ut, -ut.sum(axis=1))[0])
+        points.append(-r / np.max(np.abs(r))
+                      if np.linalg.norm(r) > WITNESS_TOL else None)
     return points
 
 
@@ -269,8 +239,7 @@ def analyze_pairs(pairs) -> list:
     K1 - K2 = cone(G1, -G2) is the whole space iff no nonzero p has
     [G1; -G2] p <= 0.  Such a p is the negative of a separating
     functional, since those are the points of [-G1; G2] lam <= 0, so one
-    witness search answers both questions, with one LP for the whole
-    batch.
+    witness search answers both questions.
 
     A transversal pair meets only at 0 exactly when both cones are
     subspaces whose dimensions add up to n: if K1 - K2 = R^n and x is in
@@ -279,7 +248,8 @@ def analyze_pairs(pairs) -> list:
     ``ComplementarySubspaces`` when both cones are subspaces and
     rank(G1) + rank(G2) <= n, and ``StronglyTransversal`` otherwise; a sum
     below n, which only a numerically inconsistent pair can give, is left
-    to the caller's rank check.
+    to the caller's rank check.  Every test reads each cone's unit
+    generators, so no verdict depends on the generators' scale.
 
     Returns one ``PairAnalysis`` per pair, in order.
     """
@@ -293,8 +263,10 @@ def analyze_pairs(pairs) -> list:
         if witness is not None:
             results.append(PairAnalysis(SeparationCertificate(-witness),
                                         LINEARLY_SEPARABLE))
-        elif _rank(k1.generators) + _rank(k2.generators) <= k1.dimension \
-                and k1.is_subspace() and k2.is_subspace():
+            continue
+        u1, u2 = (ConvexCone(_unit_rows(k.generators)) for k in (k1, k2))
+        if _rank(u1.generators) + _rank(u2.generators) <= k1.dimension \
+                and u1.is_subspace() and u2.is_subspace():
             results.append(PairAnalysis(None, COMPLEMENTARY_SUBSPACES))
         else:
             results.append(PairAnalysis(None, STRONGLY_TRANSVERSAL))

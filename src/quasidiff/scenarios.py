@@ -92,8 +92,8 @@ class ScenarioResult:
 
 def _positively_spans(k1, k2) -> bool:
     """K1 - K2 is the whole space iff it holds every +-e_i; they are
-    checked by NNLS in one ``contains_rows`` call, independently of the LP
-    behind the verdicts."""
+    checked by NNLS in one ``contains_rows`` call, a membership test
+    independent of the witness search behind the verdicts."""
     diff = cone_mod.conic_hull(np.vstack([k1.generators, -k2.generators]))
     axes = np.eye(k1.dimension)
     signed = np.stack([axes, -axes], axis=1).reshape(-1, k1.dimension)

@@ -86,8 +86,9 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
     generating family: ``g_family(delta)`` returns a continuous map whose
     values on 200 admissible steps of size delta must stay farther than
     ``MATCH_TOL`` from z.  An empty ``deltas``, or a delta whose sample is
-    empty and so checks nothing, raises ``ValueError``, and a NaN or an
-    infinity from a map raises ``NonFiniteValueError``."""
+    empty and so checks nothing, raises ``ValueError``, a NaN or an
+    infinity from a map ``NonFiniteValueError``, and a map whose values
+    are not of z's size ``DimensionMismatchError``."""
     if not len(deltas):
         raise ValueError("deltas is empty")
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -98,6 +99,9 @@ def audit_z_ignoring(g_family, gamma: GammaSet, z, deltas=(1e-1, 1e-2, 1e-3),
         if not len(xs):
             raise ValueError(f"the sample at delta={d} is empty")
         ys = evaluate_rows(g_family(d), xs, "g_family")
+        if ys.shape[1] != z.size:
+            raise DimensionMismatchError(f"g_family({d}) maps into "
+                                         f"R^{ys.shape[1]}, z is in R^{z.size}")
         if np.any(row_norms(ys - z) <= MATCH_TOL):
             return False
     return True
@@ -202,9 +206,9 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     The surjectivity hypothesis (every map of Lambda maps the direction
     set onto the codomain) is checked first by ``_check_surjective`` and
     raises SurjectivityError — that signal means the hypotheses fail, not
-    that the probe failed.  A y_bar whose size is not Lambda's row count,
-    or an x_bar whose shape is not (gamma.dimension,), raises
-    ``DimensionMismatchError``.  A NaN or an infinity from F raises
+    that the probe failed.  A y_bar whose size is not Lambda's row count
+    or F's value width, or an x_bar whose shape is not (gamma.dimension,),
+    raises ``DimensionMismatchError``.  A NaN or an infinity from F raises
     ``NonFiniteValueError``, an empty domain sample ``ValueError``.
     """
     if a <= 0 or beta <= 0:
@@ -222,6 +226,9 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
         raise ValueError(f"the domain sample is empty ({domain_samples} "
                          "points requested)")
     values = evaluate_rows(F, xs, "F")
+    if values.shape[1] != y_bar.size:
+        raise DimensionMismatchError(f"F maps into R^{values.shape[1]}, "
+                                     f"y_bar is in R^{y_bar.size}")
     dists, _ = cKDTree(values).query(targets, k=1)
     covered = dists <= a / (2.0 * target_grid)
     misses = tuple(t for t, ok in zip(targets, covered) if not ok)

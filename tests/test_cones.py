@@ -1,8 +1,7 @@
 """Unit tests for the cone algebra, cross-checked by a direction-sampling
-transversality oracle that never touches the LP solver, by the
-2n-coordinate-LP witness search the one-LP Gordan test replaced, and by
-the per-pair 2n-LP intersection search that the subspace-and-rank rule
-replaced."""
+transversality oracle, by a 2n-coordinate-LP witness search that shares
+no code with the NNLS witness search under test, and by the per-pair
+2n-LP intersection search that the subspace-and-rank rule replaced."""
 from __future__ import annotations
 
 import dataclasses
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog, nnls
+from scipy.optimize import linprog, nnls
 
 from quasidiff import cones, scenarios
 from quasidiff.cones import (
@@ -31,7 +30,20 @@ from quasidiff.cones import (
     polar_cone,
 )
 from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap, \
-    NonFiniteValueError, in_conic_hull
+    NonFiniteValueError, OperatorSet, in_conic_hull
+from quasidiff.fields import make_map
+from quasidiff.fixtures import builtin_fixtures
+from quasidiff.separation import NO_CONCLUSION, NOT_LOCALLY_SEPARATED, \
+    SurjectivityError, open_mapping_probe, separation_verdict
+
+
+@pytest.fixture
+def no_linprog(monkeypatch):
+    """``cones.linprog`` replaced by a function that fails the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the cone layer called linprog")
+
+    monkeypatch.setattr(cones, "linprog", refused)
 
 
 def sampling_transversal_oracle(k1, k2, directions=400, seed=0, tol=1e-7):
@@ -406,6 +418,21 @@ class TestAnalyzePair:
         np.testing.assert_array_equal(batch.certificate.functional,
                                       got.certificate.functional)
 
+    def test_verdict_independent_of_generator_scale(self):
+        # at k <= -32 the pair read LinearlySeparable with the functional
+        # (1, -1), which is positive on (3, -3)
+        g1 = np.array([[0.0, -3.0], [2.0, 2.0], [2.0, -2.0]])
+        g2 = np.array([[3.0, -3.0]])
+        pairs = [(ConvexCone(np.ldexp(g1, k)), ConvexCone(np.ldexp(g2, k)))
+                 for k in range(-60, 61)]
+        assert {p.verdict for p in analyze_pairs(pairs)} == \
+            {STRONGLY_TRANSVERSAL}
+        # the sign check is relative to each generator's norm
+        cert = SeparationCertificate(np.array([1.0, -1.0]))
+        for k in (0, -40):
+            assert not cert.validate(ConvexCone(np.ldexp(g1, k)),
+                                     ConvexCone(np.ldexp(g2, k)))
+
     def test_rank_deficient_witness_is_a_null_vector(self):
         # both cones lie on the x-axis: (0, 1) separates them
         k1 = conic_hull([[1.0, 0.0], [-1.0, 0.0]])
@@ -442,9 +469,7 @@ def _presentations(draw):
 
 
 class TestAnalyzePairsMetamorphic:
-    """Changes of presentation that must leave a verdict alone.  Scaling
-    the generators by 2^k is left out: it flips verdicts today (ROADMAP
-    item 2)."""
+    """Changes of presentation that must leave a verdict alone."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -466,22 +491,45 @@ class TestAnalyzePairsMetamorphic:
             negated = SeparationCertificate(-base.certificate.functional)
             assert negated.validate(k2, k1)
 
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_presentations(), st.data())
+    def test_verdict_invariant_under_generator_scaling(self, case, data):
+        # each generator scaled by its own 2^k spans the same cone
+        (g1, g2), _, _ = case
+        k1, k2 = conic_hull(g1), conic_hull(g2)
+        scaled = tuple(conic_hull(np.ldexp(g, np.array(data.draw(st.lists(
+            st.integers(-30, 30), min_size=len(g), max_size=len(g))),
+            dtype=int)[:, None])) for g in (g1, g2))
+        base, moved = analyze_pairs([(k1, k2), scaled])
+        assert moved.verdict == base.verdict
+        if moved.certificate is not None:
+            assert moved.certificate.validate(*scaled)
+            assert moved.certificate.validate(k1, k2)
 
-def _corpus_like_pairs():
-    """Pairs in R^3 with four generators per cone: general position,
-    separable, strongly transversal and complementary subspaces, so every
-    witness block has 3 columns."""
-    rng = np.random.default_rng(5)
-    e = np.eye(3)
-    plane = np.vstack([e[:2], -e[:2]])
-    line = np.vstack([e[2], -e[2], 2 * e[2], -2 * e[2]])
-    pairs = [(conic_hull(plane), conic_hull(line)),
-             (conic_hull(np.vstack([e, [[1.0, 1.0, 1.0]]])),
-              conic_hull(-np.vstack([e, [[1.0, 1.0, 1.0]]])))]
-    for _ in range(10):
-        pairs.append((conic_hull(rng.normal(size=(4, 3))),
-                      conic_hull(rng.normal(size=(4, 3)))))
-    return pairs
+
+@st.composite
+def _int_systems(draw):
+    """A (k, n) system, n <= 4 and k <= 6, with entries in -2..2: empty,
+    zero-row and rank-deficient systems included."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, max_size=6)),
+                    dtype=float).reshape(-1, n)
+
+
+class TestNonzeroPoints:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_int_systems())
+    def test_witness_agrees_with_coordinate_lps(self, a):
+        (p,) = cones._nonzero_points([a])
+        assert (p is None) == (coordinate_lp_witness(a, a.shape[1]) is None)
+        if p is not None:
+            norms = np.linalg.norm(a, axis=1)
+            unit = a[norms > 0.0] / norms[norms > 0.0, None]
+            assert np.max(np.abs(p)) == 1.0
+            assert np.all(unit @ p <= 1e-12)
 
 
 class TestAnalyzePairs:
@@ -499,33 +547,6 @@ class TestAnalyzePairs:
             if pair.certificate is not None:
                 assert pair.certificate.validate(k1, k2)
 
-    def test_nonoptimal_batch_is_resolved_block_by_block(self, monkeypatch):
-        pairs = _corpus_like_pairs()
-        want = [(analyze_pair(k1, k2).transversal, analyze_pair(k1, k2).verdict)
-                for k1, k2 in pairs]
-        assert {verdict for _, verdict in want} == {
-            STRONGLY_TRANSVERSAL, LINEARLY_SEPARABLE, COMPLEMENTARY_SUBSPACES}
-        width = 3  # one witness block
-        calls = []
-
-        def flaky(c, **kwargs):
-            calls.append(len(c))
-            if len(c) > width:
-                return OptimizeResult(status=4, x=None, fun=None)
-            return linprog(c, **kwargs)
-
-        monkeypatch.setattr(cones, "linprog", flaky)
-        got = analyze_pairs(pairs)
-        assert [(p.transversal, p.verdict) for p in got] == want
-        for (k1, k2), pair in zip(pairs, got):
-            if pair.certificate is not None:
-                assert pair.certificate.validate(k1, k2)
-        # each refused batch is followed by one LP per block
-        assert [n for n in calls if n > width]
-        for i, n in enumerate(calls):
-            if n > width:
-                assert calls[i + 1:i + 1 + n // width] == [width] * (n // width)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             analyze_pairs([(conic_hull([[1.0]]), conic_hull([[1.0]])),
@@ -534,22 +555,59 @@ class TestAnalyzePairs:
     def test_empty_batch(self):
         assert analyze_pairs([]) == []
 
-    def test_corpus_lp_count(self, monkeypatch):
-        # one witness LP for the whole 200-pair corpus; the pair-by-pair
-        # search made 377
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(cones, "linprog", counted)
+    def test_corpus_lp_count(self, no_linprog):
+        # the witness search solves no LP; the block-diagonal batch made one
+        # for the whole 200-pair corpus, and the pair-by-pair search 377
         report = scenarios.run_cone_duality(200, seed=7)
         assert report["xor_holds"] == 200
         assert report["verdict_counts"] == {
             STRONGLY_TRANSVERSAL: 93, LINEARLY_SEPARABLE: 95,
             COMPLEMENTARY_SUBSPACES: 12}
-        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed,counts", [
+        (0, (492, 463, 45)), (1, (466, 487, 47)), (2, (480, 483, 37)),
+        (3, (471, 484, 45)), (4, (489, 464, 47))])
+    def test_corpus_verdict_counts_pinned(self, seed, counts):
+        # the counts of the LP witness search, which the NNLS one replaced
+        report = scenarios.run_cone_duality(1000, seed=seed)
+        assert report["xor_holds"] == 1000
+        assert report["verdict_counts"] == dict(zip(
+            (STRONGLY_TRANSVERSAL, LINEARLY_SEPARABLE,
+             COMPLEMENTARY_SUBSPACES), counts))
+
+    def test_fixture_verdicts_without_linprog(self, no_linprog):
+        want = {"axes": NO_CONCLUSION,
+                "half_plane_vs_ray": NOT_LOCALLY_SEPARATED,
+                "half_planes": NO_CONCLUSION,
+                "half_space_vs_line": NOT_LOCALLY_SEPARATED,
+                "parabola_vs_axis": NO_CONCLUSION,
+                "opposite_rays": NO_CONCLUSION,
+                "accumulating_lines": NOT_LOCALLY_SEPARATED,
+                "cone_vs_vertical_line": NOT_LOCALLY_SEPARATED,
+                "abs_graph_vs_vertical_line": NO_CONCLUSION,
+                "planes_3d": NOT_LOCALLY_SEPARATED}
+        assert {f.name: separation_verdict(f.k1, f.k2)
+                for f in builtin_fixtures()} == want
+
+    def test_open_mapping_probe_without_linprog(self, no_linprog):
+        # the generators' image cones, and on a quadrant the two one-sign
+        # systems of a scalar hull, go through the witness search
+        quadrant = GammaSet.finite_cone([[1.0, 0.0], [0.0, 1.0]])
+        lam = OperatorSet.from_matrices([[[1.0, -1.0]], [[1.0, -2.0]]],
+                                        convex_closure=True)
+        F = lambda x: np.array([x[0] - 1.5 * x[1]])
+        assert open_mapping_probe(F, [0.0, 0.0], [0.0], quadrant, lam, 0.1,
+                                  2.0, 10, 2000, seed=0).passed
+        one_sign = OperatorSet.from_matrices([[[1.0, -1.0]], [[-1.0, 1.0]]],
+                                             convex_closure=True)
+        with pytest.raises(SurjectivityError, match="one sign"):
+            open_mapping_probe(F, [0.0, 0.0], [0.0], quadrant, one_sign, 0.1,
+                               2.0, 10, 2000, seed=0)
+        fold = OperatorSet.from_matrices([[[1.0, -1.0]], [[1.0, 1.0]]],
+                                         convex_closure=True)
+        assert open_mapping_probe(make_map("fold_sum"), [0.0, 0.0], [0.0],
+                                  GammaSet.full_space(2), fold, 0.1, 2.0, 10,
+                                  2000, seed=5).passed
 
 
 def _is_line(cone):

@@ -296,6 +296,14 @@ class TestOpenMappingProbe:
             open_mapping_probe(self.F, [0.0, 0.0], [0.0, 0.0], self.gamma,
                                self.lam, 0.1, 2.0, 10, 2000, 0)
 
+    def test_value_width_off_y_bar_refused(self):
+        # scipy's k-d tree refused the 1-D targets against 2-D values with
+        # a bare ValueError
+        F = lambda x: np.array([x[0] + abs(x[1]), 0.0])
+        with pytest.raises(DimensionMismatchError, match="F maps into R"):
+            open_mapping_probe(F, [0.0, 0.0], [0.0], self.gamma, self.lam,
+                               0.1, 2.0, 10, 2000, 0)
+
     def test_monotone_in_a(self):
         for a in (0.1, 0.05, 0.02):
             rep = open_mapping_probe(self.F, [0.0, 0.0], [0.0], self.gamma,
@@ -441,6 +449,14 @@ class TestFixtureSuite:
         with pytest.raises(ValueError, match="delta=0.1"):
             audit_z_ignoring(onto_z, GammaSet.box([5.0], [6.0]), [0.0])
         assert not audit_z_ignoring(onto_z, GammaSet.full_space(1), [0.0])
+
+    def test_z_off_the_value_width_refused(self):
+        # z = [1, 5] was broadcast against the values [1.0], and the audit
+        # read True
+        ones = lambda d: (lambda x: np.array([1.0]))
+        with pytest.raises(DimensionMismatchError, match="z is in R"):
+            audit_z_ignoring(ones, GammaSet.full_space(1), [1.0, 5.0])
+        assert not audit_z_ignoring(ones, GammaSet.full_space(1), [1.0])
 
     def test_z_ignoring_families_audited(self):
         for f in builtin_fixtures():
