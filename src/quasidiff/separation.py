@@ -14,8 +14,8 @@ from .cones import (
     analyze_pairs,
     image_cone,
 )
-from .core import DimensionMismatchError, GammaSet, OperatorSet, \
-    distances_to_operator_set, evaluate_rows, row_norms
+from .core import DimensionMismatchError, GammaSet, NonFiniteValueError, \
+    OperatorSet, distances_to_operator_set, evaluate_rows, row_norms
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -129,13 +129,27 @@ class ProbeReport:
 
 def _target_lattice(y_bar: np.ndarray, a: float, target_grid: int) -> np.ndarray:
     """Axis lattice over y_bar + B_a, always containing the center itself
-    (the inclusion is not punctured)."""
+    (the inclusion is not punctured).  The ball's tolerance is relative,
+    so the lattice scales with a."""
     m = y_bar.size
     axes = [np.linspace(-a, a, 2 * target_grid + 1)] * m
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= a + 1e-12]
+    pts = pts[np.linalg.norm(pts, axis=1) <= a * (1.0 + 1e-12)]
     return y_bar + pts
+
+
+def _in_widened_box(points: np.ndarray, others: np.ndarray,
+                    margin: float) -> np.ndarray:
+    """Mask of the rows of ``points`` inside the bounding box of
+    ``others`` widened by ``margin`` in every coordinate."""
+    lo = others.min(axis=0) - margin
+    hi = others.max(axis=0) + margin
+    # column by column: numpy's row-wise all over a few columns is slower
+    inside = np.ones(len(points), dtype=bool)
+    for col, low, high in zip(points.T, lo, hi):
+        inside &= (col >= low) & (col <= high)
+    return inside
 
 
 def _check_surjective(lam: OperatorSet, gamma: GammaSet) -> None:
@@ -210,6 +224,20 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     or F's value width, or an x_bar whose shape is not (gamma.dimension,),
     raises ``DimensionMismatchError``.  A NaN or an infinity from F raises
     ``NonFiniteValueError``, an empty domain sample ``ValueError``.
+
+    The k-d tree holds only the values inside the targets' bounding box
+    widened by twice the covering radius r.  Any other value differs from
+    every target by more than 2r in some coordinate, so its distance to
+    each exceeds r and it covers none.  This holds where the ulp exceeds
+    r too: a bound of the widened box rounds to the nearest double, and a
+    coordinate beyond that double lies a whole spacing farther out, so
+    still more than 2r from the targets; there a value covers a target
+    only when their coordinates are equal.  The covered targets and
+    ``covered_fraction`` are those of a tree on every value, and
+    ``samples_used`` counts every domain sample.  An uncovered target's
+    distance is not that to the nearest value (it is infinite when no
+    value is kept, and then no tree is built), so a report of the worst
+    uncovered distance must query its few misses against all values.
     """
     if a <= 0 or beta <= 0:
         raise ValueError("a and beta must be positive")
@@ -229,11 +257,34 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     if values.shape[1] != y_bar.size:
         raise DimensionMismatchError(f"F maps into R^{values.shape[1]}, "
                                      f"y_bar is in R^{y_bar.size}")
-    dists, _ = cKDTree(values).query(targets, k=1)
-    covered = dists <= a / (2.0 * target_grid)
+    r = a / (2.0 * target_grid)
+    kept = values[_in_widened_box(values, targets, 2.0 * r)]
+    dists = cKDTree(kept).query(targets, k=1)[0] if len(kept) \
+        else np.full(len(targets), np.inf)
+    covered = dists <= r
     misses = tuple(t for t, ok in zip(targets, covered) if not ok)
     return ProbeReport(a, beta, float(np.mean(covered)), misses,
                        values.shape[0])
+
+
+def _probe_points(sampler, name: str, rng, z, radius: float,
+                  samples: int) -> np.ndarray:
+    """A sampler's points as a (k, z.size) array.  An empty sample raises
+    ``ValueError``, points of another width ``DimensionMismatchError``,
+    and a NaN or infinite point ``NonFiniteValueError`` naming it: a NaN
+    fails every box comparison, so the cull would drop it silently."""
+    pts = np.atleast_2d(np.asarray(sampler(rng, z, radius, samples),
+                                   dtype=float))
+    if not pts.size:
+        raise ValueError(f"{name} returned no points")
+    if pts.shape[1] != z.size:
+        raise DimensionMismatchError(f"{name} returned points in "
+                                     f"R^{pts.shape[1]}, z is in R^{z.size}")
+    if not np.isfinite(pts).all():
+        point = pts[np.argmin(np.isfinite(pts).all(axis=1))]
+        raise NonFiniteValueError(f"{name} returned the non-finite point "
+                                  f"{point.tolist()}", point=point)
+    return pts
 
 
 def local_separation_probe(sampler1, sampler2, z, radius: float,
@@ -244,13 +295,30 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     ``sampler1(rng, z, radius, count)`` must return points covering its
     set's trace inside z + B_radius.  Two points match within
     ``MATCH_TOL``, and matches closer to z than ``distinct_tol``
-    (resolution-coupled) are not accepted as witnesses.
+    (resolution-coupled) are not accepted as witnesses.  An empty sample
+    raises ``ValueError``, a sample whose width is not z's
+    ``DimensionMismatchError``, and a NaN or infinite point
+    ``NonFiniteValueError``, each naming its sampler.
+
+    Only the points of the first sample inside the second's bounding box
+    widened by 2 ``MATCH_TOL`` are queried.  Any other point differs from
+    every point of the second sample by more than 2 ``MATCH_TOL`` in some
+    coordinate, so its distance to each exceeds ``MATCH_TOL`` and it has
+    no match.  This holds where the ulp exceeds ``MATCH_TOL`` too: a bound
+    of the widened box rounds to the nearest double, and a coordinate
+    beyond that double lies a whole spacing farther out, so still more
+    than 2 ``MATCH_TOL`` from the second sample; there a match needs
+    equal coordinates.  The tree still holds the whole second sample, as
+    the neighbour it returns among equally distant points depends on the
+    tree's shape; each query is that of the unculled probe, so the common
+    point keeps its bits.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rng = np.random.default_rng(seed)
-    p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
-    p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
+    p1 = _probe_points(sampler1, "sampler1", rng, z, radius, samples)
+    p2 = _probe_points(sampler2, "sampler2", rng, z, radius, samples)
     distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
+    p1 = p1[_in_widened_box(p1, p2, 2.0 * MATCH_TOL)]
     # the bound prunes the search; a point with no neighbour inside it gets
     # an infinite distance, and a match's nearest neighbour is unchanged
     dists, idx = cKDTree(p2).query(p1, k=1,
@@ -260,7 +328,8 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     dz = np.linalg.norm(mids - z, axis=1)
     ok = (dz > distinct_tol) & (dz <= radius + MATCH_TOL)
     if ok.any():
-        # argmin takes the first of equal distances, in the order of p1
+        # argmin takes the first of equal distances, in the order of p1,
+        # which the cull keeps
         best = mids[ok][np.argmin(dists[near][ok])]
         return {"common_point": best, "separated_at_resolution": False}
     return {"common_point": None, "separated_at_resolution": True}

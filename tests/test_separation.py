@@ -1,6 +1,14 @@
 """Unit tests for multi-cones, the open-mapping probe, separation verdicts,
-and the sampling corroboration across all curated fixtures."""
+and the sampling corroboration across all curated fixtures.
+
+``tests/golden/separation_probes.json`` pins the probes' outputs at fixed
+seeds and sample counts, as the unculled k-d tree queries gave them; run
+this file with ``--write-golden`` to rewrite it."""
 from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from quasidiff import fixtures
+from quasidiff import fixtures, separation
 
 from quasidiff.cones import conic_hull
 from quasidiff.separation import MultiCone
 from quasidiff.core import DimensionMismatchError, GammaSet, LinearMap, \
-    NonFiniteValueError, OperatorSet
+    NonFiniteValueError, OperatorSet, RowMap
 from quasidiff.fields import make_map
 from quasidiff.fixtures import builtin_fixtures, fixture_by_name
 from quasidiff.separation import (
@@ -74,6 +82,58 @@ def probe_unbounded(sampler1, sampler2, z, radius, samples, seed):
     if ok.any():
         return mids[ok][np.argmin(dists[near][ok])]
     return None
+
+
+def open_mapping_full_tree(F, y_bar, a, beta, target_grid, samples, seed):
+    """Oracle: the open-mapping probe on Gamma = R^m from x_bar = 0, its
+    k-d tree on every value, as it was."""
+    y_bar = np.asarray(y_bar, dtype=float)
+    targets = separation._target_lattice(y_bar, a, target_grid)
+    xs = GammaSet.full_space(y_bar.size).sample(
+        np.random.default_rng(seed), np.zeros(y_bar.size), a * beta, samples)
+    values = F.rows(xs)
+    dists, _ = cKDTree(values).query(targets, k=1)
+    covered = dists <= a / (2.0 * target_grid)
+    return (float(np.mean(covered)),
+            [t.tobytes() for t, ok in zip(targets, covered) if not ok],
+            len(values))
+
+
+@st.composite
+def separation_samples(draw):
+    """Two samples around z in R^2 or R^3, at z = 0, 1e9 or 1e12 (where the
+    ulp, 2^-13, exceeds MATCH_TOL): p2 on a dyadic grid with repeated rows
+    and with pairs 2h apart, h = 2^-21, whose midpoints in p1 are equally
+    far from both; p1 rows at p2's box faces moved out by 0, MATCH_TOL,
+    2 MATCH_TOL or 3 MATCH_TOL, each then one ulp either way or not."""
+    d = draw(st.sampled_from([2, 3]))
+    z = np.full(d, draw(st.sampled_from([0.0, 1e9, 1e12])))
+    k = draw(st.integers(1, 24))
+    cells = st.lists(st.integers(-8, 8), min_size=d, max_size=d)
+    p2 = z + np.array(draw(st.lists(cells, min_size=k, max_size=k))) / 16.0
+    h = 2.0 ** -21
+    rows = st.integers(0, k - 1)
+    pairs = draw(st.lists(st.tuples(rows, st.integers(0, d - 1)),
+                          max_size=4))
+    twins = [p2[i] + 2.0 * h * np.eye(d)[j] for i, j in pairs]
+    mids = [p2[i] + h * np.eye(d)[j] for i, j in pairs]
+    p2 = np.vstack([p2, *twins, p2[draw(st.lists(rows, max_size=3))]])
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        # a row of p2 on its box's face, moved out of the box
+        j = draw(st.integers(0, d - 1))
+        low = draw(st.booleans())
+        row = p2[np.argmin(p2[:, j]) if low else np.argmax(p2[:, j])].copy()
+        out = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) * MATCH_TOL
+        value = row[j] - out if low else row[j] + out
+        row[j] = np.nextafter(value, draw(st.sampled_from([-np.inf, value,
+                                                           np.inf])))
+        edges.append(row)
+    fill = z + np.array(draw(st.lists(cells, max_size=6))).reshape(-1, d) \
+        / 16.0
+    p1 = np.vstack([*mids, *edges, p2[draw(st.lists(rows, max_size=3))],
+                    fill])
+    return z, p1[draw(st.permutations(range(len(p1))))], p2
 
 
 class TestBuildMulticone:
@@ -310,6 +370,51 @@ class TestOpenMappingProbe:
                                      self.lam, a, 2.0, 10, 20000, seed=5)
             assert rep.passed
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 2), a=st.sampled_from([2.0 ** -10, 0.25, 1.0]),
+           grid=st.sampled_from([1, 2, 4]),
+           beta=st.sampled_from([0.5, 1.0, 3.0]),
+           shift=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]),
+           nudge=st.sampled_from([-np.inf, np.inf, None]),
+           samples=st.integers(1, 400), seed=st.integers(0, 2**16))
+    def test_culled_tree_matches_full_tree(self, m, a, grid, beta, shift,
+                                           nudge, samples, seed):
+        # values on a lattice of spacing r, half the targets', so some lie
+        # exactly r from a target and some on the widened box's faces;
+        # shifted along the first axis by a multiple of a, one ulp either
+        # way or not, up to out of the widened box, where nothing is covered
+        r = a / (2.0 * grid)
+        offset = shift * 2.0 * a
+        if nudge is not None:
+            offset = np.nextafter(offset, nudge)
+        F = RowMap(lambda X: r * np.round(X / r) + offset * np.eye(m)[0])
+        got = open_mapping_probe(F, np.zeros(m), np.zeros(m),
+                                 GammaSet.full_space(m),
+                                 OperatorSet.from_matrices([np.eye(m)]), a,
+                                 beta, grid, samples, seed)
+        want = open_mapping_full_tree(F, np.zeros(m), a, beta, grid, samples,
+                                      seed)
+        assert (got.covered_fraction, [t.tobytes() for t in got.misses],
+                got.samples_used) == want
+        if shift == 4.0:
+            assert got.covered_fraction == 0.0
+
+    def test_lattice_scales_with_a(self):
+        # the lattice kept norms up to a + 1e-12, so for a <= 1e-12 it held
+        # the whole square, 441 targets instead of the ball's 317; scaling
+        # a by a power of two scales every sample, value and distance
+        # exactly
+        F = make_map("identity", {"dimension": 2})
+        lam = OperatorSet.from_matrices([np.eye(2)])
+        seen = set()
+        for k in range(-60, 1):
+            rep = open_mapping_probe(F, [0.0, 0.0], [0.0, 0.0],
+                                     GammaSet.full_space(2), lam,
+                                     0.1 * 2.0 ** k, 1.0, 10, 500, seed=3)
+            seen.add((rep.covered_fraction, len(rep.misses)))
+        (covered, misses), = seen
+        assert 0.0 < covered < 1.0 and misses > 0
+
 
 class TestLocalSeparationProbe:
     def test_axes_separated(self):
@@ -378,6 +483,72 @@ class TestLocalSeparationProbe:
         want = probe_unbounded(lambda *a: p1, lambda *a: p2, z, 1.0, k, seed)
         assert (got is None) == (want is None)
         assert want is None or got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sets=separation_samples(), seed=st.integers(0, 3))
+    def test_culled_probe_matches_oracles(self, sets, seed):
+        z, p1, p2 = sets
+        args = (lambda *a: p1, lambda *a: p2, z, 1.0, len(p1), seed)
+        got = local_separation_probe(*args)["common_point"]
+        want = probe_unbounded(*args)
+        assert (got is None) == (want is None)
+        assert want is None or got.tobytes() == want.tobytes()
+        # a tree of at most 16 rows is one leaf, which visits its rows in
+        # order and so returns the lowest index among equal distances, as
+        # the loop does; a bigger tree returns the first it visits
+        if len(p2) <= 16:
+            loop = probe_loop(*args)
+            assert (got is None) == (loop is None)
+            assert loop is None or got.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_distance_neighbour_as_the_full_tree_gives_it(self, seed):
+        # midpoints of close pairs among a few hundred rows of p2: which of
+        # the two equally distant rows a k-d tree returns depends on its
+        # shape, so a tree on only the rows of p2 near p1 returns another
+        # one for some of these midpoints
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        near = rng.integers(-20, 21, size=(n, 2)) * 2.0 ** -23 + 0.5
+        p2 = np.vstack([near, rng.uniform(-1, 1, size=(n, 2))])
+        i, j = rng.integers(n, size=(2, 5))
+        p1 = 0.5 * (p2[i] + p2[j])
+        args = (lambda *a: p1, lambda *a: p2, np.zeros(2), 1.0, n, seed)
+        got = local_separation_probe(*args)["common_point"]
+        assert got.tobytes() == probe_unbounded(*args).tobytes()
+
+    @pytest.mark.parametrize("which", ["sampler1", "sampler2"])
+    def test_empty_sample_refused(self, which):
+        # an empty sample used to read separated_at_resolution True
+        pts = np.array([[0.5, 0.0]])
+        samplers = {"sampler1": lambda *a: pts, "sampler2": lambda *a: pts}
+        samplers[which] = lambda *a: np.zeros((0, 2))
+        with pytest.raises(ValueError, match=which):
+            local_separation_probe(samplers["sampler1"],
+                                   samplers["sampler2"], np.zeros(2), 1.0,
+                                   1, seed=0)
+
+    @pytest.mark.parametrize("which,bad", [("sampler1", np.inf),
+                                           ("sampler2", np.nan)])
+    def test_nonfinite_point_raises(self, which, bad):
+        # scipy's k-d tree refused a NaN in the tree without naming it;
+        # the cull would drop either silently
+        pts = np.array([[0.5, 0.0], [0.25, bad], [0.75, 0.0]])
+        good = lambda *a: pts[[0, 2]]
+        samplers = {"sampler1": good, "sampler2": good, which: lambda *a: pts}
+        with pytest.raises(NonFiniteValueError, match=which) as err:
+            local_separation_probe(samplers["sampler1"],
+                                   samplers["sampler2"], np.zeros(2), 1.0,
+                                   3, seed=0)
+        assert err.value.point.tobytes() == pts[1].tobytes()
+
+    def test_sample_off_z_width_refused(self):
+        # scipy's k-d tree refused 2-D queries against 3-D points with a
+        # bare ValueError
+        with pytest.raises(DimensionMismatchError, match="sampler2"):
+            local_separation_probe(lambda *a: np.ones((4, 2)),
+                                   lambda *a: np.ones((4, 3)), np.zeros(2),
+                                   1.0, 4, seed=0)
 
     def test_parabola_vs_axis_tangential(self):
         f = fixture_by_name("parabola_vs_axis")
@@ -463,3 +634,139 @@ class TestFixtureSuite:
             if f.z_ignoring_family is not None:
                 assert audit_z_ignoring(f.z_ignoring_family,
                                         GammaSet.full_space(1), f.z), f.name
+
+
+class TestProbeWork:
+    @pytest.fixture
+    def tree_sizes(self, monkeypatch):
+        """The rows each k-d tree is built on and each query asks about."""
+        sizes = {"built": [], "queried": []}
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                sizes["built"].append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+            def query(self, x, *args, **kwargs):
+                sizes["queried"].append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(separation, "cKDTree", CountingTree)
+        return sizes
+
+    def test_accumulating_lines_queries_only_the_rows_that_can_match(
+            self, tree_sizes):
+        # the tree holds all 2,017 rows of p2 (which of two equally distant
+        # rows it returns depends on its shape), and 19 of the 37,981 rows
+        # of p1 lie near p2's box
+        f = fixture_by_name("accumulating_lines")
+        out = local_separation_probe(f.sampler1, f.sampler2, f.z, f.radius,
+                                     2000, seed=0)
+        assert out["common_point"] is not None
+        assert tree_sizes["built"] == [2017]
+        assert len(tree_sizes["queried"]) == 1
+        assert tree_sizes["queried"][0] <= 50
+
+    def test_open_mapping_fold_tree_holds_under_half_the_values(
+            self, tree_sizes):
+        rep = fold_sum_probe(5)
+        assert rep.passed and rep.samples_used == 20000
+        assert len(tree_sizes["built"]) == 1
+        assert tree_sizes["built"][0] < 10000
+
+    def test_no_tree_on_values_that_all_miss(self, tree_sizes):
+        F = RowMap(lambda X: X[:, :1] + 10.0)
+        rep = open_mapping_probe(F, [0.0], [0.0], GammaSet.full_space(1),
+                                 OperatorSet.from_matrices([[[1.0]]]), 0.1,
+                                 1.0, 10, 200, seed=0)
+        assert rep.covered_fraction == 0.0 and len(rep.misses) == 21
+        assert rep.samples_used == 202
+        assert tree_sizes["built"] == []
+
+
+# the probes' outputs, pinned: every fixture at these seeds and sample
+# counts, and the open-mapping runs listed in the golden file, as the
+# unculled k-d tree queries gave them
+PROBE_GOLDEN = Path(__file__).parent / "golden" / "separation_probes.json"
+PROBE_RUNS = [(seed, samples) for seed in range(4) for samples in (300, 2000)]
+
+
+def fold_sum_probe(seed, a=0.1, beta=2.0, samples=20000):
+    """The fold_sum probe of the reference suite and of the benchmark."""
+    lam = OperatorSet.from_matrices([[[1.0, -1.0]], [[1.0, 1.0]]],
+                                    convex_closure=True)
+    return open_mapping_probe(make_map("fold_sum"), [0.0, 0.0], [0.0],
+                              GammaSet.full_space(2), lam, a, beta, 10,
+                              samples, seed)
+
+
+def identity_2d_probe(seed, a=0.1, samples=2000):
+    """Identity on R^2 with too few samples to cover every target."""
+    return open_mapping_probe(make_map("identity", {"dimension": 2}),
+                              [0.0, 0.0], [0.0, 0.0], GammaSet.full_space(2),
+                              OperatorSet.from_matrices([np.eye(2)]), a, 1.0,
+                              10, samples, seed)
+
+
+def probe_bits(report):
+    return {"covered_fraction": report.covered_fraction.hex(),
+            "misses": [m.tobytes().hex() for m in report.misses],
+            "samples_used": report.samples_used}
+
+
+def local_probe_hex(name, seed, samples):
+    f = fixture_by_name(name)
+    point = local_separation_probe(f.sampler1, f.sampler2, f.z, f.radius,
+                                   samples, seed)["common_point"]
+    return None if point is None else [float(v).hex() for v in point]
+
+
+def certify_open_mapping_seeds():
+    """The seeds the certify benchmark workload gives its open-mapping op:
+    the tenth of ten drawn per round, for bench seeds 0-3, rounds 0-5."""
+    return sorted({int(np.random.default_rng([s, 2, i]).integers(
+        2**31, size=10)[9]) for s in range(4) for i in range(6)})
+
+
+OPEN_MAPPING_RUNS = {
+    "fold_sum": fold_sum_probe,
+    "fold_sum-short": lambda seed: fold_sum_probe(seed, beta=0.3,
+                                                  samples=300),
+    "identity_2d": identity_2d_probe,
+}
+
+
+def golden_probes():
+    runs = [("fold_sum", s) for s in [5, *certify_open_mapping_seeds()]]
+    runs += [(name, s) for name in ("fold_sum-short", "identity_2d")
+             for s in range(4)]
+    return {
+        "local_separation_probe": {
+            f"{f.name}:{seed}:{samples}": local_probe_hex(f.name, seed,
+                                                          samples)
+            for f in builtin_fixtures() for seed, samples in PROBE_RUNS},
+        "open_mapping_probe": {
+            f"{name}:{seed}": probe_bits(OPEN_MAPPING_RUNS[name](seed))
+            for name, seed in runs},
+    }
+
+
+class TestProbeGolden:
+    def test_common_points_pinned(self):
+        golden = json.loads(PROBE_GOLDEN.read_text())
+        for key, want in golden["local_separation_probe"].items():
+            name, seed, samples = key.split(":")
+            assert local_probe_hex(name, int(seed), int(samples)) == want, key
+
+    def test_open_mapping_reports_pinned(self):
+        golden = json.loads(PROBE_GOLDEN.read_text())
+        for key, want in golden["open_mapping_probe"].items():
+            name, seed = key.split(":")
+            assert probe_bits(OPEN_MAPPING_RUNS[name](int(seed))) == want, key
+
+
+if __name__ == "__main__":
+    # python tests/test_separation.py --write-golden rewrites the pinned
+    # probe outputs from the code as it stands
+    if sys.argv[1:] == ["--write-golden"]:
+        PROBE_GOLDEN.write_text(json.dumps(golden_probes(), indent=1) + "\n")
