@@ -7,9 +7,8 @@ sampled falsifier: acceptance means no violation was found at the stated
 resolution, not a proof.
 
 An evaluator is a callable at one point.  The built-in families are
-``core.RowMap``s, defined by their values at the rows of a sample, so the
-verifier calls each of them once per delta-sample; a plain callable, such
-as a user's lambda, is called once per point.
+``core.RowMap``s, so ``core._read_rows`` calls each of them once per
+delta-sample and a plain callable, such as a user's lambda, once per point.
 """
 from __future__ import annotations
 
@@ -28,6 +27,8 @@ from .core import (
     OperatorSet,
     RowMap,
     VERDICT_TOL,
+    _apply_maps,
+    _read_rows,
     _unchecked_rows,
     as_matrix,
     ball_samples,
@@ -119,22 +120,12 @@ class VerificationReport:
         }
 
 
-def _map_rows(L_fn):
-    """A reader of ``L_fn`` at the rows of a (k, n) array, stacked
-    (k, m, n) and left unchecked: one ``L_fn.rows`` call when it has one,
-    else one call per row, each map read as a 2-D float array; maps of
-    several shapes raise ``DimensionMismatchError``."""
-    rows = getattr(L_fn, "rows", None)
-    if rows is not None:
-        return lambda X: np.asarray(rows(X), dtype=float)
-
-    def loop(X):
-        maps = [np.atleast_2d(np.asarray(L_fn(x), dtype=float)) for x in X]
-        if len({m.shape for m in maps}) > 1:
-            raise DimensionMismatchError(
-                "L_fn returned maps of several shapes")
-        return np.array(maps)
-    return loop
+def _map_rows(L_fn, X) -> np.ndarray:
+    """``L_fn`` at the rows of X, unchecked, as a (k, m, n) stack: a scalar
+    map is 1 x 1 and a row 1 x n, as ``np.atleast_2d`` reads them."""
+    stack = _read_rows(L_fn, X)
+    return stack.reshape(stack.shape[:1] + (1,) * (3 - stack.ndim)
+                         + stack.shape[1:])
 
 
 def _family_at(cert: QdqCertificate, delta: float):
@@ -142,14 +133,14 @@ def _family_at(cert: QdqCertificate, delta: float):
     left unchecked: a non-finite value is refused by the verifier's own
     check, which names the outer point."""
     L_fn, h_fn = cert.family(delta)
-    return _map_rows(L_fn), partial(_unchecked_rows, h_fn)
+    return partial(_map_rows, L_fn), partial(_unchecked_rows, h_fn)
 
 
 def _map_stack(L_fn, xs) -> np.ndarray:
     """``L_fn`` at every row of ``xs``, read by ``_map_rows``; a NaN or an
     infinity raises ``NonFiniteValueError`` at the first row whose map has
     one."""
-    stack = _map_rows(L_fn)(xs)
+    stack = _map_rows(L_fn, xs)
     bad = ~np.isfinite(stack.reshape(len(xs), -1)).all(axis=1)
     if bad.any():
         x = xs[bad.argmax()]
@@ -208,20 +199,13 @@ def verify_certificate(F, cert: QdqCertificate, delta_grid,
         Ls = _map_stack(L_fn, xs)
         dists = distances_to_operator_set(Ls, cert.lam)
         hns = row_norms(hs)
-        # one matmul per row, as in L @ (x - x_bar), keeps its bits
-        values = cert.y_bar \
-            + np.matmul(Ls, (xs - cert.x_bar)[:, :, None])[:, :, 0] + hs
+        values = cert.y_bar + _apply_maps(Ls, xs - cert.x_bar) + hs
         checks = [("operator_distance", dists, rho_d,
                    dists > rho_d + VERDICT_TOL),
                   ("remainder_size", hns, d * rho_d,
                    hns > d * rho_d + VERDICT_TOL)]
         if membership is not None:
-            rows = getattr(membership, "rows", None)
-            if rows is not None:
-                member = np.asarray(rows(xs, values), dtype=bool)
-            else:
-                member = np.array([bool(membership(x, v))
-                                   for x, v in zip(xs, values)])
+            member = _read_rows(membership, xs, values, dtype=bool)
             checks.append(("membership", values, None, ~member))
         else:
             resids = row_norms(values - evaluate_rows(F, xs, "F"))
@@ -378,10 +362,11 @@ def curve_certificate(data: CurveData, delta: float):
     f0 = np.atleast_1d(np.asarray(data.f(t_bar), dtype=float))
 
     def phi(s) -> np.ndarray:
-        """f(t_bar + s) - f(t_bar), one f call and one row per offset."""
-        return np.array([np.atleast_1d(np.asarray(data.f(t), dtype=float))
-                         for t in (t_bar + s).tolist()]).reshape(
-                             len(s), f0.size) - f0
+        """f(t_bar + s) - f(t_bar), one row per offset."""
+        values = _read_rows(data.f, t_bar + s)
+        if values.size != len(s) * f0.size:
+            raise DimensionMismatchError("f changes its width near t_bar")
+        return values.reshape(len(s), f0.size) - f0
 
     def maps(s, ph=None) -> np.ndarray:
         """The (k, m, 1) maps at the offsets s; ``ph`` is phi(s) when the
@@ -403,7 +388,7 @@ def curve_certificate(data: CurveData, delta: float):
     def remainders(X):
         s = X[:, 0] - t_bar
         ph = phi(s)
-        return ph - np.matmul(maps(s, ph), s[:, None, None])[:, :, 0]
+        return ph - _apply_maps(maps(s, ph), s[:, None])
 
     return RowMap(lambda X: maps(X[:, 0] - t_bar)), RowMap(remainders)
 
@@ -596,10 +581,10 @@ def combine_certificates(kind: str, certF: QdqCertificate,
             LG, hG = _family_at(certG, d)
 
             def remainders(X):
-                dX = (X - certF.x_bar)[:, :, None]
+                dX = X - certF.x_bar
                 hf, hg = hF(X), hG(X)
-                aF = np.matmul(LF(X), dX)[:, :, 0] + hf
-                aG = np.matmul(LG(X), dX)[:, :, 0] + hg
+                aF = _apply_maps(LF(X), dX) + hf
+                aG = _apply_maps(LG(X), dX) + hg
                 return yF * hg + yG * hf + aF * aG
             return RowMap(lambda X: yF * LG(X) + yG * LF(X)), \
                 RowMap(remainders)
@@ -629,8 +614,7 @@ def compose_certificates(certF: QdqCertificate,
             """The inner maps and remainders at the rows of X, and the
             points xi(x) = y_bar + L(x) (x - x_bar) + h(x) they give."""
             Ls, hs = LF(X), hF(X)
-            return Ls, hs, certF.y_bar \
-                + np.matmul(Ls, (X - certF.x_bar)[:, :, None])[:, :, 0] + hs
+            return Ls, hs, certF.y_bar + _apply_maps(Ls, X - certF.x_bar) + hs
 
         def maps(X):
             Ls, _, Y = inner(X)
@@ -638,7 +622,7 @@ def compose_certificates(certF: QdqCertificate,
 
         def remainders(X):
             _, hs, Y = inner(X)
-            return np.matmul(LG(Y), hs[:, :, None])[:, :, 0] + hG(Y)
+            return _apply_maps(LG(Y), hs) + hG(Y)
         return RowMap(maps), RowMap(remainders)
 
     return QdqCertificate(
@@ -663,7 +647,7 @@ def singleton_qdq_check(F, x_bar, L) -> bool:
         pts = np.vstack([ball_samples(rng, x_bar, d, 64),
                          x_bar + d * np.eye(n), x_bar - d * np.eye(n)])
         resids = evaluate_rows(F, pts, "F") - F0 \
-            - np.matmul(L, (pts - x_bar)[:, :, None])[:, :, 0]
+            - _apply_maps(L, pts - x_bar)
         ratios.append(float(np.max(row_norms(resids))) / d)
     return ratios[-1] <= 1e-3 and ratios[-1] <= 0.5 * ratios[0] + 1e-12
 

@@ -1,6 +1,6 @@
 """Shared geometric primitives: linear maps, compact operator sets, hulls,
-and the two sampling primitives of every sampled check: ``ball_samples``
-draws the points and ``evaluate_rows`` calls a map on them.
+and the sampling primitives: ``ball_samples`` draws points, ``_read_rows``
+reads a callable at them and ``_apply_maps`` forms stacked products.
 
 All values are immutable after construction and every operation is pure,
 so everything here is safe to call concurrently.
@@ -67,20 +67,12 @@ class RowMap:
 
 
 def evaluate_rows(F, points, name: str) -> np.ndarray:
-    """F at every row of ``points``, stacked into a ``(k, m)`` array.
-
-    When F carries a row evaluator ``F.rows`` (the catalog's maps and
-    fields do), it is called once on the whole ``(k, n)`` sample, the rows
-    of a 1-D ``points`` as a column.  Otherwise, or when that call raises
-    ``DomainEscapeError``, F is called once per row, in order, and the rows
-    of a 1-D ``points`` are passed as floats.  Raises
-    ``NonFiniteValueError`` at the first row whose value has a NaN or an
-    infinite entry: such a value fails every comparison and so would pass
-    every check.  The entries are tested once, and row by row only to name
-    that row.  The test is on entries, so a huge finite value whose norm
-    overflows is left to the caller's bound.  Empty ``points`` call nothing
-    and give a ``(0, 0)`` array.
-    """
+    """F at every row of ``points``, read by ``_read_rows``, as a (k, m)
+    array.  Raises ``NonFiniteValueError`` at the first row whose value has
+    a NaN or an infinite entry: such a value fails every comparison and so
+    would pass every check.  The entries are tested once, and row by row
+    only to name that row; a huge finite value whose norm overflows is left
+    to the caller's bound.  Empty ``points`` give a (0, 0) array."""
     pts = np.asarray(points, dtype=float)
     values = _unchecked_rows(F, pts)
     if not np.isfinite(values).all():
@@ -96,32 +88,48 @@ def _unchecked_rows(F, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if not len(pts):
         return np.zeros((0, 0))
-    values = _row_values(F, pts.reshape(len(pts), -1))
-    if values is None:
-        rows = pts.tolist() if pts.ndim == 1 else pts
-        values = np.array([F(x) for x in rows], dtype=float)
-    return values.reshape(len(pts), -1)
+    return _read_rows(F, pts).reshape(len(pts), -1)
 
 
-def _row_values(F, X: np.ndarray):
-    """``F.rows(X)`` read as a float array with one row per row of the
-    (k, n) array ``X``, without a copy when it already is one (no caller
-    writes into it), or None when F has no row evaluator or it raises
-    ``DomainEscapeError``: the caller then calls F row by row."""
+def _read_rows(F, *arrays, dtype=float) -> np.ndarray:
+    """F at the rows of one or more (k, n) arrays, one per argument, its k
+    values of type ``dtype`` stacked in their own shape: the one reader of
+    a callable at sampled rows, but for the RK4 stage of ``flows._rk4``.
+    One ``F.rows`` call when F has a row evaluator, a 1-D array passed as a
+    column, and a float array it returns read without a copy (no caller
+    writes into it).  Otherwise, or when that call raises
+    ``DomainEscapeError``, one F call per row, in order, the rows of a 1-D
+    array as floats; values of several shapes raise
+    ``DimensionMismatchError``."""
     rows = getattr(F, "rows", None)
-    if rows is None:
-        return None
+    if rows is not None:
+        cols = [a if a.ndim == 2 else a.reshape(len(a), -1) for a in arrays]
+        try:
+            return np.asarray(rows(*cols), dtype=dtype)
+        except DomainEscapeError:
+            pass
+    values = list(map(F, *[a.tolist() if a.ndim == 1 else a for a in arrays]))
     try:
-        return np.asarray(rows(X), dtype=float).reshape(len(X), -1)
-    except DomainEscapeError:
-        return None
+        return np.array(values, dtype=dtype)
+    except ValueError as exc:  # numpy refuses values of several shapes
+        if len(shapes := {np.shape(v) for v in values}) > 1:
+            raise DimensionMismatchError(
+                f"values of shapes {sorted(shapes)}") from exc
+        raise
+
+
+def _apply_maps(maps, vectors) -> np.ndarray:
+    """``maps[i] @ vectors[i]`` per row of a (k, n) float array, for a
+    (k, m, n) stack or one (m, n) map: one gemv per row, with the bits of
+    ``L @ x`` (``X @ L.T`` and ``einsum`` round differently)."""
+    return np.matmul(maps, vectors[..., None])[..., 0]
 
 
 def row_norms(rows) -> np.ndarray:
     """The Euclidean norm of each row of a (k, d) array by one BLAS dot per
     row, as ``np.linalg.norm`` of the row (``norm(axis=1)`` differs)."""
     a = np.ascontiguousarray(rows, dtype=float)
-    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    return np.sqrt(_apply_maps(a[:, None, :], a)[:, 0])
 
 
 def box_bounds(lo, hi) -> tuple:

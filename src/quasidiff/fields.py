@@ -5,14 +5,14 @@ A field is an evaluator at one point of its box domain, plus ``rows``, its
 values at the rows of a (k, n) array with the evaluator's bits, row for
 row; a map is a ``core.RowMap``, defined by ``rows`` alone.  The row forms
 are elementwise (``np.abs``, ``+``) or copies (a constant row repeated,
-``|x1|`` written into zeros); ``linear_field`` takes one gemv per row, as
-``a @ x`` does, and ``square1d`` keeps Python's ``float ** 2``.
+``|x1|`` written into zeros); ``linear_field``'s is ``core._apply_maps``,
+with the bits of ``a @ x``, and ``square1d`` keeps Python's ``float ** 2``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import RowMap
+from .core import RowMap, _apply_maps
 from .flows import Box, VectorField
 
 _HALF_WIDTH = 10.0
@@ -32,11 +32,8 @@ def constant_field(value) -> VectorField:
 
 def linear_field(matrix) -> VectorField:
     a = np.asarray(matrix, dtype=float)
-    # X @ a.T and einsum round differently from a @ x; a stacked matmul
-    # with a trailing unit axis is one gemv per row
     return VectorField(lambda x, a=a: a @ x, _box(a.shape[0]),
-                       rows=lambda X, a=a: np.matmul(
-                           a[None], X[:, :, None])[:, :, 0])
+                       rows=lambda X, a=a: _apply_maps(a, X))
 
 
 def unit_x_field() -> VectorField:

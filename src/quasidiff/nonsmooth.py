@@ -10,12 +10,9 @@ differences at steps h and h/2 are formed one stencil column at a time over
 all remaining samples, and the step-h Jacobians come back with their
 two-scale differentiability scores.  ``fd_jacobian`` and
 ``differentiability_score`` are one-row views of the same pass.  Sample
-balls come from ``core.ball_samples``; maps and fields are called on a
-whole sample through ``core.evaluate_rows``.  A map or field with a row
-evaluator (``rows``, as every catalog entry has) is called once per
-sample, and in the stencil pass once per stencil side and column; any
-other callable is called point by point, and the stencil pass then skips
-the rows whose calls leave the domain.  Non-finite values raise
+balls come from ``core.ball_samples``; maps and fields are read on a whole
+sample, and on each stencil side and column, by ``core``'s row reader, and
+the stacked products are ``core._apply_maps``.  Non-finite values raise
 ``NonFiniteValueError`` instead of reaching a score.
 """
 from __future__ import annotations
@@ -31,7 +28,8 @@ from .core import (
     EstimatorFailedError,
     NonFiniteValueError,
     OperatorSet,
-    _row_values,
+    _apply_maps,
+    _read_rows,
     ball_samples,
     convex_hull_points,
     dedupe,
@@ -66,11 +64,10 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
     Returns ``(rows, jacobians)``: the indices of the rows whose stencils
     x +- step * e_i all lie in ``f.domain`` (when f has one) and evaluate
     without ``DomainEscapeError``, and for each step a C-contiguous
-    ``(len(rows), m, n)`` array of their Jacobians.  A row evaluator
-    ``f.rows`` is called once per stencil side and column on the rows still
-    kept; a column whose call raises ``DomainEscapeError``, and every
-    column of an f without one, calls f row by row and stacks each side's
-    values once.  Raises
+    ``(len(rows), m, n)`` array of their Jacobians.  Each stencil side and
+    column is read by ``core._read_rows`` on the rows still kept; only a
+    column whose read raises ``DomainEscapeError`` is read again row by
+    row, and the rows whose reads escape are dropped.  Raises
     ``NonFiniteValueError`` when a kept row has a non-finite quotient.
     """
     k, n = pts.shape
@@ -94,24 +91,23 @@ def _central_differences(f, pts: np.ndarray, steps: tuple):
     values = None  # (stencil, +/-, row, output), sized at the first value
     for c, (plus, minus, _) in enumerate(stencils):
         live = np.flatnonzero(ok)
-        vp = _row_values(f, plus[live]) if live.size else None
-        vm = _row_values(f, minus[live]) if vp is not None else None
-        if vm is None:
-            got, vp, vm = [], [], []
-            for r, xp, xm in zip(live.tolist(), plus[live], minus[live]):
+        if not live.size:
+            continue
+        try:
+            vp, vm = (_read_rows(f, side[live]) for side in (plus, minus))
+        except DomainEscapeError:  # row by row, dropping the rows that escape
+            read = []
+            for r in live.tolist():
                 try:
-                    a, b = f(xp), f(xm)
+                    read.append([_read_rows(f, side[r:r + 1])
+                                 for side in (plus, minus)])
                 except DomainEscapeError:
                     ok[r] = False
-                    continue
-                got.append(r)
-                vp.append(a)
-                vm.append(b)
-            if not got:
+            live = np.flatnonzero(ok)
+            if not live.size:
                 continue
-            live = got
-            vp = np.array(vp, dtype=float).reshape(len(got), -1)
-            vm = np.array(vm, dtype=float).reshape(len(got), -1)
+            vp, vm = (np.vstack(side) for side in zip(*read))
+        vp, vm = vp.reshape(len(live), -1), vm.reshape(len(live), -1)
         if values is None:
             values = np.zeros((len(stencils), 2, k, vp.shape[1]))
         values[c, 0, live] = vp
@@ -240,11 +236,9 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
 def _brackets(jf: np.ndarray, jg: np.ndarray, fx: np.ndarray,
               gx: np.ndarray) -> np.ndarray:
     """The brackets Dg(x) f(x) - Df(x) g(x) of k points, from their (k, n, n)
-    Jacobian stacks and (k, n) field values, as a (k, n) array.  Each
-    product is one gemv per row, as ``J @ v`` is (``X @ J.T`` and
-    ``einsum`` round differently)."""
-    return (np.matmul(jg, fx[:, :, None])[:, :, 0]
-            - np.matmul(jf, gx[:, :, None])[:, :, 0])
+    Jacobian stacks and (k, n) field values, as a (k, n) array, by two
+    ``core._apply_maps`` products."""
+    return _apply_maps(jg, fx) - _apply_maps(jf, gx)
 
 
 def lie_bracket_pointwise(f: VectorField, g: VectorField, x, h: float) -> np.ndarray:

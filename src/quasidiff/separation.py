@@ -222,8 +222,9 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     raises SurjectivityError — that signal means the hypotheses fail, not
     that the probe failed.  A y_bar whose size is not Lambda's row count
     or F's value width, or an x_bar whose shape is not (gamma.dimension,),
-    raises ``DimensionMismatchError``.  A NaN or an infinity from F raises
-    ``NonFiniteValueError``, an empty domain sample ``ValueError``.
+    raises ``DimensionMismatchError``.  A NaN or an infinity in an input
+    or from F raises ``NonFiniteValueError``, an empty domain sample
+    ``ValueError``.
 
     The k-d tree holds only the values inside the targets' bounding box
     widened by twice the covering radius r.  Any other value differs from
@@ -239,10 +240,11 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     value is kept, and then no tree is built), so a report of the worst
     uncovered distance must query its few misses against all values.
     """
-    if a <= 0 or beta <= 0:
-        raise ValueError("a and beta must be positive")
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     y_bar = np.atleast_1d(np.asarray(y_bar, dtype=float))
+    _refuse_non_finite(a=a, beta=beta, x_bar=x_bar, y_bar=y_bar)
+    if a <= 0 or beta <= 0:
+        raise ValueError("a and beta must be positive")
     if y_bar.size != lam.shape[0]:
         raise DimensionMismatchError(f"y_bar in R^{y_bar.size} vs maps "
                                      f"into R^{lam.shape[0]}")
@@ -265,6 +267,13 @@ def open_mapping_probe(F, x_bar, y_bar, gamma: GammaSet, lam: OperatorSet,
     misses = tuple(t for t, ok in zip(targets, covered) if not ok)
     return ProbeReport(a, beta, float(np.mean(covered)), misses,
                        values.shape[0])
+
+
+def _refuse_non_finite(**inputs) -> None:
+    """Refuse a NaN or an infinity, which fails every comparison."""
+    for name, value in inputs.items():
+        if not np.isfinite(value).all():
+            raise NonFiniteValueError(f"{name} must be finite, got {value}")
 
 
 def _probe_points(sampler, name: str, rng, z, radius: float,
@@ -295,8 +304,9 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     ``sampler1(rng, z, radius, count)`` must return points covering its
     set's trace inside z + B_radius.  Two points match within
     ``MATCH_TOL``, and matches closer to z than ``distinct_tol``
-    (resolution-coupled) are not accepted as witnesses.  An empty sample
-    raises ``ValueError``, a sample whose width is not z's
+    (resolution-coupled) are not accepted as witnesses.  A NaN or infinite
+    z or radius raises ``NonFiniteValueError``, a radius <= 0 ``ValueError``.
+    An empty sample raises ``ValueError``, a sample whose width is not z's
     ``DimensionMismatchError``, and a NaN or infinite point
     ``NonFiniteValueError``, each naming its sampler.
 
@@ -314,6 +324,9 @@ def local_separation_probe(sampler1, sampler2, z, radius: float,
     point keeps its bits.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    _refuse_non_finite(z=z, radius=radius)
+    if radius <= 0:
+        raise ValueError(f"the radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
     p1 = _probe_points(sampler1, "sampler1", rng, z, radius, samples)
     p2 = _probe_points(sampler2, "sampler2", rng, z, radius, samples)

@@ -1,9 +1,10 @@
 """The stacked products against the per-row products they stand for, under
 every OpenBLAS kernel this CPU runs.
 
-The estimators, the flows and the cone layer stack small matrix-vector
-products as ``np.matmul`` over a trailing unit axis: one gemv per row,
-which must give the bits of ``J @ v`` row for row.  That holds relative
+The certificates, the estimators and the fields form every stacked
+matrix-vector product by ``core._apply_maps``, ``np.matmul`` over a
+trailing unit axis: one gemv per row, which must give the bits of
+``J @ v`` row for row.  That holds relative
 to one BLAS kernel, whose summation order and FMA use may differ from
 another's, so the checks below run in this process under the kernel
 OpenBLAS picked, and ``test_every_kernel`` reruns them in a fresh
@@ -24,7 +25,7 @@ import pytest
 
 import quasidiff
 from quasidiff.cones import conic_hull
-from quasidiff.core import in_conic_hull, row_norms
+from quasidiff.core import _apply_maps, in_conic_hull, row_norms
 from quasidiff.fields import abs_shear_field, linear_field, unit_x_field
 from quasidiff.nonsmooth import _brackets, bracket_flow_direction, \
     set_lie_bracket_estimate
@@ -40,14 +41,18 @@ def scaled(rng, *shape):
 
 
 def check_stacked_gemv():
-    """``np.matmul(J, V[:, :, None])[:, :, 0]`` is ``J[i] @ V[i]`` per row."""
+    """``_apply_maps(J, V)`` is ``J[i] @ V[i]`` per row for a (k, m, n)
+    stack J, and ``A @ V[i]`` for one (m, n) map A."""
     rng = np.random.default_rng(0)
     for m, n in SHAPES:
         for k in (1, 2, 7, 64):
             J, V = scaled(rng, k, m, n), scaled(rng, k, n)
-            got = np.matmul(J, V[:, :, None])[:, :, 0]
+            got = _apply_maps(J, V)
             want = np.array([a @ v for a, v in zip(J, V)])
             assert got.tobytes() == want.tobytes(), (m, n, k)
+            got = _apply_maps(J[0], V)
+            want = np.array([J[0] @ v for v in V])
+            assert got.tobytes() == want.tobytes(), (m, n, k, "one map")
 
 
 def check_bracket_product():

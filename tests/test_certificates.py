@@ -342,6 +342,33 @@ class TestMapShapes:
         with pytest.raises(core.DimensionMismatchError):
             c.verify_certificate(abs_map, cert, [1e-1], 20, seed=0)
 
+    def test_escaping_map_rows_read_point_by_point(self):
+        # a map family whose rows raise DomainEscapeError is read point by
+        # point, as every other sampled evaluation is
+        class Escaping:
+            def __init__(self, pointwise):
+                self.pointwise = pointwise
+
+            def __call__(self, x):
+                return self.pointwise(x)
+
+            def rows(self, X):
+                raise core.DomainEscapeError("rows left the domain")
+
+        def family(wrap):
+            def at(d):
+                L_fn, h_fn = c.absvalue_certificate(d)
+                return wrap(L_fn), h_fn
+            return at
+
+        want, got = (c.verify_certificate(
+            abs_map, replace(c.absvalue_qdq(), family=family(wrap)),
+            [1e-1, 1e-2], 40, seed=0)
+            for wrap in (lambda L_fn: (lambda x: L_fn(x)), Escaping))
+        assert want.accepted
+        assert (got.to_jsonable(), got.violations) == \
+            (want.to_jsonable(), want.violations)
+
     @pytest.mark.parametrize("matrix", [[[2.0]], [[1.0, -2.0]]])
     def test_map_forms_give_equal_reports(self, matrix):
         # a scalar or a row, a nested list, an array and a LinearMap are
@@ -553,6 +580,19 @@ class TestCurveCertificates:
         for t in np.linspace(-0.1, 0.1, 101):
             v = (np.asarray(L_fn([t])) @ [t])[0] + h_fn([t])[0]
             assert v == pytest.approx(abs(t), abs=1e-14)
+
+
+    @pytest.mark.parametrize("f,X", [
+        (lambda t: [abs(t)] if t == 0.0 else [abs(t), t], [[0.2]]),
+        (lambda t: [abs(t)] if t < 0.3 else [abs(t), t], [[0.2], [0.4]])],
+        ids=["off_t_bar", "between_offsets"])
+    def test_value_width_change_refused(self, f, X):
+        # a bare "cannot reshape array" ValueError, or numpy's
+        # "inhomogeneous shape" one, came from the remainder
+        L_fn, h_fn = c.curve_certificate(c.CurveData(f, 0.0, [1.0], [-1.0]),
+                                         0.5)
+        with pytest.raises(core.DimensionMismatchError):
+            h_fn.rows(np.array(X))
 
 
 class TestCurveModulus:

@@ -687,6 +687,12 @@ class TestSamplingPrimitives:
                              "F").shape == (0, 0)
         assert len(seen) == 2
 
+    def test_ragged_values_refused(self):
+        # numpy refused the ragged stack with a bare "inhomogeneous shape"
+        with pytest.raises(core.DimensionMismatchError, match="shapes"):
+            evaluate_rows(lambda x: [1.0] if x[0] > 0 else [1.0, 2.0],
+                          np.array([[1.0], [-1.0]]), "F")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_ball_samples_match_the_full_draw(self, n):
         center = np.linspace(-0.5, 0.5, n)

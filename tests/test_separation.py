@@ -364,6 +364,21 @@ class TestOpenMappingProbe:
             open_mapping_probe(F, [0.0, 0.0], [0.0], self.gamma, self.lam,
                                0.1, 2.0, 10, 2000, 0)
 
+    @pytest.mark.parametrize("name", ["a", "beta", "x_bar", "y_bar"])
+    def test_nonfinite_input_refused_before_sampling(self, name):
+        # a NaN y_bar read covered 0.0 with 21 misses, and a NaN a, beta or
+        # x_bar slipped past the sign test to a NaN sample, refused as a
+        # non-finite value of F
+        calls = []
+        F = lambda x: calls.append(x) or self.F(x)
+        args = {"a": 0.1, "beta": 2.0, "x_bar": [0.0, 0.0], "y_bar": [0.0]}
+        args[name] = [np.nan, 0.0] if name == "x_bar" else \
+            [np.nan] if name == "y_bar" else np.nan
+        with pytest.raises(NonFiniteValueError, match=f"^{name} must be"):
+            open_mapping_probe(F, args["x_bar"], args["y_bar"], self.gamma,
+                               self.lam, args["a"], args["beta"], 10, 200, 0)
+        assert not calls
+
     def test_monotone_in_a(self):
         for a in (0.1, 0.05, 0.02):
             rep = open_mapping_probe(self.F, [0.0, 0.0], [0.0], self.gamma,
@@ -541,6 +556,24 @@ class TestLocalSeparationProbe:
                                    samplers["sampler2"], np.zeros(2), 1.0,
                                    3, seed=0)
         assert err.value.point.tobytes() == pts[1].tobytes()
+
+    @pytest.mark.parametrize("z,radius,error", [
+        ([np.nan, 0.0], 1.0, NonFiniteValueError),
+        ([0.0, 0.0], np.nan, NonFiniteValueError),
+        ([0.0, 0.0], 0.0, ValueError),
+        ([0.0, 0.0], -1.0, ValueError)],
+        ids=["nan_z", "nan_radius", "zero_radius", "negative_radius"])
+    def test_vacuous_input_refused_before_sampling(self, z, radius, error):
+        # each read separated_at_resolution True on samplers sharing the
+        # points (0.5, 0) and (0.7, 0): a NaN fails every distance test,
+        # and no match lies within a radius of at most 0
+        calls = []
+        sampler = lambda *a: calls.append(a) or np.array([[0.5, 0.0],
+                                                          [0.7, 0.0]])
+        name = "z" if np.isnan(z).any() else "radius"
+        with pytest.raises(error, match=name):
+            local_separation_probe(sampler, sampler, z, radius, 2, seed=0)
+        assert not calls
 
     def test_sample_off_z_width_refused(self):
         # scipy's k-d tree refused 2-D queries against 3-D points with a
