@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import cones as _cones
 from .core import (
@@ -447,13 +446,32 @@ def curve_qdq(data: CurveData) -> QdqCertificate:
         lipschitz_budget=budget)
 
 
+def _component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Labels of the connected components of a symmetric boolean
+    adjacency matrix whose diagonal is set, numbered in the order of each
+    component's lowest index, as scipy's ``connected_components`` numbers
+    them.  The matrix is squared until it stops changing; each row's first
+    set entry is then the lowest index of its component.  It is squared
+    in float32, so that BLAS forms the products: a sum of products of
+    zeros and ones is positive exactly when one product is one, whatever
+    the order of summation."""
+    reach = adjacency.astype(np.float32)
+    square = np.sign(reach @ reach)
+    while not np.array_equal(square, reach):
+        reach, square = square, np.sign(square @ square)
+    return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
+
+
 def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     """Necessary-condition falsifier for curve certificate sets.
 
     Returns a witness dict when a one-sided derivative is farther than
     1e-6 from the set, or when a non-hulled generator list splits (at the
     gap ``CURVE_GAP``) into components separating the two derivatives.
-    Absence of a witness does not certify anything.
+    The components are those of single linkage at the gap, numbered in the
+    order of their first generator, and found by squaring the boolean
+    gap-adjacency of the generators until it stops changing.  Absence of
+    a witness does not certify anything.
     """
     tol = 1e-6
     ends = np.stack([data.right_derivative, data.left_derivative])
@@ -465,11 +483,8 @@ def falsify_curve_qdq(data: CurveData, lam: OperatorSet):
     if lam.convex_closure:
         return None  # hulls are connected
     flats = lam.flat_generators()
-    # single-linkage components at the gap threshold, numbered in the order
-    # of their first generator
-    _, labels = connected_components(
-        np.linalg.norm(flats[:, None] - flats[None], axis=2) <= CURVE_GAP,
-        directed=False)
+    labels = _component_labels(
+        np.linalg.norm(flats[:, None] - flats[None], axis=2) <= CURVE_GAP)
     comp_right, comp_left = labels[np.argmin(
         np.linalg.norm(flats - ends[:, None], axis=2), axis=1)].tolist()
     if comp_right != comp_left:

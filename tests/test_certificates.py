@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from quasidiff import certificates as c
 from quasidiff import core
@@ -654,6 +655,22 @@ class TestCurveFalsifier:
         mats = [[[s]] for s in np.linspace(-1.0, 1.0, 401)]
         lam = OperatorSet.from_matrices(mats)
         assert c.falsify_curve_qdq(self.data, lam) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cells=st.lists(st.lists(st.integers(-6, 6), min_size=2,
+                                   max_size=2), min_size=1, max_size=24),
+           scale=st.sampled_from([c.CURVE_GAP / 2, c.CURVE_GAP,
+                                  np.nextafter(c.CURVE_GAP, 1.0)]))
+    def test_components_as_scipy_labels_them(self, cells, scale):
+        # generators on a lattice whose spacing is half the gap, the gap
+        # or one ulp above it, so that chains, ties at the gap and
+        # isolated generators all occur; scipy's connected_components is
+        # the oracle
+        flats = np.array(cells) * scale
+        adjacency = np.linalg.norm(flats[:, None] - flats[None],
+                                   axis=2) <= c.CURVE_GAP
+        want = connected_components(adjacency, directed=False)[1]
+        assert c._component_labels(adjacency).tolist() == want.tolist()
 
 
 class TestCombinators:

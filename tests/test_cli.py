@@ -175,7 +175,9 @@ class TestRunScenarios:
         params = dict(SMALL_SUITE[2]["params"], domain_samples=0)
         result = run_scenario(Scenario("probe", "OpenMappingProbe", params))
         assert result.verdict == "FAILED"
-        assert "domain sample is empty" in result.report["error"]
+        # refused before sampling, naming the count
+        assert "domain_samples must be a positive integer, got 0" in \
+            result.report["error"]
 
     def test_result_is_frozen(self):
         result = run_scenario(Scenario(**SMALL_SUITE[1]))

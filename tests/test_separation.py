@@ -48,7 +48,8 @@ def dense_cover_oracle(F, radius, a, grid=4001):
 
 def probe_loop(sampler1, sampler2, z, radius, samples, seed):
     """Oracle: the common point of the separation probe, one match at a
-    time; a later match replaces the best only when strictly closer."""
+    time, each point of p1 matched to the lowest-index nearest point of
+    p2; a later match replaces the best only when strictly closer."""
     rng = np.random.default_rng(seed)
     p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
     p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
@@ -134,6 +135,18 @@ def separation_samples(draw):
     p1 = np.vstack([*mids, *edges, p2[draw(st.lists(rows, max_size=3))],
                     fill])
     return z, p1[draw(st.permutations(range(len(p1))))], p2
+
+
+def tie_rich_inputs(seed):
+    """Probe arguments whose first sample holds midpoints of close pairs
+    among a few hundred rows of the second, each equally far from both."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    near = rng.integers(-20, 21, size=(n, 2)) * 2.0 ** -23 + 0.5
+    p2 = np.vstack([near, rng.uniform(-1, 1, size=(n, 2))])
+    i, j = rng.integers(n, size=(2, 5))
+    p1 = 0.5 * (p2[i] + p2[j])
+    return lambda *a: p1, lambda *a: p2, np.zeros(2), 1.0, n, seed
 
 
 class TestBuildMulticone:
@@ -379,6 +392,23 @@ class TestOpenMappingProbe:
                                self.lam, args["a"], args["beta"], 10, 200, 0)
         assert not calls
 
+    @pytest.mark.parametrize("name,count", [
+        ("target_grid", 0), ("target_grid", 2.5), ("domain_samples", -5),
+        ("domain_samples", 0), ("domain_samples", 2.5)])
+    def test_count_that_cannot_sample_refused_before_sampling(self, name,
+                                                              count):
+        # target_grid 0 raised ZeroDivisionError after every domain sample
+        # was drawn, 2.5 a TypeError from linspace, and domain_samples -5
+        # numpy's bare "negative dimensions are not allowed"
+        calls = []
+        F = lambda x: calls.append(x) or self.F(x)
+        counts = {"target_grid": 10, "domain_samples": 200, name: count}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            open_mapping_probe(F, [0.0, 0.0], [0.0], self.gamma, self.lam,
+                               0.1, 2.0, counts["target_grid"],
+                               counts["domain_samples"], 0)
+        assert not calls
+
     def test_monotone_in_a(self):
         for a in (0.1, 0.05, 0.02):
             rep = open_mapping_probe(self.F, [0.0, 0.0], [0.0], self.gamma,
@@ -505,32 +535,17 @@ class TestLocalSeparationProbe:
         z, p1, p2 = sets
         args = (lambda *a: p1, lambda *a: p2, z, 1.0, len(p1), seed)
         got = local_separation_probe(*args)["common_point"]
-        want = probe_unbounded(*args)
+        want = probe_loop(*args)
         assert (got is None) == (want is None)
         assert want is None or got.tobytes() == want.tobytes()
-        # a tree of at most 16 rows is one leaf, which visits its rows in
-        # order and so returns the lowest index among equal distances, as
-        # the loop does; a bigger tree returns the first it visits
-        if len(p2) <= 16:
-            loop = probe_loop(*args)
-            assert (got is None) == (loop is None)
-            assert loop is None or got.tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_equal_distance_neighbour_as_the_full_tree_gives_it(self, seed):
-        # midpoints of close pairs among a few hundred rows of p2: which of
-        # the two equally distant rows a k-d tree returns depends on its
-        # shape, so a tree on only the rows of p2 near p1 returns another
-        # one for some of these midpoints
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(20, 200))
-        near = rng.integers(-20, 21, size=(n, 2)) * 2.0 ** -23 + 0.5
-        p2 = np.vstack([near, rng.uniform(-1, 1, size=(n, 2))])
-        i, j = rng.integers(n, size=(2, 5))
-        p1 = 0.5 * (p2[i] + p2[j])
-        args = (lambda *a: p1, lambda *a: p2, np.zeros(2), 1.0, n, seed)
+    def test_equal_distance_neighbour_is_the_lowest_index(self, seed):
+        # which of two equally distant rows a k-d tree returns depends on
+        # its shape; the probe takes the lower index, as the loop does
+        args = tie_rich_inputs(seed)
         got = local_separation_probe(*args)["common_point"]
-        assert got.tobytes() == probe_unbounded(*args).tobytes()
+        assert got.tobytes() == probe_loop(*args).tobytes()
 
     @pytest.mark.parametrize("which", ["sampler1", "sampler2"])
     def test_empty_sample_refused(self, which):
@@ -573,6 +588,24 @@ class TestLocalSeparationProbe:
         name = "z" if np.isnan(z).any() else "radius"
         with pytest.raises(error, match=name):
             local_separation_probe(sampler, sampler, z, radius, 2, seed=0)
+        assert not calls
+
+    @pytest.mark.parametrize("name", ["axes", "parabola_vs_axis",
+                                      "opposite_rays",
+                                      "abs_graph_vs_vertical_line",
+                                      "half_planes"])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_sample_count_that_cannot_sample_refused(self, name, samples):
+        # at 0 or -3 the first four read separated_at_resolution True, as
+        # only their samplers' fixed anchor points were checked, and
+        # half_planes raised numpy's bare "negative dimensions are not
+        # allowed" at -3
+        f = fixture_by_name(name)
+        calls = []
+        sampler = lambda *a: calls.append(a) or f.sampler1(*a)
+        with pytest.raises(ValueError, match="^samples must be"):
+            local_separation_probe(sampler, f.sampler2, f.z, f.radius,
+                                   samples, seed=0)
         assert not calls
 
     def test_sample_off_z_width_refused(self):
@@ -681,7 +714,7 @@ class TestProbeWork:
                 super().__init__(data, *args, **kwargs)
 
             def query(self, x, *args, **kwargs):
-                sizes["queried"].append(len(x))
+                sizes["queried"].append(len(np.atleast_2d(x)))
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(separation, "cKDTree", CountingTree)
@@ -689,16 +722,18 @@ class TestProbeWork:
 
     def test_accumulating_lines_queries_only_the_rows_that_can_match(
             self, tree_sizes):
-        # the tree holds all 2,017 rows of p2 (which of two equally distant
-        # rows it returns depends on its shape), and 19 of the 37,981 rows
-        # of p1 lie near p2's box
+        # 19 of the 37,981 rows of p1 lie near p2's box, and 143 of the
+        # 2,017 rows of p2 near theirs; a walked match whose two nearest
+        # rows are equally far asks the tree again about its one row
         f = fixture_by_name("accumulating_lines")
         out = local_separation_probe(f.sampler1, f.sampler2, f.z, f.radius,
                                      2000, seed=0)
         assert out["common_point"] is not None
-        assert tree_sizes["built"] == [2017]
-        assert len(tree_sizes["queried"]) == 1
-        assert tree_sizes["queried"][0] <= 50
+        assert len(tree_sizes["built"]) == 1
+        assert tree_sizes["built"][0] <= 200
+        first, *ties = tree_sizes["queried"]
+        assert first <= 50
+        assert len(ties) <= first and all(n == 1 for n in ties)
 
     def test_open_mapping_fold_tree_holds_under_half_the_values(
             self, tree_sizes):
@@ -796,6 +831,31 @@ class TestProbeGolden:
         for key, want in golden["open_mapping_probe"].items():
             name, seed = key.split(":")
             assert probe_bits(OPEN_MAPPING_RUNS[name](int(seed))) == want, key
+
+
+class TestTreeShape:
+    """The probes' outputs do not depend on the shape of their k-d trees:
+    trees of one row per leaf, and trees split at the middle of their
+    bounding box rather than at the median, give the same bits."""
+
+    @pytest.fixture(params=[{"leafsize": 1}, {"balanced_tree": False}],
+                    ids=["leafsize_1", "unbalanced"], autouse=True)
+    def shaped_tree(self, request, monkeypatch):
+        class ShapedTree(cKDTree):
+            def __init__(self, data):
+                super().__init__(data, **request.param)
+
+        monkeypatch.setattr(separation, "cKDTree", ShapedTree)
+
+    def test_golden_probes_keep_their_bits(self):
+        golden = json.loads(PROBE_GOLDEN.read_text())
+        assert golden_probes() == golden
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_distance_neighbour_is_the_lowest_index(self, seed):
+        args = tie_rich_inputs(seed)
+        got = local_separation_probe(*args)["common_point"]
+        assert got.tobytes() == probe_loop(*args).tobytes()
 
 
 if __name__ == "__main__":
