@@ -7,6 +7,7 @@ so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,6 +124,16 @@ def _apply_maps(maps, vectors) -> np.ndarray:
     (k, m, n) stack or one (m, n) map: one gemv per row, with the bits of
     ``L @ x`` (``X @ L.T`` and ``einsum`` round differently)."""
     return np.matmul(maps, vectors[..., None])[..., 0]
+
+
+def _refuse_non_positive_counts(**counts) -> None:
+    """Refuse a count that is not a positive integer, naming it: with no
+    sample drawn a probe checks only its fixed points, or fails inside
+    numpy, and a quadrature rule silently falls back to its floor."""
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, "
+                             f"got {count!r}")
 
 
 def row_norms(rows) -> np.ndarray:
@@ -375,12 +386,30 @@ def _simplex_least_squares(columns: np.ndarray, target: np.ndarray):
     point of conv{a_i}.  s > 0 because the gradient at u = 0 is -1 in every
     coordinate.  The distance is recomputed from c, not read off NNLS; its
     rounding error is about 1e-16 (1 + |data|), since A is not rescaled.
+    When the data is so large (about 2^50 and up) that the row of ones is
+    lost to rounding, NNLS may return u = 0, and the distance is NaN.
     """
     k = columns.shape[1]
     lifted = np.vstack([columns - target[:, None], np.ones((1, k))])
     u, _ = nnls(lifted, np.concatenate([np.zeros(columns.shape[0]), [1.0]]))
-    coeffs = u / u.sum()
+    total = u.sum()
+    if not total > 0:
+        return u, float("nan")
+    coeffs = u / total
     return coeffs, float(np.linalg.norm(columns @ coeffs - target))
+
+
+def _refuse_non_finite_distances(dists: np.ndarray, rows: np.ndarray,
+                                 name: str) -> None:
+    """Raise ``NonFiniteValueError`` at the first row of ``rows`` whose
+    distance is NaN or infinite: a NaN compares False with every bound, so
+    it would pass a check instead of failing it."""
+    finite = np.isfinite(dists)
+    if not finite.all():
+        row = rows[np.argmin(finite)]
+        raise NonFiniteValueError(f"the distance from the {name} "
+                                  f"{row.tolist()} to the set is not finite",
+                                  point=row)
 
 
 def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
@@ -388,12 +417,16 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
     set.
 
     Exact minimum over the generators, or over their convex hull when the
-    set carries the convex-closure flag, at every scale of the set (up to
-    rounding of about 1e-16 (1 + |data|)); a distance of at most 1e-12 is
-    returned as 0.  A hull costs one NNLS solve per distinct map (maps
-    compared by bytes), so a family that is piecewise constant near the
-    base point pays for its pieces, not its samples; a repeated map gets
-    the bits of its first occurrence's solve.
+    set carries the convex-closure flag (up to rounding of about
+    1e-16 (1 + |data|); a hull's NNLS is not rescaled, so from a scale of
+    about 2^44 on its distances may be far off); a distance of at most
+    1e-12 is returned as 0.  A hull costs one NNLS solve per distinct map
+    (maps compared by bytes), so a family that is piecewise constant near
+    the base point pays for its pieces, not its samples; a repeated map
+    gets the bits of its first occurrence's solve.  A distance that is not
+    finite (a hull from a scale of about 2^50 on, see
+    ``_simplex_least_squares``) raises ``NonFiniteValueError`` naming the
+    map.
     """
     maps = np.asarray(maps, dtype=float)
     if maps.shape[1:] != lam.shape:
@@ -408,6 +441,7 @@ def distances_to_operator_set(maps, lam: OperatorSet) -> np.ndarray:
         first, inverse = _distinct_rows(targets)
         d = np.array([_simplex_least_squares(flats.T, targets[i])[1]
                       for i in first])[inverse]
+    _refuse_non_finite_distances(d, maps, "map")
     return np.where(d <= 1e-12, 0.0, d)
 
 
@@ -565,10 +599,13 @@ def convex_hull_points(points) -> np.ndarray:
 def hull_membership_residual(point: np.ndarray, vertices: np.ndarray) -> float:
     """Distance from a d-vector ``point`` to the convex hull of the rows of
     the (k, d) array ``vertices``; other shapes raise
-    ``DimensionMismatchError``."""
+    ``DimensionMismatchError``, and a distance that is not finite
+    ``NonFiniteValueError`` naming the point."""
     point = np.asarray(point, dtype=float)
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or point.shape != vertices.shape[1:]:
         raise DimensionMismatchError(
             f"point shape {point.shape} vs vertices shape {vertices.shape}")
-    return _simplex_least_squares(vertices.T, point)[1]
+    dist = _simplex_least_squares(vertices.T, point)[1]
+    _refuse_non_finite_distances(np.array([dist]), point[None], "point")
+    return dist

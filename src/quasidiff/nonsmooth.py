@@ -30,6 +30,7 @@ from .core import (
     OperatorSet,
     _apply_maps,
     _read_rows,
+    _refuse_non_positive_counts,
     ball_samples,
     convex_hull_points,
     dedupe,
@@ -42,6 +43,9 @@ DIFFERENTIABILITY_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class MollifierConfig:
+    """The mollifier's width eta and its quadrature: ``quadrature_points``
+    nodes, a positive integer, of which the rule takes at least 16, and the
+    seed of their scrambling."""
     eta: float
     quadrature_points: int = 512
     seed: int = 0
@@ -49,13 +53,7 @@ class MollifierConfig:
     def __post_init__(self):
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
-
-
-def _bump(v: np.ndarray) -> float:
-    r2 = float(v @ v)
-    if r2 >= 1.0:
-        return 0.0
-    return float(np.exp(-1.0 / (1.0 - r2)))
+        _refuse_non_positive_counts(quadrature_points=self.quadrature_points)
 
 
 def _central_differences(f, pts: np.ndarray, steps: tuple):
@@ -161,27 +159,74 @@ def differentiability_score(f, x, h: float) -> float:
     return float(_scores(*_at_point(f, x, (h, h / 2.0))))
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes, by trial division."""
+    primes, c = [], 2
+    while len(primes) < count:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _halton(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of the Owen-scrambled Halton sequence in
+    [0, 1)^d, a (count, d) array, with the bits of scipy's
+    ``qmc.Halton(d=d, seed=seed).random(count)``.
+
+    Coordinate i is the van der Corput sequence in the i-th prime base b,
+    each digit of an index passed through its own permutation of
+    ``arange(b)`` (Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808).  There are ceil(54 / log2(b)) - 1 digit places,
+    those whose weight b^-j still counts next to 1 in double precision;
+    their permutations are shuffled by one ``default_rng(seed)``, base by
+    base and place by place.  The permuted digits are added onto a zero
+    start place by place, the lowest (weight 1/b) first.  Once every index
+    has run out of digits, a place adds its permutation of 0 as one
+    scalar, which gives the same bits.
+    """
+    rng = np.random.default_rng(seed)
+    cols = []
+    for base in _primes(d):
+        places = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], places, axis=0)
+        # one call, with the bits of rng.shuffle on each row in turn
+        rng.permuted(perms, axis=1, out=perms)
+        seq, q, b2r = np.zeros(count), np.arange(count), 1.0 / base
+        for perm in perms:
+            if q.any():
+                seq += perm[q % base] * b2r
+                q //= base
+            else:
+                seq += float(perm[0]) * b2r
+            b2r /= base
+        cols.append(seq)
+    return np.array(cols).T
+
+
 def _quadrature_rule(n: int, count: int, seed: int):
     """Symmetric quasi-Monte-Carlo bump quadrature on the unit ball.
 
-    Points come in +-pairs and weights are normalized to unit total mass,
-    so constants are reproduced exactly and odd moments vanish.  From n = 5
-    on, fewer than half of the Halton draws land in the ball, and
+    The nodes are the first ``count // 2`` (at least 8) scrambled Halton
+    points (``_halton``, 4 * that many drawn), mapped to [-1, 1)^n, that
+    lie within 0.999 of the origin, with their negatives; the weights are
+    the bump exp(-1 / (1 - |x|^2)) at each node, |x|^2 taken by one BLAS
+    dot per node (``core._apply_maps``), normalized to unit total mass.
+    So constants are reproduced exactly and odd moments vanish.  From
+    n = 5 on, fewer than half of the Halton draws land in the ball, and
     ``EstimatorFailedError`` is raised rather than shrink the rule.
     """
-    # imported here, as scipy.stats is slow to import and only this needs it
-    from scipy.stats import qmc
-
     half = max(count // 2, 8)
-    sampler = qmc.Halton(d=n, seed=seed)
-    raw = 2.0 * sampler.random(4 * half) - 1.0
+    raw = 2.0 * _halton(n, 4 * half, seed) - 1.0
     inside = raw[np.linalg.norm(raw, axis=1) < 0.999][:half]
     if len(inside) < half:
         raise EstimatorFailedError(
             f"{len(inside)} of {4 * half} quadrature draws land in the unit "
             f"ball of dimension {n}, fewer than the {half} needed")
     pts = np.vstack([inside, -inside])
-    weights = np.array([_bump(v) for v in pts])
+    # every node has |x| < 0.999, so r2 < 1 and every weight is positive
+    r2 = _apply_maps(pts[:, None, :], pts)[:, 0]
+    weights = np.exp(-1.0 / (1.0 - r2))
     return pts, weights / weights.sum()
 
 
@@ -197,8 +242,9 @@ def mollify(f: VectorField, cfg: MollifierConfig) -> VectorField:
     stencil only when that one misses, to report the first failing row, one
     ``evaluate_rows`` call and the weighted sum.  Values that are not n wide
     raise ``DimensionMismatchError``.  From n = 5 on the quadrature rule
-    raises ``EstimatorFailedError``; it is the one user of ``scipy.stats``,
-    which it imports on its first call.
+    raises ``EstimatorFailedError``.  The rule's scrambled Halton nodes are
+    built in-house from numpy (``_halton``), so mollifying imports nothing
+    beyond numpy.
     """
     pts, weights = _quadrature_rule(f.dimension, cfg.quadrature_points, cfg.seed)
     offsets = cfg.eta * pts

@@ -2,7 +2,6 @@
 set-separation verdicts with their sampling corroboration probe."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,8 @@ from .cones import (
     image_cone,
 )
 from .core import DimensionMismatchError, GammaSet, NonFiniteValueError, \
-    OperatorSet, distances_to_operator_set, evaluate_rows, row_norms
+    OperatorSet, _refuse_non_positive_counts, distances_to_operator_set, \
+    evaluate_rows, row_norms
 
 NOT_LOCALLY_SEPARATED = "NotLocallySeparated"
 NO_CONCLUSION = "NoConclusion"
@@ -284,15 +284,6 @@ def _refuse_non_finite(**inputs) -> None:
     for name, value in inputs.items():
         if not np.isfinite(value).all():
             raise NonFiniteValueError(f"{name} must be finite, got {value}")
-
-
-def _refuse_non_positive_counts(**counts) -> None:
-    """Refuse a count that is not a positive integer: with no sample drawn
-    a probe checks only its fixed points, or fails inside numpy."""
-    for name, count in counts.items():
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, "
-                             f"got {count!r}")
 
 
 def _probe_points(sampler, name: str, rng, z, radius: float,

@@ -1,8 +1,9 @@
 """The stacked products against the per-row products they stand for, under
 every OpenBLAS kernel this CPU runs.
 
-The certificates, the estimators and the fields form every stacked
-matrix-vector product by ``core._apply_maps``, ``np.matmul`` over a
+The certificates, the estimators, the fields and the mollifier's
+quadrature weights form every stacked matrix-vector product by
+``core._apply_maps``, ``np.matmul`` over a
 trailing unit axis: one gemv per row, which must give the bits of
 ``J @ v`` row for row.  That holds relative
 to one BLAS kernel, whose summation order and FMA use may differ from
@@ -27,8 +28,8 @@ import quasidiff
 from quasidiff.cones import conic_hull
 from quasidiff.core import _apply_maps, in_conic_hull, row_norms
 from quasidiff.fields import abs_shear_field, linear_field, unit_x_field
-from quasidiff.nonsmooth import _brackets, bracket_flow_direction, \
-    set_lie_bracket_estimate
+from quasidiff.nonsmooth import _brackets, _quadrature_rule, \
+    bracket_flow_direction, set_lie_bracket_estimate
 from test_sampling import bracket_rows_loop
 
 SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
@@ -122,8 +123,23 @@ def check_flow_ladder():
     assert got.tobytes() == want.tobytes()
 
 
+def check_quadrature_rule():
+    """The quadrature weights, whose squared norms are stacked dots, are
+    the bump at ``v @ v`` node by node, normalized.  The dot of a node with
+    itself is the kernel's, so the weights' last bits are the kernel's
+    too; the nodes are numpy's alone."""
+    for n in range(1, 5):
+        for count, seed in ((16, 0), (64, 3), (256, 1), (2048, 7)):
+            pts, weights = _quadrature_rule(n, count, seed)
+            bumps = np.array([np.exp(-1.0 / (1.0 - float(v @ v)))
+                              for v in pts])
+            assert weights.tobytes() == (bumps / bumps.sum()).tobytes(), \
+                (n, count, seed)
+
+
 CHECKS = [check_stacked_gemv, check_bracket_product, check_bracket_estimates,
-          check_linear_rows, check_cone_residuals, check_flow_ladder]
+          check_linear_rows, check_cone_residuals, check_flow_ladder,
+          check_quadrature_rule]
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)

@@ -108,6 +108,22 @@ class TestAbsvalueFamily:
         assert rep.accepted
         assert rep.violations == []
 
+    @pytest.mark.parametrize("k", [54, 56])
+    def test_wrong_certificate_at_a_large_scale_raises(self, k):
+        # F = s x with L = s is at s/2 from co{-s, s/2}: refused at k = 0
+        # and 48, but at k = 54 and 56 every hull distance was NaN, which
+        # compared False with rho, and it was accepted with 0 violations
+        s = 2.0 ** k
+        cert = c.QdqCertificate(
+            x_bar=[0.0], y_bar=[0.0], gamma=GammaSet.full_space(1),
+            lam=OperatorSet.from_matrices([[[-s]], [[s / 2]]],
+                                          convex_closure=True),
+            delta_star=1.0, rho=lambda d: 0.1 * d * s,
+            family=lambda d: (lambda x: [[s]], lambda x: [0.0]))
+        with pytest.raises(core.NonFiniteValueError, match="map"):
+            c.verify_certificate(lambda x: s * np.asarray(x, dtype=float),
+                                 cert, [1e-1, 1e-2], 50, seed=0)
+
     def test_shrunk_lambda_rejected_at_minus_delta(self):
         cert = replace(c.absvalue_qdq(),
                        lam=OperatorSet.from_matrices([[[-0.5]], [[1.0]]],

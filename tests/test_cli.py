@@ -313,12 +313,27 @@ class TestReferenceGolden:
                 golden.read_bytes(), golden.name
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` takes about half a second to import and only the
-    mollifier's quadrature uses it, so importing the package leaves it out."""
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    """``scipy.stats`` takes about half a second and 20 MB to import, and
+    nothing in the package uses it: the mollifier builds its scrambled
+    Halton nodes itself.  So neither importing the package, nor a
+    mollified commutator flow, nor ``quasidiff run reference`` loads it."""
     src = Path(quasidiff.__file__).resolve().parent.parent
-    code = "import sys, quasidiff; print('scipy.stats' in sys.modules)"
+    code = "\n".join([
+        "import sys",
+        "import quasidiff",
+        "loaded = ['scipy.stats' in sys.modules]",
+        "from quasidiff.cli import main",
+        "from quasidiff.fields import abs_shear_field, unit_x_field",
+        "from quasidiff.nonsmooth import mollified_commutator_flow",
+        "mollified_commutator_flow(unit_x_field(), abs_shear_field(),",
+        "                          [0.0, 0.3], 1e-2, quadrature_points=64)",
+        "loaded.append('scipy.stats' in sys.modules)",
+        f"assert main(['run', 'reference', '--out', {str(tmp_path)!r}]) == 0",
+        "loaded.append('scipy.stats' in sys.modules)",
+        "print(loaded)"])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True,
+                          text=True, timeout=300, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "False"
+    # after the import, the flow and the run
+    assert done.stdout.splitlines()[-1] == "[False, False, False]"

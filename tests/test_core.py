@@ -455,6 +455,30 @@ class TestDistinctMapSolves:
             distances_to_operator_set(np.zeros((0, 1, 2)), lam)
 
 
+class TestNonFiniteHullDistance:
+    """At hull{-s, s} with s = 2^54 the lifted NNLS loses its row of ones
+    to rounding and returns u = 0, so c = u / sum(u) was 0 / 0 and the
+    distance NaN, which passes every ``<=`` bound."""
+
+    @pytest.mark.parametrize("k", [54, 56])
+    @pytest.mark.parametrize("t", [3.0, 0.3, 0.5, -1.5, 0.0])
+    def test_nan_distance_raises_naming_the_map(self, k, t):
+        s = 2.0 ** k
+        lam = OperatorSet.from_matrices([[[-s]], [[s]]], convex_closure=True)
+        maps = np.array([[[-0.25 * s]], [[t * s]]])
+        with pytest.raises(NonFiniteValueError, match="map") as err:
+            distances_to_operator_set(maps, lam)
+        assert np.isnan(core._simplex_least_squares(
+            lam.flat_generators().T, err.value.point.ravel())[1])
+        assert str(err.value.point.tolist()) in str(err.value)
+
+    def test_membership_residual_raises_naming_the_point(self):
+        s = 2.0 ** 56
+        with pytest.raises(NonFiniteValueError, match="point"):
+            hull_membership_residual(np.array([3.0 * s]),
+                                     np.array([[-s], [s]]))
+
+
 class TestConvexHullPoints:
     def test_matches_orientation_oracle_2d(self):
         rng = np.random.default_rng(3)

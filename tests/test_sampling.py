@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from quasidiff import cones
 from quasidiff.certificates import gamma_intersection
@@ -40,6 +41,7 @@ from quasidiff.nonsmooth import (
     DIFFERENTIABILITY_THRESHOLD,
     MollifierConfig,
     _brackets,
+    _halton,
     _quadrature_rule,
     _scored_jacobians,
     _vertex_reduce,
@@ -47,6 +49,7 @@ from quasidiff.nonsmooth import (
     differentiability_score,
     fd_jacobian,
     lie_bracket_pointwise,
+    mollified_commutator_flow,
     mollify,
     set_lie_bracket_estimate,
 )
@@ -176,6 +179,26 @@ def mollified_loop(f, cfg, x):
                                     point=y)
         acc += w * f(y)
     return acc
+
+
+def scipy_quadrature_rule(n, count, seed):
+    """Oracle: the quadrature rule as it was, on scipy's scrambled Halton
+    nodes (the only use of ``scipy.stats`` is here, in the tests), with
+    one bump evaluation per node."""
+    half = max(count // 2, 8)
+    raw = 2.0 * qmc.Halton(d=n, seed=seed).random(4 * half) - 1.0
+    inside = raw[np.linalg.norm(raw, axis=1) < 0.999][:half]
+    if len(inside) < half:
+        raise EstimatorFailedError(
+            f"{len(inside)} of {4 * half} quadrature draws land in the unit "
+            f"ball of dimension {n}, fewer than the {half} needed")
+    pts = np.vstack([inside, -inside])
+    weights = []
+    for v in pts:
+        r2 = float(v @ v)
+        weights.append(0.0 if r2 >= 1.0 else float(np.exp(-1.0 / (1.0 - r2))))
+    weights = np.array(weights)
+    return pts, weights / weights.sum()
 
 
 def extreme_rays_loop(constraints, n):
@@ -780,6 +803,54 @@ class TestMollifierMatchesLoop:
         with pytest.raises(DomainEscapeError) as want:
             mollified_loop(f, cfg, x)
         assert np.array_equal(got.value.point, want.value.point)
+
+
+class TestQuadratureRule:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 8), count=st.integers(1, 700),
+           seed=st.integers(0, 2**32 - 1))
+    def test_halton_nodes_are_scipys(self, d, count, seed):
+        want = qmc.Halton(d=d, seed=seed).random(count)
+        assert _halton(d, count, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_rule_is_the_scipy_rule(self, n):
+        # nodes and weights by bytes up to n = 4, and from n = 5 on the
+        # same refusal with the same counts in its message
+        for count, seed in itertools.product((1, 16, 64, 257, 1000),
+                                             (0, 1, 12345)):
+            try:
+                want = scipy_quadrature_rule(n, count, seed)
+            except EstimatorFailedError as err:
+                with pytest.raises(EstimatorFailedError) as got:
+                    _quadrature_rule(n, count, seed)
+                assert str(got.value) == str(err)
+                continue
+            pts, weights = _quadrature_rule(n, count, seed)
+            assert pts.tobytes() == want[0].tobytes(), (count, seed)
+            assert weights.tobytes() == want[1].tobytes(), (count, seed)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, "16", None])
+    def test_count_that_is_not_a_positive_integer_refused(self, count):
+        # 0 and -3 were taken as the floor of 16 nodes
+        with pytest.raises(ValueError, match="quadrature_points"):
+            MollifierConfig(eta=0.1, quadrature_points=count)
+        with pytest.raises(ValueError, match="quadrature_points"):
+            mollified_commutator_flow(unit_x_field(), abs_shear_field(),
+                                      [0.0, 0.3], 1e-2,
+                                      quadrature_points=count)
+
+    @pytest.mark.parametrize("count", range(1, 16))
+    def test_small_counts_keep_the_floor(self, count):
+        floor = _quadrature_rule(2, 16, 0)
+        got = _quadrature_rule(2, count, 0)
+        assert len(got[0]) == 16
+        assert got[0].tobytes() == floor[0].tobytes()
+        assert got[1].tobytes() == floor[1].tobytes()
+        f = abs_shear_field()
+        x = np.array([0.1, -0.2])
+        assert mollify(f, MollifierConfig(0.05, count))(x).tobytes() == \
+            mollify(f, MollifierConfig(0.05, 16))(x).tobytes()
 
 
 def in_cone(rays, x, tol=1e-7):

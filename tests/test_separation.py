@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -65,24 +65,6 @@ def probe_loop(sampler1, sampler2, z, radius, samples, seed):
         if distinct_tol < dz <= radius + MATCH_TOL and d[i] < best_d:
             best, best_d = mid, d[i]
     return best
-
-
-def probe_unbounded(sampler1, sampler2, z, radius, samples, seed):
-    """Oracle: the separation probe with an unbounded nearest-neighbour
-    query, as it was."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    rng = np.random.default_rng(seed)
-    p1 = np.atleast_2d(sampler1(rng, z, radius, samples))
-    p2 = np.atleast_2d(sampler2(rng, z, radius, samples))
-    distinct_tol = max(0.01 * radius, 10.0 * MATCH_TOL)
-    dists, idx = cKDTree(p2).query(p1, k=1)
-    near = np.flatnonzero(dists <= MATCH_TOL)
-    mids = 0.5 * (p1[near] + p2[idx[near]])
-    dz = np.linalg.norm(mids - z, axis=1)
-    ok = (dz > distinct_tol) & (dz <= radius + MATCH_TOL)
-    if ok.any():
-        return mids[ok][np.argmin(dists[near][ok])]
-    return None
 
 
 def open_mapping_full_tree(F, y_bar, a, beta, target_grid, samples, seed):
@@ -147,6 +129,39 @@ def tie_rich_inputs(seed):
     i, j = rng.integers(n, size=(2, 5))
     p1 = 0.5 * (p2[i] + p2[j])
     return lambda *a: p1, lambda *a: p2, np.zeros(2), 1.0, n, seed
+
+
+def bounded_query_case(seed, k):
+    """Anchors on the y-axis, whose x offsets are exact distances: at
+    MATCH_TOL, one ulp either side, inside and outside; pairs of points of
+    p2 equally far from a point of p1, and repeated rows.  The probe's
+    k-d tree, queried with and without its distance bound, agrees on
+    every match, and the probe's common point is the loop oracle's."""
+    rng = np.random.default_rng(seed)
+    tol, half = MATCH_TOL, 2.0 ** -21
+    anchors = np.column_stack([np.zeros(k), rng.integers(1, 8, size=k) / 8.0])
+    offsets = np.array([0.0, half, tol, np.nextafter(tol, 0.0),
+                        np.nextafter(tol, 1.0), 2.0 * tol,
+                        np.nextafter(2.0 * tol, 0.0), 3.0 * tol, 0.25])
+    moved = anchors + np.column_stack([
+        rng.choice(offsets, size=k), np.zeros(k)])
+    ties = anchors + [2.0 * half, 0.0]
+    fill = rng.integers(-8, 9, size=(k, 2)) / 8.0
+    p2 = np.vstack([anchors, ties, fill, anchors[:2]])
+    p1 = np.vstack([moved, anchors + [half, 0.0], fill[::2]])
+    rng.shuffle(p1)
+    tree = separation.cKDTree(p2)
+    want_d, want_i = tree.query(p1, k=1)
+    got_d, got_i = tree.query(p1, k=1, distance_upper_bound=2.0 * tol)
+    near = want_d <= tol
+    assert np.array_equal(got_d <= tol, near)
+    assert got_d[near].tobytes() == want_d[near].tobytes()
+    assert np.array_equal(got_i[near], want_i[near])
+    args = (lambda *a: p1, lambda *a: p2, np.zeros(2), 1.0, k, seed)
+    got = local_separation_probe(*args)["common_point"]
+    want = probe_loop(*args)
+    assert (got is None) == (want is None)
+    assert want is None or got.tobytes() == want.tobytes()
 
 
 class TestBuildMulticone:
@@ -497,37 +512,9 @@ class TestLocalSeparationProbe:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 20))
+    @example(seed=43, k=1)
     def test_bounded_query_matches_unbounded(self, seed, k):
-        # anchors on the y-axis, whose x offsets are exact distances: at
-        # MATCH_TOL, one ulp either side, inside and outside; pairs of
-        # points of p2 equally far from a point of p1, and repeated rows
-        rng = np.random.default_rng(seed)
-        tol, half = MATCH_TOL, 2.0 ** -21
-        anchors = np.column_stack([np.zeros(k),
-                                   rng.integers(1, 8, size=k) / 8.0])
-        offsets = np.array([0.0, half, tol, np.nextafter(tol, 0.0),
-                            np.nextafter(tol, 1.0), 2.0 * tol,
-                            np.nextafter(2.0 * tol, 0.0), 3.0 * tol, 0.25])
-        moved = anchors + np.column_stack([
-            rng.choice(offsets, size=k), np.zeros(k)])
-        ties = anchors + [2.0 * half, 0.0]
-        fill = rng.integers(-8, 9, size=(k, 2)) / 8.0
-        p2 = np.vstack([anchors, ties, fill, anchors[:2]])
-        p1 = np.vstack([moved, anchors + [half, 0.0], fill[::2]])
-        rng.shuffle(p1)
-        tree = cKDTree(p2)
-        want_d, want_i = tree.query(p1, k=1)
-        got_d, got_i = tree.query(p1, k=1, distance_upper_bound=2.0 * tol)
-        near = want_d <= tol
-        assert np.array_equal(got_d <= tol, near)
-        assert got_d[near].tobytes() == want_d[near].tobytes()
-        assert np.array_equal(got_i[near], want_i[near])
-        z = np.zeros(2)
-        got = local_separation_probe(lambda *a: p1, lambda *a: p2, z, 1.0,
-                                     k, seed)["common_point"]
-        want = probe_unbounded(lambda *a: p1, lambda *a: p2, z, 1.0, k, seed)
-        assert (got is None) == (want is None)
-        assert want is None or got.tobytes() == want.tobytes()
+        bounded_query_case(seed, k)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sets=separation_samples(), seed=st.integers(0, 3))
@@ -856,6 +843,14 @@ class TestTreeShape:
         args = tie_rich_inputs(seed)
         got = local_separation_probe(*args)["common_point"]
         assert got.tobytes() == probe_loop(*args).tobytes()
+
+    # the fixture's patch is the same for every example
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 20))
+    @example(seed=43, k=1)
+    def test_bounded_query_matches_unbounded(self, seed, k):
+        bounded_query_case(seed, k)
 
 
 if __name__ == "__main__":
